@@ -31,7 +31,6 @@ __all__ = [
     "dechirped_gain",
     "rotate_gains",
     "channel_coefficient",
-    "channel_energy",
     "load_channel_file",
     "parse_channel",
 ]
@@ -207,11 +206,6 @@ def channel_coefficient(params: LoRaParams, g: DechirpedGains, b: int) -> np.nda
     padded = np.zeros(params.m, dtype=np.complex128)
     padded[np.asarray(gb.delays)] = gb.gains
     return np.fft.fft(padded)
-
-
-def channel_energy(taps) -> float:
-    """Sum of squared tap magnitudes (MultipathChannel or DechirpedGains)."""
-    return taps.energy()
 
 
 def load_channel_file(path) -> MultipathChannel:

@@ -21,7 +21,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .channel import MultipathChannel, parse_channel
 from .simulate import (
@@ -85,36 +85,23 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-# flag destinations that feed SimConfig.from_dict (dest -> config key)
-_CONFIG_FLAGS = {
-    "sf": "sf",
-    "channel": "channel",
-    "detectors": "detectors",
-    "ebn0": "ebn0_db",
-    "n_trials": "n_trials",
-    "n_d": "n_d",
-    "n_p": "n_p",
-    "rho_p": "rho_p",
-    "k_max": "k_max",
-    "known_k": "known_k",
-    "csir": "csir",
-    "forced_khat": "forced_khat",
-    "rho_c": "rho_c",
-    "n_c": "n_c",
-    "rho_tdel": "rho_tdel",
-    "seed": "master_seed",
-    "workers": "workers",
+# flag values that need parsing into a config list; the rest pass through
+_LIST_FLAGS = {
+    "ebn0_db": parse_ebn0_axis,
+    "detectors": _parse_str_list,
+    "forced_khat": _parse_int_list,
 }
 
 
 def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON file with SimConfig fields")
     sub.add_argument("--sf", type=int, help="spreading factor")
-    sub.add_argument("--ebn0", metavar="AXIS",
+    sub.add_argument("--ebn0", dest="ebn0_db", metavar="AXIS",
                      help="Eb/N0 grid: start:step:stop or comma list (dB)")
     sub.add_argument("--n-trials", type=int, dest="n_trials", help="frames per point")
     sub.add_argument("--n-d", type=int, dest="n_d", help="data symbols per frame")
-    sub.add_argument("--seed", type=int, help="master seed")
+    sub.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
+                     help="master seed")
     sub.add_argument("--workers", type=int, help="worker processes")
     if not full:
         return
@@ -140,18 +127,10 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
-    for dest, key in _CONFIG_FLAGS.items():
-        raw = getattr(args, dest, None)
-        if raw is None:
-            continue
-        if dest == "ebn0":
-            values[key] = parse_ebn0_axis(raw)
-        elif dest == "detectors":
-            values[key] = _parse_str_list(raw)
-        elif dest == "forced_khat":
-            values[key] = _parse_int_list(raw)
-        else:
-            values[key] = raw
+    for f in fields(SimConfig):
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            values[f.name] = _LIST_FLAGS[f.name](raw) if f.name in _LIST_FLAGS else raw
     return SimConfig.from_dict(values)
 
 

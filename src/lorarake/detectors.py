@@ -8,6 +8,12 @@ Both evaluate the same statistic, and candidate variants restrict the
 hypothesis search to a few high-magnitude bins. The module also holds
 the genie-aided ideal detector, the per-symbol interference indicators,
 and a pilot-correlation baseline (tdel) that needs no gain estimates.
+
+Detection runs on batches: the *_scores kernels score every bin of a
+(symbols, M) block, candidate_masks picks the bins a candidate detector
+may choose, and masked_argmax decides. mf_statistic and rake_statistic
+evaluate one hypothesis of one window by direct sums; they are the
+reference forms the kernels are checked against.
 """
 
 from __future__ import annotations
@@ -20,48 +26,19 @@ from .channel import DechirpedGains, channel_coefficient, dechirped_gain, rotate
 from .waveform import LoRaParams
 
 __all__ = [
-    "CandidateSet",
     "CorrelationTable",
-    "DetectionStatistic",
     "auto_cross_correlation",
     "mf_statistic",
     "rake_statistic",
     "mf_filter_bank",
-    "ideal_mf_detect",
-    "detect",
-    "select_candidates_fixed",
-    "select_candidates_threshold",
+    "rake_scores",
+    "mf_scores",
+    "ideal_mf_scores",
+    "candidate_masks",
+    "masked_argmax",
     "delta_indicator",
     "tdel_detect",
 ]
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Hypothesis bins to test, with a record of how they were chosen."""
-
-    indices: np.ndarray
-    selection_mode: str
-    degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1)
-        if idx.size == 0:
-            raise ValueError("candidate set must be nonempty")
-        if idx.min() < 0:
-            raise ValueError("candidate indices must be nonnegative")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("candidate indices must be unique")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def full(cls, m: int) -> "CandidateSet":
-        return cls(np.arange(m, dtype=np.int64), "full")
-
-    @property
-    def n_c(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass(frozen=True)
@@ -80,16 +57,6 @@ class CorrelationTable:
         if -self.l_max <= lag <= self.l_max:
             return complex(self.values[lag + self.l_max])
         return 0j
-
-
-@dataclass(frozen=True)
-class DetectionStatistic:
-    """Per-candidate statistics and the winning symbol."""
-
-    symbol: int
-    candidates: CandidateSet
-    values: np.ndarray
-    scores: np.ndarray
 
 
 def _padded_taps(g: DechirpedGains) -> np.ndarray:
@@ -149,57 +116,68 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
     return np.conj(cmat) * twiddle
 
 
-def ideal_mf_detect(params: LoRaParams, r_dechirped, g: DechirpedGains, true_a: int) -> int:
-    """Genie-aided bound: filter with the true symbol's coefficient, argmax of Re."""
-    ca = channel_coefficient(params, g, true_a)
-    spectrum = np.fft.fft(np.conj(ca) * np.asarray(r_dechirped))
-    return int(np.argmax(spectrum.real))
+def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
+    """Tap-combining scores for a batch of spectra: rows are symbols, columns tested bins.
 
-
-def detect(
-    params: LoRaParams, received, g: DechirpedGains, cand: CandidateSet, kind: str
-) -> DetectionStatistic:
-    """Run the matched-filter or tap-combining detector over a candidate set.
-
-    kind "mf" expects the dechirped time window; kind "rake" expects its
-    DFT, computed once and shared by all candidates. The winner is the
-    candidate with the largest real part; ties resolve to the lowest
-    symbol index.
+    Entry (i, b) is the real part of the hypothesis-b statistic of spectrum
+    row i; each tap adds its conjugated, b-rotated gain times the spectrum
+    shifted by the tap delay.
     """
-    idx = cand.indices
-    if kind == "mf":
-        values = np.array([mf_statistic(params, received, g, int(b)) for b in idx])
-    elif kind == "rake":
-        values = np.array([rake_statistic(params, received, g, int(b)) for b in idx])
-    else:
-        raise ValueError(f"unknown detector kind {kind!r}")
-    scores = values.real
-    symbol = int(idx[scores == scores.max()].min())
-    return DetectionStatistic(symbol, cand, values, scores)
+    m = params.m
+    bgrid = np.arange(m)
+    z = np.zeros(data_spec.shape, dtype=np.complex128)
+    for d, gain in zip(g.delays, g.gains):
+        phase = np.exp(2j * np.pi * ((d * bgrid) % m) / m)
+        z += (np.conj(gain) * phase) * np.roll(data_spec, d, axis=1)
+    return z.real
 
 
-def select_candidates_fixed(spectrum, n_c: int) -> CandidateSet:
-    """The n_c highest-magnitude bins, magnitude-descending, ties to the lower index."""
-    mag = np.abs(np.asarray(spectrum))
-    if not 1 <= n_c <= mag.size:
-        raise ValueError(f"n_c must be in [1, {mag.size}], got {n_c}")
-    order = np.argsort(-mag, kind="stable")
-    return CandidateSet(order[:n_c].astype(np.int64), f"fixed({n_c})")
+def mf_scores(data_dech: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """Matched-filter scores for a batch of dechirped windows through an mf_filter_bank.
 
-
-def select_candidates_threshold(spectrum, rho_c: float) -> CandidateSet:
-    """All bins whose magnitude strictly exceeds rho_c times the peak magnitude.
-
-    An all-zero spectrum has no qualifying bin; the set then degenerates
-    to {0} and is flagged.
+    Independent of the rake construction, so the two cross-check each other.
     """
-    if not 0.0 <= rho_c < 1.0:
-        raise ValueError(f"rho_c must be in [0, 1), got {rho_c}")
-    mag = np.abs(np.asarray(spectrum))
-    keep = np.flatnonzero(mag > rho_c * float(mag.max()))
-    if keep.size == 0:
-        return CandidateSet(np.array([0], dtype=np.int64), f"threshold({rho_c})", degenerate=True)
-    return CandidateSet(keep.astype(np.int64), f"threshold({rho_c})")
+    return (data_dech @ bank.T).real
+
+
+def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains,
+                    true_symbols: np.ndarray) -> np.ndarray:
+    """Genie-aided bound: each window filtered with its true symbol's coefficient, then a DFT.
+
+    Row i holds the real part of the spectrum of conj(C_a) * window i, with
+    a = true_symbols[i]; its argmax is the ideal detector's decision.
+    """
+    m = params.m
+    h = channel_coefficient(params, g, 0)
+    k = np.arange(m)
+    crows = h[(true_symbols[:, None] + k[None, :]) % m]
+    return np.fft.fft(np.conj(crows) * data_dech, axis=1).real
+
+
+def candidate_masks(mag: np.ndarray, rule: tuple[str, float]) -> np.ndarray:
+    """Boolean (symbols, M) mask of the bins each candidate detector scores.
+
+    rule ("fixed", n_c) keeps the n_c highest-magnitude bins of each row,
+    ties to the lower index. rule ("threshold", rho_c) keeps the bins whose
+    magnitude strictly exceeds rho_c times the row peak; a row with no such
+    bin (all zero) keeps its argmax bin, which is bin 0.
+    """
+    kind, val = rule
+    if kind == "fixed":
+        order = np.argsort(-mag, axis=1, kind="stable")
+        mask = np.zeros(mag.shape, dtype=bool)
+        np.put_along_axis(mask, order[:, : int(val)], True, axis=1)
+        return mask
+    mask = mag > val * mag.max(axis=1, keepdims=True)
+    dead = np.flatnonzero(~mask.any(axis=1))
+    if dead.size:
+        mask[dead, np.argmax(mag[dead], axis=1)] = True
+    return mask
+
+
+def masked_argmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row argmax over the masked bins only; ties resolve to the lowest bin."""
+    return np.argmax(np.where(mask, scores, -np.inf), axis=1)
 
 
 _DELTA_VARIANTS = ("coh", "noncoh", "ideal_mf", "mf")

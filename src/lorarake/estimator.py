@@ -16,7 +16,7 @@ import numpy as np
 from .channel import DechirpedGains
 from .waveform import LoRaParams
 
-__all__ = ["EstimatorConfig", "average_pilot_dft", "detect_paths"]
+__all__ = ["EstimatorConfig", "average_pilot_dft", "detect_paths", "gains_at_delays"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,15 @@ def detect_paths(params: LoRaParams, avg_spectrum, cfg: EstimatorConfig) -> Dech
         keep = echo_bins[np.sort(order[:take])]
     else:
         keep = echo_bins[mags > cfg.rho_p * np.abs(avg[0])]
-    delays = np.concatenate([[0], m - keep])
-    gains = np.concatenate([[avg[0]], avg[keep]]) / m
-    ascending = np.argsort(delays)
-    return DechirpedGains(tuple(int(d) for d in delays[ascending]), gains[ascending])
+    return gains_at_delays(params, avg, sorted([0, *(m - int(b) for b in keep)]))
+
+
+def gains_at_delays(params: LoRaParams, avg_spectrum, delays) -> DechirpedGains:
+    """Read the path gains at the given delays off an averaged pilot spectrum.
+
+    Delay k sits at bin (M - k) mod M; bin values are rescaled by 1/M onto
+    the dechirped-gain scale.
+    """
+    m = params.m
+    bins = [(m - k) % m for k in delays]
+    return DechirpedGains(tuple(delays), np.asarray(avg_spectrum)[bins] / m)

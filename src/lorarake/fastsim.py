@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DechirpedGains
-from .detectors import CandidateSet, mf_filter_bank
+from .detectors import mf_filter_bank
 from .waveform import LoRaParams, chirp_samples
 
 __all__ = [
@@ -146,21 +146,21 @@ def sample_correlated_noise(
     model: FastSimModel,
     sigma2: float,
     rng: np.random.Generator,
-    candidates: CandidateSet | np.ndarray | None = None,
+    candidates: np.ndarray | None = None,
     size: int | None = None,
 ):
     """Draw statistic noise with the model covariance scaled by sigma2.
 
-    Returns shape (M,) or (size, M); with candidates given, the full draw
-    is restricted to those bins afterwards, preserving their joint law.
+    Returns shape (M,) or (size, M); with candidates (an array of bin
+    indices) given, the full draw is restricted to those bins afterwards,
+    preserving their joint law.
     """
     m = model.params.m
     n = 1 if size is None else int(size)
     xi = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
     w = math.sqrt(sigma2) * (xi @ model.chol.T)
     if candidates is not None:
-        idx = candidates.indices if isinstance(candidates, CandidateSet) else np.asarray(candidates)
-        w = w[:, idx]
+        w = w[:, np.asarray(candidates)]
     return w[0] if size is None else w
 
 

@@ -13,9 +13,13 @@ point by point.
 from __future__ import annotations
 
 import math
+import numbers
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +33,18 @@ from .channel import (
     parse_channel,
 )
 from .complexity import OpCount, complexity_ratio, op_count
-from .detectors import mf_filter_bank, tdel_detect
-from .estimator import EstimatorConfig, detect_paths
+# The kernels keep their former private names here because perfbench traces
+# them by wrapping these attributes of this module; calls resolve through it.
+from .detectors import (
+    candidate_masks as _candidate_masks,
+    ideal_mf_scores as _ideal_scores,
+    masked_argmax as _masked_argmax,
+    mf_filter_bank,
+    mf_scores as _mf_scores,
+    rake_scores as _rake_scores,
+    tdel_detect,
+)
+from .estimator import EstimatorConfig, detect_paths, gains_at_delays
 from .waveform import LoRaParams, dechirp, noise_variance, snr_ebn0_convert
 
 __all__ = [
@@ -49,23 +63,6 @@ __all__ = [
     "run_candidate_sweep",
 ]
 
-DETECTOR_IDS = (
-    "noncoh",
-    "coh",
-    "coh-awgn",
-    "ideal-mf",
-    "mf",
-    "cand-mf",
-    "rake",
-    "cand-rake",
-    "tdel",
-)
-
-# detectors whose per-symbol cost formulas exist; everything else reports 0
-_OP_KINDS = {"mf": "mf", "rake": "rake", "cand-mf": "cand_mf", "cand-rake": "cand_rake"}
-
-_CAND_DETECTORS = ("cand-mf", "cand-rake")
-
 _DEFAULT_RHO_C = 0.3
 
 
@@ -75,6 +72,31 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+
+
+# value checks by the element type a SimConfig annotation names
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _check_type(name: str, annotation: str, value) -> None:
+    """Raise ConfigError unless value fits an annotation such as "int",
+    "float | None" or "tuple[int, ...] | None"."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return
+    items = (value,)
+    if kind.startswith("tuple["):
+        if not isinstance(value, tuple):
+            raise ConfigError(name, f"expected a list, got {value!r}")
+        kind, items = kind[len("tuple["):-len(", ...]")], value
+    check = _TYPE_CHECKS.get(kind)
+    if check is not None and not all(check(v) for v in items):
+        raise ConfigError(name, f"expected {annotation}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,27 +121,18 @@ class SimConfig:
     master_seed: int = 0
     workers: int = 1
 
-    _FIELD_NAMES = (
-        "sf", "channel", "detectors", "ebn0_db", "n_trials", "n_d", "n_p",
-        "rho_p", "k_max", "known_k", "csir", "forced_khat", "rho_c", "n_c",
-        "rho_tdel", "master_seed", "workers",
-    )
-
     @classmethod
     def from_dict(cls, values: dict) -> "SimConfig":
         """Build from a plain mapping, rejecting unknown keys."""
-        unknown = set(values) - set(cls._FIELD_NAMES)
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
-        clean = dict(values)
-        for key in ("detectors", "ebn0_db", "forced_khat"):
-            if clean.get(key) is not None:
-                clean[key] = tuple(clean[key])
-        return cls(**clean)
+        # JSON arrays arrive as lists; resolve() rejects any other value in a list field
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
     def candidate_rule(self) -> tuple[str, float] | None:
         """("fixed", n_c) or ("threshold", rho_c) when a candidate detector runs."""
-        if not any(d in self.detectors for d in _CAND_DETECTORS):
+        if not any(d in _DETECTORS and _DETECTORS[d].candidates for d in self.detectors):
             return None
         if self.n_c is not None:
             return ("fixed", self.n_c)
@@ -127,6 +140,8 @@ class SimConfig:
 
     def resolve(self) -> tuple[LoRaParams, MultipathChannel]:
         """Validate every field; return the parameter set and channel."""
+        for f in fields(self):
+            _check_type(f.name, f.type, getattr(self, f.name))
         try:
             params = LoRaParams(self.sf)
         except ValueError as exc:
@@ -206,9 +221,13 @@ class SerPoint:
     @classmethod
     def from_counts(cls, detector, ebn0_db, errors, symbols, nc_avg, cmult, cadd):
         ser = errors / symbols
-        ci95 = 1.96 * math.sqrt(ser * (1.0 - ser) / symbols)
-        return cls(detector, float(ebn0_db), int(errors), int(symbols), ser, ci95,
-                   float(nc_avg), float(cmult), float(cadd))
+        return cls(detector, float(ebn0_db), int(errors), int(symbols), ser,
+                   _ci95(ser, symbols), float(nc_avg), float(cmult), float(cadd))
+
+
+def _ci95(ser: float, symbols: int) -> float:
+    """Half-width of the normal-approximation 95% interval of an error rate."""
+    return 1.96 * math.sqrt(ser * (1.0 - ser) / symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +247,16 @@ def _trial_rng(master_seed: int, trial: int, ebn0_db: float) -> np.random.Genera
 
 @dataclass
 class _TrialData:
+    """One trial's frame, noise and receiver front end.
+
+    The scores and the candidate mask are computed on first use, so the
+    detectors that share them (mf and cand-mf, rake and cand-rake) pay for
+    each once per trial.
+    """
+
+    params: LoRaParams
+    ch: MultipathChannel
+    cfg: SimConfig
     data: np.ndarray
     data_dech: np.ndarray
     data_spec: np.ndarray
@@ -237,10 +266,17 @@ class _TrialData:
     noise: np.ndarray
     frame_samples: np.ndarray
 
+    @cached_property
+    def rake(self) -> np.ndarray:
+        return _rake_scores(self.params, self.data_spec, self.gains)
 
-def _forced_gains(params: LoRaParams, avg: np.ndarray, khat: tuple[int, ...]) -> DechirpedGains:
-    bins = [0 if k == 0 else params.m - k for k in khat]
-    return DechirpedGains(tuple(khat), np.asarray(avg)[bins] / params.m)
+    @cached_property
+    def mf(self) -> np.ndarray:
+        return _mf_scores(self.data_dech, mf_filter_bank(self.params, self.gains))
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        return _candidate_masks(np.abs(self.data_spec), self.cfg.candidate_rule())
 
 
 def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
@@ -262,7 +298,7 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
         gains = dechirped_gain(params, ch)
         coh_ref = complex(ch.gains[0])
     elif cfg.csir == "forced":
-        gains = _forced_gains(params, pilot_avg, cfg.forced_khat)
+        gains = gains_at_delays(params, pilot_avg, cfg.forced_khat)
         coh_ref = complex(gains.gains[0])
     else:
         est = EstimatorConfig(
@@ -275,6 +311,9 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
         coh_ref = complex(gains.gains[0])
 
     return _TrialData(
+        params=params,
+        ch=ch,
+        cfg=cfg,
         data=data,
         data_dech=dech[cfg.n_p :],
         data_spec=spectra[cfg.n_p :],
@@ -286,54 +325,43 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
     )
 
 
-def _rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
-    """Batched tap-combining scores: rows are symbols, columns tested bins."""
-    m = params.m
-    bgrid = np.arange(m)
-    z = np.zeros(data_spec.shape, dtype=np.complex128)
-    for d, gain in zip(g.delays, g.gains):
-        phase = np.exp(2j * np.pi * ((d * bgrid) % m) / m)
-        z += (np.conj(gain) * phase) * np.roll(data_spec, d, axis=1)
-    return z.real
+def _coh_awgn_decisions(t: _TrialData) -> np.ndarray:
+    # flat single-tap reference carrying the same energy, same noise
+    m = t.params.m
+    start = t.cfg.n_p * m
+    flat = math.sqrt(t.ch.energy()) * t.frame_samples[start:] + t.noise[start:]
+    spec = np.fft.fft(dechirp(t.params, flat.reshape(-1, m)), axis=1)
+    return np.argmax(spec.real, axis=1)
 
 
-def _mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains) -> np.ndarray:
-    """Batched matched-filter scores via the filter bank (independent of the
-    rake roll construction, so the two can cross-check each other)."""
-    return (data_dech @ mf_filter_bank(params, g).T).real
+class _Detector(NamedTuple):
+    decide: Callable[[_TrialData], np.ndarray]
+    op_kind: str | None = None  # op_count kind; None reports zero cost
+    candidates: bool = False  # decides among the trial's candidate mask only
 
 
-def _ideal_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains,
-                  true_symbols: np.ndarray) -> np.ndarray:
-    m = params.m
-    from .channel import channel_coefficient  # local import avoids a cycle at module load
+# Every detector id with its decision rule. The rules are small functions
+# rather than the kernels themselves, so each call looks its kernel up in
+# this module's globals, where perfbench's tracer wraps it.
+_DETECTORS = {
+    "noncoh": _Detector(lambda t: np.argmax(np.abs(t.data_spec), axis=1)),
+    "coh": _Detector(lambda t: np.argmax((np.conj(t.coh_ref) * t.data_spec).real, axis=1)),
+    "coh-awgn": _Detector(_coh_awgn_decisions),
+    "ideal-mf": _Detector(
+        lambda t: np.argmax(_ideal_scores(t.params, t.data_dech, t.gains, t.data), axis=1)),
+    "mf": _Detector(lambda t: np.argmax(t.mf, axis=1), "mf"),
+    "cand-mf": _Detector(lambda t: _masked_argmax(t.mf, t.mask), "cand_mf", candidates=True),
+    "rake": _Detector(lambda t: np.argmax(t.rake, axis=1), "rake"),
+    "cand-rake": _Detector(lambda t: _masked_argmax(t.rake, t.mask), "cand_rake", candidates=True),
+    "tdel": _Detector(lambda t: tdel_detect(t.pilot_avg, t.data_spec, t.cfg.rho_tdel)),
+}
 
-    h = channel_coefficient(params, g, 0)
-    k = np.arange(m)
-    crows = h[(true_symbols[:, None] + k[None, :]) % m]
-    return np.fft.fft(np.conj(crows) * data_dech, axis=1).real
-
-
-def _candidate_masks(mag: np.ndarray, rule: tuple[str, float]) -> np.ndarray:
-    kind, val = rule
-    if kind == "fixed":
-        order = np.argsort(-mag, axis=1, kind="stable")
-        mask = np.zeros(mag.shape, dtype=bool)
-        np.put_along_axis(mask, order[:, : int(val)], True, axis=1)
-        return mask
-    mask = mag > val * mag.max(axis=1, keepdims=True)
-    dead = np.flatnonzero(~mask.any(axis=1))
-    if dead.size:
-        mask[dead, np.argmax(mag[dead], axis=1)] = True
-    return mask
+DETECTOR_IDS = tuple(_DETECTORS)
 
 
-def _masked_argmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.argmax(np.where(mask, scores, -np.inf), axis=1)
-
-
-def _cand_op_sums(kind: str, params, n_paths: int, n_d: int, nc_total: float):
-    # counts are affine in n_c, so sums follow from the base and unit slopes
+def _op_sums(kind: str, params, n_paths: int, n_d: int, nc_total: float):
+    # counts are affine in n_c (constant for the full-search kinds), so sums
+    # follow from the base and unit slopes
     base = op_count(kind, params, n_paths, 0)
     unit = op_count(kind, params, n_paths, 1)
     cmult = n_d * base.cmult + (unit.cmult - base.cmult) * nc_total
@@ -346,68 +374,27 @@ def _run_point_trial(params, ch, cfg, ebn0_db, trial) -> dict:
 
     Returns detector -> (errors, candidate_count_sum, cmult_sum, cadd_sum).
     """
-    m = params.m
     st = _trial_setup(params, ch, cfg, ebn0_db, trial)
-    rule = cfg.candidate_rule()
-    cache: dict = {}
-
-    def rake_scores():
-        if "rake" not in cache:
-            cache["rake"] = _rake_scores(params, st.data_spec, st.gains)
-        return cache["rake"]
-
-    def mf_scores():
-        if "mf" not in cache:
-            cache["mf"] = _mf_scores(params, st.data_dech, st.gains)
-        return cache["mf"]
-
-    def masks():
-        if "mask" not in cache:
-            cache["mask"] = _candidate_masks(np.abs(st.data_spec), rule)
-        return cache["mask"]
-
-    out = {}
-    n_d = cfg.n_d
     k_hat = st.gains.n_paths
+    out = {}
     for det in cfg.detectors:
-        nc_sum = float(n_d * m)
+        spec = _DETECTORS[det]
+        dec = spec.decide(st)
+        nc_sum = float(st.mask.sum()) if spec.candidates else float(cfg.n_d * params.m)
         cmult = cadd = 0.0
-        if det == "noncoh":
-            dec = np.argmax(np.abs(st.data_spec), axis=1)
-        elif det == "coh":
-            dec = np.argmax((np.conj(st.coh_ref) * st.data_spec).real, axis=1)
-        elif det == "coh-awgn":
-            # flat single-tap reference carrying the same energy, same noise
-            start = cfg.n_p * m
-            flat = math.sqrt(ch.energy()) * st.frame_samples[start:] + st.noise[start:]
-            spec = np.fft.fft(dechirp(params, flat.reshape(-1, m)), axis=1)
-            dec = np.argmax(spec.real, axis=1)
-        elif det == "ideal-mf":
-            dec = np.argmax(_ideal_scores(params, st.data_dech, st.gains, st.data), axis=1)
-        elif det == "mf":
-            dec = np.argmax(mf_scores(), axis=1)
-            oc = op_count("mf", params, k_hat)
-            cmult, cadd = float(n_d * oc.cmult), float(n_d * oc.cadd)
-        elif det == "rake":
-            dec = np.argmax(rake_scores(), axis=1)
-            oc = op_count("rake", params, k_hat)
-            cmult, cadd = float(n_d * oc.cmult), float(n_d * oc.cadd)
-        elif det in ("cand-mf", "cand-rake"):
-            mask = masks()
-            scores = mf_scores() if det == "cand-mf" else rake_scores()
-            dec = _masked_argmax(scores, mask)
-            nc_sum = float(mask.sum())
-            cmult, cadd = _cand_op_sums(_OP_KINDS[det], params, k_hat, n_d, nc_sum)
-        elif det == "tdel":
-            dec = tdel_detect(st.pilot_avg, st.data_spec, cfg.rho_tdel)
-        else:  # pragma: no cover - resolve() rejects unknown ids
-            raise ValueError(f"unknown detector {det!r}")
+        if spec.op_kind is not None:
+            cmult, cadd = _op_sums(spec.op_kind, params, k_hat, cfg.n_d, nc_sum)
         out[det] = (int(np.sum(dec != st.data)), nc_sum, cmult, cadd)
     return out
 
 
-def _point_trial_star(args):
-    return _run_point_trial(*args)
+def _map_trials(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for every task, in task order; across worker processes when workers > 1."""
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+    return [fn(*t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +415,7 @@ def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
         for ebn0 in cfg.ebn0_db
         for trial in range(cfg.n_trials)
     ]
-    if cfg.workers > 1:
-        chunk = max(1, len(tasks) // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_point_trial_star, tasks, chunksize=chunk))
-    else:
-        results = [_run_point_trial(*t) for t in tasks]
+    results = _map_trials(_run_point_trial, tasks, cfg.workers)
 
     points = []
     symbols = cfg.n_trials * cfg.n_d
@@ -523,7 +505,7 @@ def _bench_kernels(params, k: int, n_c: int, repeats: int, symbols: int, seed: i
     mag = np.abs(spec)
 
     def mf():
-        _mf_scores(params, dech, g)
+        _mf_scores(dech, mf_filter_bank(params, g))
 
     def rake():
         np.fft.fft(dech, axis=1)
@@ -531,7 +513,7 @@ def _bench_kernels(params, k: int, n_c: int, repeats: int, symbols: int, seed: i
 
     def cand_mf():
         mask = _candidate_masks(mag, ("fixed", n_c))
-        _masked_argmax(_mf_scores(params, dech, g), mask)
+        _masked_argmax(_mf_scores(dech, mf_filter_bank(params, g)), mask)
 
     def cand_rake():
         np.fft.fft(dech, axis=1)
@@ -675,24 +657,32 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     if any(not 0.0 < x <= 1.0 for x in nc_norm_grid):
         raise ConfigError("nc_grid", "fractions must lie in (0, 1]")
     nc_list = sorted({min(m, max(1, round(x * m))) for x in nc_norm_grid})
-    counts = {(float(e), n): 0 for e in cfg.ebn0_db for n in nc_list}
-    for ebn0 in cfg.ebn0_db:
-        for trial in range(cfg.n_trials):
-            st = _trial_setup(params, ch, cfg, float(ebn0), trial)
-            scores = _rake_scores(params, st.data_spec, st.gains)
-            order = np.argsort(-np.abs(st.data_spec), axis=1, kind="stable")
-            for n_c in nc_list:
-                mask = np.zeros(scores.shape, dtype=bool)
-                np.put_along_axis(mask, order[:, :n_c], True, axis=1)
-                dec = _masked_argmax(scores, mask)
-                counts[(float(ebn0), n_c)] += int(np.sum(dec != st.data))
+    tasks = [
+        (params, ch, cfg, float(ebn0), trial, nc_list)
+        for ebn0 in cfg.ebn0_db
+        for trial in range(cfg.n_trials)
+    ]
+    results = _map_trials(_cand_sweep_trial, tasks, cfg.workers)
     symbols = cfg.n_trials * cfg.n_d
     rows = []
-    for ebn0 in cfg.ebn0_db:
-        for n_c in nc_list:
-            errors = counts[(float(ebn0), n_c)]
+    for i, ebn0 in enumerate(cfg.ebn0_db):
+        block = results[i * cfg.n_trials : (i + 1) * cfg.n_trials]
+        for j, n_c in enumerate(nc_list):
+            errors = sum(r[j] for r in block)
             ser = errors / symbols
-            ci95 = 1.96 * math.sqrt(ser * (1.0 - ser) / symbols)
             rows.append(CandSweepRow(params.sf, float(ebn0), n_c, n_c / m,
-                                     errors, symbols, ser, ci95))
+                                     errors, symbols, ser, _ci95(ser, symbols)))
     return rows
+
+
+def _cand_sweep_trial(params, ch, cfg, ebn0_db, trial, nc_list) -> list[int]:
+    """Errors of the fixed-size candidate combiner for each n_c on one frame."""
+    st = _trial_setup(params, ch, cfg, ebn0_db, trial)
+    # one magnitude ranking serves every n_c: the top n_c bins are its prefix
+    order = np.argsort(-np.abs(st.data_spec), axis=1, kind="stable")
+    errors = []
+    for n_c in nc_list:
+        mask = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(mask, order[:, :n_c], True, axis=1)
+        errors.append(int(np.sum(_masked_argmax(st.rake, mask) != st.data)))
+    return errors

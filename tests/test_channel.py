@@ -16,7 +16,6 @@ from lorarake.channel import (
     add_awgn,
     build_frame,
     channel_coefficient,
-    channel_energy,
     complex_noise,
     dechirped_gain,
     load_channel_file,
@@ -46,7 +45,6 @@ def test_channel_validation():
 def test_benchmark_channel_energies():
     assert C1.energy() == pytest.approx(1.89, abs=1e-12)
     assert C2.energy() == pytest.approx(1.64, abs=1e-12)
-    assert channel_energy(C1) == C1.energy()
 
 
 def test_dechirped_gain_values():

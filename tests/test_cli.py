@@ -75,7 +75,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out.strip().split("\n")[1].split(",")[3] == "80"
 
 
-def test_bad_config_exits_two(capsys):
+def test_bad_config_exits_two(tmp_path, capsys):
     rc, _, err = _run(capsys, ["ser", "--sf", "99"])
     assert rc == 2
     assert "sf" in err
@@ -87,6 +87,11 @@ def test_bad_config_exits_two(capsys):
     ])
     assert rc3 == 2
     assert "rho_c" in err3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_trials": 1.5}), encoding="utf-8")
+    rc4, _, err4 = _run(capsys, ["ser", "--config", str(cfg)])
+    assert rc4 == 2
+    assert "n_trials" in err4
 
 
 def test_unknown_flag_exits_two():

@@ -1,11 +1,13 @@
-"""Correlation tables, matched-filter and tap-combining statistics,
-candidate selection, interference indicators, and the pilot-correlation
-detector."""
+"""Correlation tables, matched-filter and tap-combining statistics and
+their batched kernels, candidate selection, interference indicators, and
+the pilot-correlation detector."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorarake.channel import (
     C1,
@@ -19,16 +21,16 @@ from lorarake.channel import (
     rotate_gains,
 )
 from lorarake.detectors import (
-    CandidateSet,
     auto_cross_correlation,
+    candidate_masks,
     delta_indicator,
-    detect,
-    ideal_mf_detect,
+    ideal_mf_scores,
+    masked_argmax,
     mf_filter_bank,
+    mf_scores,
     mf_statistic,
+    rake_scores,
     rake_statistic,
-    select_candidates_fixed,
-    select_candidates_threshold,
     tdel_detect,
 )
 from lorarake.waveform import LoRaParams, dechirp, dft
@@ -148,81 +150,65 @@ def test_ideal_mf_parasitic_peaks():
     for lag in range(-3, 4):
         n = (a - lag) % p.m
         assert spec[n] == pytest.approx(p.m * table.at(lag), abs=1e-7)
-    assert ideal_mf_detect(p, rd, g, a) == a
+    assert np.argmax(ideal_mf_scores(p, rd[None, :], g, np.array([a])), axis=1)[0] == a
+
+
+def _kept(mag, rule):
+    # bins one row's candidate mask keeps
+    return set(np.flatnonzero(candidate_masks(np.abs(mag)[None, :], rule)[0]).tolist())
 
 
 def test_candidate_selection_fixed():
+    # growing n_c adds bins in magnitude order, so the nested sets pin the order
     spec = np.array([3.0, 1.0, 4.0, 1.0, 5.0], dtype=complex)
-    cand = select_candidates_fixed(spec, 2)
-    np.testing.assert_array_equal(cand.indices, [4, 2])
-    assert cand.n_c == 2 and not cand.degenerate
+    assert _kept(spec, ("fixed", 1)) == {4}
+    assert _kept(spec, ("fixed", 2)) == {4, 2}
     tie = np.array([5.0, 3.0, 5.0, 1.0], dtype=complex)
-    np.testing.assert_array_equal(select_candidates_fixed(tie, 2).indices, [0, 2])
-    with pytest.raises(ValueError):
-        select_candidates_fixed(spec, 0)
-    with pytest.raises(ValueError):
-        select_candidates_fixed(spec, 6)
+    assert _kept(tie, ("fixed", 1)) == {0}  # equal magnitudes: the lower index first
+    assert _kept(tie, ("fixed", 2)) == {0, 2}
 
 
 def test_candidate_selection_fixed_noise_free():
     p = LoRaParams(7)
     a = 64
     spec = dft(dechirp(p, _cyclic_window(p, C1, a)))
-    cand = select_candidates_fixed(spec, 3)
     # magnitude order follows tap strength: main peak, then the echoes
-    np.testing.assert_array_equal(cand.indices, [64, 62, 61])
+    assert _kept(spec, ("fixed", 1)) == {64}
+    assert _kept(spec, ("fixed", 2)) == {64, 62}
+    assert _kept(spec, ("fixed", 3)) == {64, 62, 61}
 
 
 def test_candidate_selection_threshold():
     p = LoRaParams(7)
     a = 64
     spec = dft(dechirp(p, _cyclic_window(p, C1, a)))
-    keep_03 = select_candidates_threshold(spec, 0.3)
-    assert set(keep_03.indices.tolist()) == {61, 62, 64}
-    keep_06 = select_candidates_threshold(spec, 0.6)
-    assert set(keep_06.indices.tolist()) == {62, 64}
-    with pytest.raises(ValueError):
-        select_candidates_threshold(spec, 1.0)
-    dead = select_candidates_threshold(np.zeros(8, dtype=complex), 0.5)
-    np.testing.assert_array_equal(dead.indices, [0])
-    assert dead.degenerate
-
-
-def test_candidate_set_validation():
-    full = CandidateSet.full(16)
-    assert full.n_c == 16
-    with pytest.raises(ValueError):
-        CandidateSet(np.array([], dtype=np.int64), "empty")
-    with pytest.raises(ValueError):
-        CandidateSet(np.array([1, 1], dtype=np.int64), "dup")
+    assert _kept(spec, ("threshold", 0.3)) == {61, 62, 64}
+    assert _kept(spec, ("threshold", 0.6)) == {62, 64}
+    assert _kept(np.zeros(8, dtype=complex), ("threshold", 0.5)) == {0}
 
 
 def test_detect_noise_free_all_symbols_rake():
     p = LoRaParams(7)
     g = dechirped_gain(p, C1)
-    full = CandidateSet.full(p.m)
-    for a in range(p.m):
-        spec = dft(dechirp(p, _cyclic_window(p, C1, a)))
-        assert detect(p, spec, g, full, "rake").symbol == a
+    spec = np.stack([dft(dechirp(p, _cyclic_window(p, C1, a))) for a in range(p.m)])
+    np.testing.assert_array_equal(np.argmax(rake_scores(p, spec, g), axis=1), np.arange(p.m))
 
 
 def test_detect_noise_free_sampled_symbols_mf():
     p = LoRaParams(7)
     g = dechirped_gain(p, C1)
-    full = CandidateSet.full(p.m)
-    for a in range(0, p.m, 11):
-        rd = dechirp(p, _cyclic_window(p, C1, a))
-        assert detect(p, rd, g, full, "mf").symbol == a
+    sent = np.arange(0, p.m, 11)
+    rd = np.stack([dechirp(p, _cyclic_window(p, C1, a)) for a in sent])
+    np.testing.assert_array_equal(np.argmax(mf_scores(rd, mf_filter_bank(p, g)), axis=1), sent)
 
 
 def test_detect_tie_resolves_to_lowest_index():
     p = LoRaParams(5)
     g = dechirped_gain(p, MultipathChannel((0,), (1.0,)))
-    cand = CandidateSet(np.array([9, 4, 20], dtype=np.int64), "crafted")
-    stat = detect(p, np.zeros(p.m, dtype=complex), g, cand, "rake")
-    assert stat.symbol == 4  # all scores are 0.0
-    with pytest.raises(ValueError):
-        detect(p, np.zeros(p.m, dtype=complex), g, cand, "bogus")
+    mask = np.zeros((1, p.m), dtype=bool)
+    mask[0, [9, 4, 20]] = True
+    scores = rake_scores(p, np.zeros((1, p.m), dtype=complex), g)
+    assert masked_argmax(scores, mask)[0] == 4  # all scores are 0.0
 
 
 def test_delta_indicator_noncoh_exact():
@@ -312,6 +298,59 @@ def test_detectors_on_noisy_frame_recover_symbols():
     rx = apply_channel(p, frame, C1) + complex_noise((42 * p.m,), 0.05, rng)
     spec = dft(dechirp(p, rx.reshape(-1, p.m)))[2:]
     g = dechirped_gain(p, C1)
-    full = CandidateSet.full(p.m)
-    hits = sum(detect(p, s, g, full, "rake").symbol == a for s, a in zip(spec, data))
+    hits = int(np.sum(np.argmax(rake_scores(p, spec, g), axis=1) == data))
     assert hits >= 38  # high SNR: at most a couple of edge-effect misses
+
+
+@st.composite
+def _channel_case(draw):
+    """A random sf in 5..8, a 1-4 tap channel within the first M/4 chips, and a seed."""
+    sf = draw(st.integers(5, 8))
+    m = 2**sf
+    echoes = draw(st.lists(st.integers(1, m // 4), max_size=3, unique=True))
+    delays = (0, *sorted(echoes))
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+    gains = [complex(draw(parts), draw(parts)) for _ in delays]
+    gains[0] += 3.0  # keep the first path alive
+    return LoRaParams(sf), MultipathChannel(delays, tuple(gains)), draw(st.integers(0, 2**32 - 1))
+
+
+def _windows(p, rng, n=6):
+    return rng.standard_normal((n, p.m)) + 1j * rng.standard_normal((n, p.m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_channel_case())
+def test_mf_scores_equal_rake_scores(case):
+    p, ch, seed = case
+    g = dechirped_gain(p, ch)
+    rd = _windows(p, np.random.default_rng(seed))
+    zmf = mf_scores(rd, mf_filter_bank(p, g))
+    zrk = rake_scores(p, np.fft.fft(rd, axis=1), g)
+    # the per-statistic budget of the mf/rake acceptance check
+    assert np.max(np.abs(zmf - zrk)) <= 1e-9 * p.m * g.energy()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_channel_case())
+def test_full_candidate_mask_is_full_search(case):
+    p, ch, seed = case
+    g = dechirped_gain(p, ch)
+    spec = np.fft.fft(_windows(p, np.random.default_rng(seed)), axis=1)
+    scores = rake_scores(p, spec, g)
+    mask = candidate_masks(np.abs(spec), ("fixed", p.m))
+    assert mask.all()
+    np.testing.assert_array_equal(masked_argmax(scores, mask), np.argmax(scores, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 8), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32 - 1))
+def test_threshold_rule_keeps_bin_zero_of_an_all_zero_row(sf, rho_c, seed):
+    p = LoRaParams(sf)
+    rng = np.random.default_rng(seed)
+    mag = np.abs(_windows(p, rng))
+    dead = rng.random(mag.shape[0]) < 0.5
+    mag[dead] = 0.0
+    mask = candidate_masks(mag, ("threshold", rho_c))
+    assert not mask[dead, 1:].any() and mask[dead, 0].all()
+    assert mask.any(axis=1).all()

@@ -64,6 +64,10 @@ def test_from_dict_rejects_unknown_keys():
         (dict(rho_tdel=0.0), "rho_tdel"),
         (dict(master_seed=-1), "master_seed"),
         (dict(workers=0), "workers"),
+        (dict(n_trials=1.5), "n_trials"),
+        (dict(ebn0_db="3"), "ebn0_db"),
+        (dict(detectors="rake"), "detectors"),
+        (dict(workers=True), "workers"),
     ],
 )
 def test_resolve_validation(patch, field):
@@ -88,6 +92,7 @@ def test_workers_do_not_change_results():
     cfg1 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=4)
     cfg2 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=4, workers=2)
     assert run_ser_sweep(cfg1) == run_ser_sweep(cfg2)
+    assert run_candidate_sweep(cfg1, (0.05, 1.0)) == run_candidate_sweep(cfg2, (0.05, 1.0))
 
 
 def test_points_pair_across_different_axes():

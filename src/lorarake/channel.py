@@ -12,6 +12,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,11 +140,28 @@ def build_frame(params: LoRaParams, pilots: int, data) -> Frame:
         raise ValueError(f"data symbols must be in [0, {params.m})")
     symbols = np.concatenate([np.zeros(pilots, dtype=np.int64), data])
     m = params.m
-    k = np.arange(m)
-    base = chirp_samples(params, 0, k)
-    # x_a[k] = x_0[k] * exp(2j*pi*a*k/M); reduce a*k mod M to keep phases exact
-    rows = base[None, :] * np.exp(2j * np.pi * (np.outer(symbols, k) % m) / m)
+    base, roots = _chirp_tables(params.sf)
+    # x_a[k] = x_0[k] * exp(2j*pi*a*k/M); reduce a*k mod M (a power of two)
+    # to keep phases exact, and keep base as the left operand: the SIMD
+    # complex multiply is not bitwise commutative
+    phase_idx = np.multiply.outer(symbols, np.arange(m))
+    phase_idx &= m - 1
+    rows = roots[phase_idx]
+    np.multiply(base, rows, out=rows)
     return Frame(int(pilots), int(data.size), symbols, rows.reshape(-1))
+
+
+@lru_cache(maxsize=None)
+def _chirp_tables(sf: int) -> tuple[np.ndarray, np.ndarray]:
+    # (x_0[k], exp(2j*pi*k/M)) over k in [0, M), built once per spreading
+    # factor and shared read-only; entry j of the roots equals the exp of any
+    # exponent reduced to j, bit for bit
+    m = 1 << sf
+    k = np.arange(m)
+    tables = (chirp_samples(LoRaParams(sf), 0, k), np.exp(2j * np.pi * k / m))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def apply_channel(params: LoRaParams, frame, ch: MultipathChannel) -> np.ndarray:
@@ -157,12 +175,13 @@ def apply_channel(params: LoRaParams, frame, ch: MultipathChannel) -> np.ndarray
     if ch.k_max >= params.m:
         raise ValueError(f"max delay {ch.k_max} must be < M={params.m}")
     s = np.asarray(getattr(frame, "samples", frame), dtype=np.complex128)
-    out = np.zeros_like(s)
-    for d, g in zip(ch.delays, ch.gains):
-        if d == 0:
-            out += g * s
-        else:
-            out[d:] += g * s[: s.size - d]
+    n = s.size
+    # delays[0] == 0, so the first path covers every sample
+    out = ch.gains[0] * s
+    echo = np.empty_like(s)
+    for d, g in zip(ch.delays[1:], ch.gains[1:]):
+        np.multiply(g, s[: n - d], out=echo[: n - d])
+        out[d:] += echo[: n - d]
     return out
 
 
@@ -171,7 +190,12 @@ def complex_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     if sigma2 < 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     scale = math.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=np.complex128)
+    # one draw fills all real parts, then all imaginary parts
+    draws = rng.standard_normal((2, *out.shape))
+    np.multiply(scale, draws[0], out=out.real)
+    np.multiply(scale, draws[1], out=out.imag)
+    return out
 
 
 def add_awgn(samples, sigma2: float, rng: np.random.Generator) -> np.ndarray:

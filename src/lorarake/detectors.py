@@ -126,9 +126,13 @@ def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) ->
     m = params.m
     bgrid = np.arange(m)
     z = np.zeros(data_spec.shape, dtype=np.complex128)
+    term = np.empty_like(z)
     for d, gain in zip(g.delays, g.gains):
-        phase = np.exp(2j * np.pi * ((d * bgrid) % m) / m)
-        z += (np.conj(gain) * phase) * np.roll(data_spec, d, axis=1)
+        coef = np.conj(gain) * np.exp(2j * np.pi * ((d * bgrid) % m) / m)
+        # coef times the spectrum cyclically shifted right by d
+        np.multiply(coef[d:], data_spec[:, : m - d], out=term[:, d:])
+        np.multiply(coef[:d], data_spec[:, m - d :], out=term[:, :d])
+        z += term
     return z.real
 
 
@@ -164,9 +168,17 @@ def candidate_masks(mag: np.ndarray, rule: tuple[str, float]) -> np.ndarray:
     """
     kind, val = rule
     if kind == "fixed":
-        order = np.argsort(-mag, axis=1, kind="stable")
-        mask = np.zeros(mag.shape, dtype=bool)
-        np.put_along_axis(mask, order[:, : int(val)], True, axis=1)
+        n_c = int(val)
+        # keep every bin at or above the n_c-th largest magnitude of its row
+        thr = np.partition(mag, mag.shape[1] - n_c, axis=1)[:, -n_c, None]
+        mask = mag >= thr
+        over = np.flatnonzero(np.count_nonzero(mask, axis=1) > n_c)
+        if over.size:
+            # more bins tie at the threshold than fit: the lowest-index ones fill up
+            sub, t = mag[over], thr[over]
+            ties = sub == t
+            room = n_c - np.count_nonzero(sub > t, axis=1)
+            mask[over] = (sub > t) | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
         return mask
     mask = mag > val * mag.max(axis=1, keepdims=True)
     dead = np.flatnonzero(~mask.any(axis=1))

@@ -164,6 +164,13 @@ class SimConfig:
             raise ConfigError("ebn0_db", "need at least one Eb/N0 point")
         if any(not math.isfinite(e) for e in self.ebn0_db):
             raise ConfigError("ebn0_db", "Eb/N0 values must be finite")
+        seen: dict[int, float] = {}
+        for e in self.ebn0_db:
+            key = _ebn0_stream_key(e)
+            if key in seen:
+                raise ConfigError("ebn0_db", f"{seen[key]!r} and {e!r} dB map to the same noise "
+                                             "stream (keyed by the value in mdB)")
+            seen[key] = e
         if self.n_trials < 1:
             raise ConfigError("n_trials", f"must be >= 1, got {self.n_trials}")
         if self.n_d < 1:
@@ -249,9 +256,9 @@ def _trial_rng(master_seed: int, trial: int, ebn0_db: float) -> np.random.Genera
 class _TrialData:
     """One trial's frame, noise and receiver front end.
 
-    The scores and the candidate mask are computed on first use, so the
-    detectors that share them (mf and cand-mf, rake and cand-rake) pay for
-    each once per trial.
+    The magnitudes, scores and candidate mask are computed on first use,
+    so the detectors that share them (noncoh and the candidate mask, mf and
+    cand-mf, rake and cand-rake) pay for each once per trial.
     """
 
     params: LoRaParams
@@ -267,6 +274,10 @@ class _TrialData:
     frame_samples: np.ndarray
 
     @cached_property
+    def mag(self) -> np.ndarray:
+        return np.abs(self.data_spec)
+
+    @cached_property
     def rake(self) -> np.ndarray:
         return _rake_scores(self.params, self.data_spec, self.gains)
 
@@ -276,7 +287,7 @@ class _TrialData:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        return _candidate_masks(np.abs(self.data_spec), self.cfg.candidate_rule())
+        return _candidate_masks(self.mag, self.cfg.candidate_rule())
 
 
 def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
@@ -285,12 +296,13 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
     rng = _trial_rng(cfg.master_seed, trial, ebn0_db)
     data = rng.integers(0, m, size=cfg.n_d)
     frame = build_frame(params, cfg.n_p, data)
-    clean = apply_channel(params, frame, ch)
+    rx = apply_channel(params, frame, ch)
     sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
-    noise = complex_noise(clean.shape, sigma2, rng)
+    noise = complex_noise(rx.shape, sigma2, rng)
 
-    windows = (clean + noise).reshape(-1, m)
-    dech = dechirp(params, windows)
+    # rx is apply_channel's own buffer; coh-awgn reads noise and the frame
+    rx += noise
+    dech = dechirp(params, rx.reshape(-1, m))
     spectra = np.fft.fft(dech, axis=1)
     pilot_avg = spectra[: cfg.n_p].mean(axis=0) if cfg.n_p else None
 
@@ -344,7 +356,7 @@ class _Detector(NamedTuple):
 # rather than the kernels themselves, so each call looks its kernel up in
 # this module's globals, where perfbench's tracer wraps it.
 _DETECTORS = {
-    "noncoh": _Detector(lambda t: np.argmax(np.abs(t.data_spec), axis=1)),
+    "noncoh": _Detector(lambda t: np.argmax(t.mag, axis=1)),
     "coh": _Detector(lambda t: np.argmax((np.conj(t.coh_ref) * t.data_spec).real, axis=1)),
     "coh-awgn": _Detector(_coh_awgn_decisions),
     "ideal-mf": _Detector(

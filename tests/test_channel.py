@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorarake.channel import (
     C1,
@@ -222,3 +224,72 @@ def test_parse_channel_forms():
         parse_channel("nonexistent-alias")
     with pytest.raises(ValueError):
         parse_channel("0:1,bad:tap:x")
+
+
+# Bitwise checks: each kernel against the formula it replaced, written out
+# here as the reference. The kernels must perform the same float operations
+# on the same operands, so the bytes agree, not just the values.
+
+
+@st.composite
+def _frame_case(draw):
+    sf = draw(st.integers(2, 10))
+    m = 2**sf
+    pilots = draw(st.integers(0, 3))
+    data = draw(st.lists(st.integers(0, m - 1), max_size=12))
+    return LoRaParams(sf), pilots, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frame_case())
+def test_build_frame_is_bitwise_the_exp_formula(case):
+    p, pilots, data = case
+    m = p.m
+    k = np.arange(m)
+    s = np.concatenate([np.zeros(pilots, dtype=np.int64), np.asarray(data, dtype=np.int64)])
+    base = chirp_samples(p, 0, k)
+    ref = base[None, :] * np.exp(2j * np.pi * (np.outer(s, k) % m) / m)
+    assert build_frame(p, pilots, data).samples.tobytes() == ref.reshape(-1).tobytes()
+
+
+@st.composite
+def _convolution_case(draw):
+    """A random sf, 1-4 taps anywhere in [0, M) including M - 1, and a seed."""
+    sf = draw(st.integers(2, 8))
+    m = 2**sf
+    echoes = draw(st.lists(st.integers(1, m - 1), max_size=3, unique=True))
+    delays = (0, *sorted(echoes))
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+    gains = [complex(draw(parts), draw(parts)) for _ in delays]
+    gains[0] += 3.0
+    return LoRaParams(sf), MultipathChannel(delays, tuple(gains)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_convolution_case(), st.integers(1, 4))
+@example((LoRaParams(4), MultipathChannel((0, 15), (1.0, 0.5j)), 3), 2)
+def test_apply_channel_is_bitwise_the_zero_start_convolution(case, n_sym):
+    p, ch, seed = case
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(n_sym * p.m) + 1j * rng.standard_normal(n_sym * p.m)
+    ref = np.zeros_like(s)
+    for d, g in zip(ch.delays, ch.gains):
+        if d == 0:
+            ref += g * s
+        else:
+            ref[d:] += g * s[: s.size - d]
+    assert apply_channel(p, s, ch).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(0, 300), st.tuples(st.integers(0, 5), st.integers(1, 64))),
+    st.floats(1e-6, 1e6),
+    st.integers(0, 2**32 - 1),
+)
+def test_complex_noise_is_bitwise_the_two_draw_formula(shape, sigma2, seed):
+    scale = math.sqrt(sigma2 / 2.0)
+    rng = np.random.default_rng(seed)
+    ref = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = complex_noise(shape, sigma2, np.random.default_rng(seed))
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()

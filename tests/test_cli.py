@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lorarake
 from lorarake.cli import main, parse_ebn0_axis
 
 
@@ -53,6 +58,41 @@ def test_ser_reruns_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+_DATA = Path(__file__).parent / "data"
+_ALL_DETECTORS = "noncoh,coh,coh-awgn,ideal-mf,mf,cand-mf,rake,cand-rake,tdel"
+_CSIR_FLAGS = {
+    "perfect": [],
+    "estimated": ["--csir", "estimated", "--n-c", "6"],
+    "forced": ["--csir", "forced", "--forced-khat", "0,2,3", "--rho-c", "0.4"],
+}
+
+
+@pytest.mark.parametrize("sf", [7, 8])
+@pytest.mark.parametrize("csir", sorted(_CSIR_FLAGS))
+def test_ser_matches_committed_output(tmp_path, capsys, csir, sf):
+    # tests/data/ser_<csir>_sf<sf>.csv pin this command's output byte for byte;
+    # a change that alters output bytes must say so and regenerate them
+    out = tmp_path / "ser.csv"
+    argv = ["ser", "--sf", str(sf), "--channel", "c1", "--detectors", _ALL_DETECTORS,
+            "--ebn0=-2,0", "--n-trials", "2", "--n-d", "100", "--seed", "11",
+            *_CSIR_FLAGS[csir], "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / f"ser_{csir}_sf{sf}.csv").read_bytes()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(lorarake.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = ["ser", "--detectors", "rake", "--ebn0", "0", "--n-trials", "1", "--n-d", "20"]
+    proc = subprocess.run([sys.executable, "-m", "lorarake", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("detector,ebn0_db,errors,symbols,")
+    assert proc.stderr.startswith("# ser:")
+
+
 def test_ser_inline_channel_and_file_channel(tmp_path, capsys):
     path = tmp_path / "taps.csv"
     path.write_text("delay,gain_re,gain_im\n0,1,0\n5,0.8,0\n", encoding="utf-8")
@@ -92,6 +132,10 @@ def test_bad_config_exits_two(tmp_path, capsys):
     rc4, _, err4 = _run(capsys, ["ser", "--config", str(cfg)])
     assert rc4 == 2
     assert "n_trials" in err4
+    for axis in ("1,1", "0.0001,0.0002"):
+        rc5, _, err5 = _run(capsys, ["ser", "--ebn0", axis])
+        assert rc5 == 2
+        assert "ebn0_db" in err5
 
 
 def test_unknown_flag_exits_two():

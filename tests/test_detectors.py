@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorarake.channel import (
@@ -303,11 +303,13 @@ def test_detectors_on_noisy_frame_recover_symbols():
 
 
 @st.composite
-def _channel_case(draw):
-    """A random sf in 5..8, a 1-4 tap channel within the first M/4 chips, and a seed."""
-    sf = draw(st.integers(5, 8))
+def _channel_case(draw, min_sf=5, anywhere=False):
+    """A random sf in min_sf..8, a 1-4 tap channel within the first M/4 chips
+    (anywhere in [0, M) with anywhere=True), and a seed."""
+    sf = draw(st.integers(min_sf, 8))
     m = 2**sf
-    echoes = draw(st.lists(st.integers(1, m // 4), max_size=3, unique=True))
+    max_delay = m - 1 if anywhere else m // 4
+    echoes = draw(st.lists(st.integers(1, max_delay), max_size=3, unique=True))
     delays = (0, *sorted(echoes))
     parts = st.floats(-2.0, 2.0, allow_nan=False)
     gains = [complex(draw(parts), draw(parts)) for _ in delays]
@@ -354,3 +356,36 @@ def test_threshold_rule_keeps_bin_zero_of_an_all_zero_row(sf, rho_c, seed):
     mask = candidate_masks(mag, ("threshold", rho_c))
     assert not mask[dead, 1:].any() and mask[dead, 0].all()
     assert mask.any(axis=1).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_channel_case(min_sf=2, anywhere=True))
+@example((LoRaParams(5), MultipathChannel((0,), (1.0 - 0.5j,)), 1))
+@example((LoRaParams(5), MultipathChannel((0, 31), (3.0, 0.7j)), 2))
+def test_rake_scores_are_bitwise_the_roll_sum(case):
+    # the kernel against the np.roll form it replaced, written out here
+    p, ch, seed = case
+    m = p.m
+    g = dechirped_gain(p, ch)
+    spec = np.fft.fft(_windows(p, np.random.default_rng(seed)), axis=1)
+    bgrid = np.arange(m)
+    z = np.zeros(spec.shape, dtype=np.complex128)
+    for d, gain in zip(g.delays, g.gains):
+        phase = np.exp(2j * np.pi * ((d * bgrid) % m) / m)
+        z += (np.conj(gain) * phase) * np.roll(spec, d, axis=1)
+    assert rake_scores(p, spec, g).tobytes() == z.real.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 2.0, 8.0]))
+def test_fixed_rule_is_the_stable_argsort_prefix(sf, seed, spread):
+    # tie-heavy rows: integer-rounded magnitudes plus an all-zero row, at every n_c
+    m = 2**sf
+    rng = np.random.default_rng(seed)
+    mag = np.round(np.abs(rng.standard_normal((7, m))) * spread)
+    mag[2] = 0.0
+    order = np.argsort(-mag, axis=1, kind="stable")
+    for n_c in range(1, m + 1):
+        ref = np.zeros(mag.shape, dtype=bool)
+        np.put_along_axis(ref, order[:, :n_c], True, axis=1)
+        np.testing.assert_array_equal(candidate_masks(mag, ("fixed", n_c)), ref)

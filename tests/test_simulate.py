@@ -68,6 +68,8 @@ def test_from_dict_rejects_unknown_keys():
         (dict(ebn0_db="3"), "ebn0_db"),
         (dict(detectors="rake"), "detectors"),
         (dict(workers=True), "workers"),
+        (dict(ebn0_db=(1.0, 1.0)), "ebn0_db"),
+        (dict(ebn0_db=(0.0001, 0.0002)), "ebn0_db"),
     ],
 )
 def test_resolve_validation(patch, field):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import DechirpedGains, channel_coefficient, dechirped_gain, rotate_gains
 from .waveform import LoRaParams
@@ -31,6 +32,7 @@ __all__ = [
     "mf_statistic",
     "rake_statistic",
     "mf_filter_bank",
+    "prepare_mf_bank",
     "rake_scores",
     "mf_scores",
     "ideal_mf_scores",
@@ -104,9 +106,10 @@ def rake_statistic(params: LoRaParams, spectrum, g: DechirpedGains, b: int) -> c
 def mf_filter_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
     """M x M matrix whose row b turns a dechirped window into the hypothesis-b statistic.
 
-    Row b is conj(C_b[k]) * exp(-2j*pi*b*k/M), so scores for a batch of
-    windows are simply windows @ bank.T. Also the factor whose Gram matrix
-    is the statistic-noise covariance (see fastsim).
+    Row b is conj(C_b[k]) * exp(-2j*pi*b*k/M), so the statistics of a batch
+    of windows are windows @ bank.T; mf_scores takes the bank through
+    prepare_mf_bank. Also the factor whose Gram matrix is the
+    statistic-noise covariance (see fastsim).
     """
     m = params.m
     grid = np.arange(m)
@@ -136,12 +139,27 @@ def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) ->
     return z.real
 
 
-def mf_scores(data_dech: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Matched-filter scores for a batch of dechirped windows through an mf_filter_bank.
+def prepare_mf_bank(bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The form of an mf_filter_bank that mf_scores takes: the contiguous
+    transposes of its real and imaginary parts."""
+    return np.ascontiguousarray(bank.real.T), np.ascontiguousarray(bank.imag.T)
 
-    Independent of the rake construction, so the two cross-check each other.
+
+def mf_scores(data_dech: np.ndarray, bank: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Matched-filter scores for a batch of dechirped windows through a prepared filter bank.
+
+    bank is prepare_mf_bank(mf_filter_bank(...)). Only the real part of
+    each statistic is scored, Re(r @ B.T) = r.real @ B.real.T - r.imag @ B.imag.T:
+    two real matrix products, half the flops of the complex one. Their sums
+    run in another order, so scores may differ from (r @ B.T).real by a few
+    ulp. Independent of the rake construction, so the two cross-check each
+    other.
     """
-    return (data_dech @ bank.T).real
+    re_t, im_t = bank
+    # the real and imaginary views are strided; BLAS needs them contiguous
+    scores = np.ascontiguousarray(data_dech.real) @ re_t
+    scores -= np.ascontiguousarray(data_dech.imag) @ im_t
+    return scores
 
 
 def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains,
@@ -152,10 +170,11 @@ def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains
     a = true_symbols[i]; its argmax is the ideal detector's decision.
     """
     m = params.m
-    h = channel_coefficient(params, g, 0)
-    k = np.arange(m)
-    crows = h[(true_symbols[:, None] + k[None, :]) % m]
-    return np.fft.fft(np.conj(crows) * data_dech, axis=1).real
+    hc = np.conj(channel_coefficient(params, g, 0))
+    # window a of the doubled row is conj(C_a)[k] = conj(C_0)[(a + k) % M]
+    rows = sliding_window_view(np.concatenate((hc, hc)), m)[true_symbols]
+    np.multiply(rows, data_dech, out=rows)
+    return np.fft.fft(rows, axis=1).real
 
 
 def candidate_masks(mag: np.ndarray, rule: tuple[str, float]) -> np.ndarray:

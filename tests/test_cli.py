@@ -81,6 +81,16 @@ def test_ser_matches_committed_output(tmp_path, capsys, csir, sf):
     assert out.read_bytes() == (_DATA / f"ser_{csir}_sf{sf}.csv").read_bytes()
 
 
+def test_cand_sweep_matches_committed_output(tmp_path, capsys):
+    # tests/data/cand_sweep_sf8.csv pins this command's output byte for byte
+    out = tmp_path / "cand.csv"
+    argv = ["cand-sweep", "--sf", "8", "--channel", "c1", "--ebn0=-2,0", "--n-trials", "2",
+            "--n-d", "100", "--seed", "11", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / "cand_sweep_sf8.csv").read_bytes()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(lorarake.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]

@@ -29,6 +29,7 @@ from lorarake.detectors import (
     mf_filter_bank,
     mf_scores,
     mf_statistic,
+    prepare_mf_bank,
     rake_scores,
     rake_statistic,
     tdel_detect,
@@ -199,7 +200,8 @@ def test_detect_noise_free_sampled_symbols_mf():
     g = dechirped_gain(p, C1)
     sent = np.arange(0, p.m, 11)
     rd = np.stack([dechirp(p, _cyclic_window(p, C1, a)) for a in sent])
-    np.testing.assert_array_equal(np.argmax(mf_scores(rd, mf_filter_bank(p, g)), axis=1), sent)
+    scores = mf_scores(rd, prepare_mf_bank(mf_filter_bank(p, g)))
+    np.testing.assert_array_equal(np.argmax(scores, axis=1), sent)
 
 
 def test_detect_tie_resolves_to_lowest_index():
@@ -327,10 +329,44 @@ def test_mf_scores_equal_rake_scores(case):
     p, ch, seed = case
     g = dechirped_gain(p, ch)
     rd = _windows(p, np.random.default_rng(seed))
-    zmf = mf_scores(rd, mf_filter_bank(p, g))
+    zmf = mf_scores(rd, prepare_mf_bank(mf_filter_bank(p, g)))
     zrk = rake_scores(p, np.fft.fft(rd, axis=1), g)
     # the per-statistic budget of the mf/rake acceptance check
     assert np.max(np.abs(zmf - zrk)) <= 1e-9 * p.m * g.energy()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_channel_case(min_sf=2, anywhere=True))
+def test_mf_scores_are_the_real_part_of_the_complex_product(case):
+    # two real products against the complex one they replace. Both sum the same
+    # 2M real products in some order, so each is within gamma_2M * sum|terms| of
+    # the exact value (any order, with or without FMA); and the same decisions
+    p, ch, seed = case
+    bank = mf_filter_bank(p, dechirped_gain(p, ch))
+    rd = _windows(p, np.random.default_rng(seed), n=32)
+    ref = (rd @ bank.T).real
+    got = mf_scores(rd, prepare_mf_bank(bank))
+    terms = np.abs(rd.real) @ np.abs(bank.real).T + np.abs(rd.imag) @ np.abs(bank.imag).T
+    assert np.all(np.abs(got - ref) <= 2 * p.m * np.finfo(float).eps * terms)
+    np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_channel_case(min_sf=2, anywhere=True))
+@example((LoRaParams(5), MultipathChannel((0, 31), (3.0, 0.7j)), 3))
+def test_ideal_mf_scores_are_bitwise_the_modulo_gather(case):
+    # the kernel against the (a + k) % M row gather it replaced, written out here
+    p, ch, seed = case
+    m = p.m
+    g = dechirped_gain(p, ch)
+    rng = np.random.default_rng(seed)
+    rd = _windows(p, rng, n=40)
+    sent = rng.integers(0, m, size=rd.shape[0])
+    sent[:2] = (0, m - 1)
+    h = channel_coefficient(p, g, 0)
+    crows = h[(sent[:, None] + np.arange(m)[None, :]) % m]
+    ref = np.fft.fft(np.conj(crows) * rd, axis=1).real
+    assert ideal_mf_scores(p, rd, g, sent).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lorarake import simulate
 from lorarake.complexity import op_count
 from lorarake.simulate import (
     ConfigError,
@@ -111,6 +112,44 @@ def test_mf_and_rake_agree_through_the_batch_paths():
     by = {(p.detector, p.ebn0_db): p.errors for p in points}
     for e in (-2.0, 2.0):
         assert by[("mf", e)] == by[("rake", e)]
+
+
+def _count_mf_bank_builds(monkeypatch) -> list:
+    # start from an empty cache and record the gain set of every bank build
+    calls = []
+    build = simulate.mf_filter_bank
+
+    def counting(params, g):
+        calls.append((params.sf, g.delays, g.gains.tobytes()))
+        return build(params, g)
+
+    monkeypatch.setattr(simulate, "mf_filter_bank", counting)
+    monkeypatch.setattr(simulate, "_mf_bank_cache", (None, None))
+    return calls
+
+
+def test_perfect_csir_builds_the_mf_bank_once_per_gain_set(monkeypatch):
+    calls = _count_mf_bank_builds(monkeypatch)
+    run_ser_sweep(_small(detectors=("mf", "cand-mf"), n_trials=3, ebn0_db=(-2.0, 2.0)))
+    assert len(calls) == 1
+    run_ser_sweep(_small(detectors=("mf",), channel="c1"))
+    run_ser_sweep(_small(detectors=("mf",), channel="c1", master_seed=10))
+    assert len(calls) == len(set(calls)) == 2
+
+
+@pytest.mark.parametrize("csir", [
+    pytest.param(dict(csir="estimated"), id="estimated"),
+    pytest.param(dict(csir="forced", forced_khat=(0, 2, 3)), id="forced"),
+])
+def test_mf_equals_rake_when_the_gains_change_every_trial(monkeypatch, csir):
+    # a bank kept from another trial's gains would make mf differ from rake
+    calls = _count_mf_bank_builds(monkeypatch)
+    ebn0 = (-2.0, 0.0, 2.0)
+    cfg = _small(channel="c1", detectors=("mf", "rake"), n_trials=3, ebn0_db=ebn0, **csir)
+    by = {(p.detector, p.ebn0_db): p.errors for p in run_ser_sweep(cfg)}
+    for e in ebn0:
+        assert by[("mf", e)] == by[("rake", e)]
+    assert len(set(calls)) == len(calls) == cfg.n_trials * len(ebn0)
 
 
 def test_full_candidate_set_reproduces_full_search():

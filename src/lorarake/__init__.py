@@ -4,88 +4,32 @@ Layers, bottom up: waveform (chirps, dechirping, DFT detection),
 channel (multipath model, frames, noise), detectors (matched filter,
 tap combining, candidate pruning, pilot correlation), estimator (pilot
 based path detection), complexity (operation counts), fastsim
-(spectrum-domain shortcut sampler), simulate (Monte Carlo drivers),
-cli (command line front end).
+(statistic-domain sampler on the rake combiner), simulate (Monte Carlo
+drivers), cli (command line front end). The package namespace holds
+the core pipeline names; everything else is imported from its module.
 """
 
 from .channel import (
-    C1,
-    C2,
-    DechirpedGains,
-    Frame,
     MultipathChannel,
+    add_awgn,
     apply_channel,
     build_frame,
-    channel_coefficient,
-    complex_noise,
-    add_awgn,
     dechirped_gain,
-    load_channel_file,
     parse_channel,
-    rotate_gains,
 )
-from .complexity import OpCount, complexity_ratio, op_count
-from .detectors import (
-    CorrelationTable,
-    auto_cross_correlation,
-    candidate_masks,
-    delta_indicator,
-    ideal_mf_scores,
-    masked_argmax,
-    mf_filter_bank,
-    mf_scores,
-    mf_statistic,
-    prepare_mf_bank,
-    rake_scores,
-    rake_statistic,
-    tdel_detect,
-)
+from .complexity import op_count
+from .detectors import auto_cross_correlation, mf_statistic, rake_statistic
 from .estimator import EstimatorConfig, average_pilot_dft, detect_paths
-from .fastsim import (
-    FastSimModel,
-    build_fast_sim,
-    edge_statistics,
-    sample_correlated_noise,
-    simulate_ser,
-)
-from .simulate import (
-    ConfigError,
-    SerPoint,
-    SimConfig,
-    run_candidate_sweep,
-    run_complexity_report,
-    run_delta_report,
-    run_estimation_study,
-    run_ser_sweep,
-)
-from .waveform import (
-    LoRaParams,
-    chirp_samples,
-    dechirp,
-    detect_legacy,
-    dft,
-    gen_chirp,
-    idft,
-    instantaneous_frequency,
-    noise_variance,
-    snr_ebn0_convert,
-)
+from .fastsim import build_fast_sim, simulate_ser
+from .simulate import SimConfig, run_delta_report, run_ser_sweep
+from .waveform import LoRaParams, dechirp, dft, noise_variance, snr_ebn0_convert
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "C1",
-    "C2",
-    "ConfigError",
-    "CorrelationTable",
-    "DechirpedGains",
     "EstimatorConfig",
-    "FastSimModel",
-    "Frame",
     "LoRaParams",
     "MultipathChannel",
-    "OpCount",
-    "SerPoint",
     "SimConfig",
     "add_awgn",
     "apply_channel",
@@ -93,42 +37,17 @@ __all__ = [
     "average_pilot_dft",
     "build_fast_sim",
     "build_frame",
-    "candidate_masks",
-    "channel_coefficient",
-    "chirp_samples",
-    "complex_noise",
-    "complexity_ratio",
     "dechirp",
     "dechirped_gain",
-    "delta_indicator",
-    "detect_legacy",
     "detect_paths",
     "dft",
-    "edge_statistics",
-    "gen_chirp",
-    "ideal_mf_scores",
-    "idft",
-    "instantaneous_frequency",
-    "load_channel_file",
-    "masked_argmax",
-    "mf_filter_bank",
-    "mf_scores",
     "mf_statistic",
     "noise_variance",
     "op_count",
     "parse_channel",
-    "prepare_mf_bank",
-    "rake_scores",
     "rake_statistic",
-    "rotate_gains",
-    "run_candidate_sweep",
-    "run_complexity_report",
     "run_delta_report",
-    "run_estimation_study",
     "run_ser_sweep",
-    "sample_correlated_noise",
     "simulate_ser",
     "snr_ebn0_convert",
-    "tdel_detect",
-    "__version__",
 ]

@@ -33,6 +33,7 @@ __all__ = [
     "rake_statistic",
     "mf_filter_bank",
     "prepare_mf_bank",
+    "rake_combine",
     "rake_scores",
     "mf_scores",
     "ideal_mf_scores",
@@ -103,28 +104,32 @@ def rake_statistic(params: LoRaParams, spectrum, g: DechirpedGains, b: int) -> c
     return complex(np.sum(np.conj(gb.gains) * spec[bins]))
 
 
-def mf_filter_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
+def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
     """M x M matrix whose row b turns a dechirped window into the hypothesis-b statistic.
 
     Row b is conj(C_b[k]) * exp(-2j*pi*b*k/M), so the statistics of a batch
     of windows are windows @ bank.T; mf_scores takes the bank through
-    prepare_mf_bank. Also the factor whose Gram matrix is the
-    statistic-noise covariance (see fastsim).
+    prepare_mf_bank. With cols given, only the first cols window samples
+    (columns) are built: fastsim's previous-symbol head term needs k_max of
+    them. bank @ bank^H is the statistic-noise covariance at unit noise
+    variance, which fastsim samples through rake_combine instead.
     """
     m = params.m
     grid = np.arange(m)
+    k = grid if cols is None else grid[:cols]
     h = channel_coefficient(params, g, 0)
-    cmat = h[(grid[:, None] + grid[None, :]) % m]
-    twiddle = np.exp(-2j * np.pi * ((grid[:, None] * grid[None, :]) % m) / m)
+    cmat = h[(grid[:, None] + k[None, :]) % m]
+    twiddle = np.exp(-2j * np.pi * ((grid[:, None] * k[None, :]) % m) / m)
     return np.conj(cmat) * twiddle
 
 
-def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
-    """Tap-combining scores for a batch of spectra: rows are symbols, columns tested bins.
+def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
+    """Complex tap-combining statistics for a batch of spectra: rows are symbols, columns tested bins.
 
-    Entry (i, b) is the real part of the hypothesis-b statistic of spectrum
-    row i; each tap adds its conjugated, b-rotated gain times the spectrum
-    shifted by the tap delay.
+    Entry (i, b) is the hypothesis-b statistic of spectrum row i; each tap
+    adds its conjugated, b-rotated gain times the spectrum shifted by the
+    tap delay. Linear in the spectrum, so it also maps white spectral
+    noise to the statistic noise (see fastsim).
     """
     m = params.m
     bgrid = np.arange(m)
@@ -136,30 +141,35 @@ def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) ->
         np.multiply(coef[d:], data_spec[:, : m - d], out=term[:, d:])
         np.multiply(coef[:d], data_spec[:, m - d :], out=term[:, :d])
         z += term
-    return z.real
+    return z
 
 
-def prepare_mf_bank(bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The form of an mf_filter_bank that mf_scores takes: the contiguous
-    transposes of its real and imaginary parts."""
-    return np.ascontiguousarray(bank.real.T), np.ascontiguousarray(bank.imag.T)
+def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
+    """Tap-combining scores: the real part of rake_combine, the part every detector decides on."""
+    return rake_combine(params, data_spec, g).real
 
 
-def mf_scores(data_dech: np.ndarray, bank: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def prepare_mf_bank(bank: np.ndarray) -> np.ndarray:
+    """The form of an mf_filter_bank that mf_scores takes: a (2M, M) real array
+    whose rows 2k and 2k+1 hold column k's real part and negated imaginary part."""
+    w = np.empty((2 * bank.shape[1], bank.shape[0]))
+    w[0::2] = bank.real.T
+    w[1::2] = -bank.imag.T
+    return w
+
+
+def mf_scores(data_dech: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """Matched-filter scores for a batch of dechirped windows through a prepared filter bank.
 
     bank is prepare_mf_bank(mf_filter_bank(...)). Only the real part of
-    each statistic is scored, Re(r @ B.T) = r.real @ B.real.T - r.imag @ B.imag.T:
-    two real matrix products, half the flops of the complex one. Their sums
+    each statistic is scored, Re(r @ B.T) = sum_k r_k.real B_bk.real - r_k.imag B_bk.imag:
+    one real matrix product of the windows' interleaved (real, imaginary)
+    float view, half the flops of the complex one and no copies. Its sums
     run in another order, so scores may differ from (r @ B.T).real by a few
     ulp. Independent of the rake construction, so the two cross-check each
     other.
     """
-    re_t, im_t = bank
-    # the real and imaginary views are strided; BLAS needs them contiguous
-    scores = np.ascontiguousarray(data_dech.real) @ re_t
-    scores -= np.ascontiguousarray(data_dech.imag) @ im_t
-    return scores
+    return np.ascontiguousarray(data_dech).view(np.float64) @ bank
 
 
 def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains,

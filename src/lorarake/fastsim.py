@@ -1,27 +1,29 @@
 """Closed-form statistic model for fast symbol-error simulation.
 
 For a given channel the steady-state noise-free detector statistic
-depends only on the (sent, tested) symbol pair, and the statistic noise
-across tested bins is jointly Gaussian with a known covariance.
-Precomputing both turns a Monte Carlo trial into one correlated-Gaussian
-draw plus an argmax, skipping waveform synthesis entirely.
+depends only on the (sent, tested) symbol pair, and it is nonzero only
+where the signed lag sent - tested is a difference of two path delays:
+one coefficient per lag describes it. The statistic noise needs no
+model of its own. The matched filter is a rake over the DFT output, and
+the dechirped noise of a window has a white CN(0, M*sigma2) spectrum, so
+the rake combiner applied to white spectral noise draws the statistic
+noise with its exact joint law. A Monte Carlo trial is then one white
+draw, one rake pass and an argmax, skipping waveform synthesis entirely.
 
-The steady-state matrix alone neglects one real effect: the first k_max
+The steady-state statistic neglects one real effect: the first k_max
 samples of a window carry the previous symbol's chirp tail. That
 perturbation also has a closed form in the (previous, current) symbol
-pair, so the sampler applies it exactly by default; turning it off
-exposes the residual bias of the pure steady-state model.
+pair, and the sampler applies it exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DechirpedGains
-from .detectors import mf_filter_bank
+from .channel import DechirpedGains, complex_noise
+from .detectors import mf_filter_bank, rake_combine
 from .waveform import LoRaParams, chirp_samples
 
 __all__ = [
@@ -35,71 +37,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FastSimModel:
-    """Noise-free statistic matrix plus a factorized statistic-noise covariance.
+    """Per-lag statistic coefficients plus the previous-symbol head term.
 
-    z_matrix[a, b] is the steady-state statistic for tested bin b when a
-    was sent; cov is the covariance of the statistic noise at unit
-    per-sample noise variance (scale by sigma2 when sampling), and chol
-    is its (possibly jittered) lower Cholesky factor. edge_table row s
-    holds the dechirped head contribution of symbol s over the first
-    k_max window samples, and head_bank is the matching filter-bank
-    slice; together they give the exact previous-symbol correction.
+    When a was sent, the steady-state statistic of tested bin a - lags[i]
+    is lag_coeffs[i] * exp(-2j*pi*a*lags[i]/M), and every other bin's is
+    zero. edge_table row s holds the dechirped head contribution of symbol
+    s over the first k_max window samples, and head is the matching
+    k_max-column slice of the matched-filter bank; together they give the
+    exact previous-symbol correction. No array is M x M: z_matrix and cov
+    are built on demand, for checks only.
     """
 
     params: LoRaParams
     gains: DechirpedGains
-    z_matrix: np.ndarray
-    cov: np.ndarray
-    chol: np.ndarray
+    lags: np.ndarray
+    lag_coeffs: np.ndarray
     edge_table: np.ndarray
-    head_bank: np.ndarray
+    head: np.ndarray
 
     @property
-    def energy(self) -> float:
-        return self.gains.energy()
+    def z_matrix(self) -> np.ndarray:
+        """z_matrix[a, b]: steady-state statistic for tested bin b when a was sent."""
+        z = np.zeros((self.params.m, self.params.m), dtype=np.complex128)
+        _add_steady_rows(self, np.arange(self.params.m), z)
+        return z
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Statistic-noise covariance at unit per-sample noise variance: the
+        Gram matrix of the matched-filter bank (scale by sigma2)."""
+        bank = mf_filter_bank(self.params, self.gains)
+        return bank @ bank.conj().T
 
 
 def build_fast_sim(params: LoRaParams, g: DechirpedGains) -> FastSimModel:
-    """Precompute the statistic matrix and noise factor for one channel.
+    """Precompute the lag coefficients and the head term for one channel.
 
-    Memory and factorization cost are O(M^2) and O(M^3); intended for
-    desk-scale spreading factors.
+    For K paths spanning k_max chips the model holds at most K^2 lag
+    coefficients and two M x k_max tables; no M x M array is built.
     """
     m = params.m
     if g.k_max >= m // 2:
         raise ValueError(f"tap span {g.k_max} must be below M/2={m // 2} for signed lags")
     delays = np.asarray(g.delays, dtype=np.int64)
     gains = g.gains
-    a_grid = np.arange(m)
 
-    # Noise-free statistic: nonzero only when the signed lag a - b is a
-    # pairwise delay difference; one vectorized diagonal per lag.
-    z = np.zeros((m, m), dtype=np.complex128)
-    for lag in sorted({int(di - dj) for di in delays for dj in delays}):
+    # Noise-free statistic: one coefficient per signed lag a - b that is a
+    # pairwise delay difference (distinct mod M, as the span is below M/2).
+    lags = sorted({int(di - dj) for di in delays for dj in delays})
+    coeffs = []
+    for lag in lags:
         coeff = 0j
         for i, di in enumerate(delays):
             for j, dj in enumerate(delays):
                 if di - dj == lag:
                     phase = np.exp(-2j * np.pi * ((lag * int(dj)) % m) / m)
                     coeff += gains[i] * np.conj(gains[j]) * phase
-        row_phase = np.exp(-2j * np.pi * ((a_grid * lag) % m) / m)
-        z[a_grid, (a_grid - lag) % m] = m * coeff * row_phase
-
-    # Statistic-noise covariance at unit sigma2: Gram matrix of the
-    # matched-filter bank, Hermitian PSD by construction.
-    bank = mf_filter_bank(params, g)
-    cov = bank @ bank.conj().T
-
-    scale = m * g.energy()
-    chol = None
-    for eps in (0.0, 1e-12, 1e-12 * scale, 1e-9 * scale):
-        try:
-            chol = np.linalg.cholesky(cov + eps * np.eye(m) if eps else cov)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        raise np.linalg.LinAlgError("statistic-noise covariance could not be factorized")
+        coeffs.append(m * coeff)
 
     # Head table for the exact previous-symbol correction. Window sample
     # k < d_i carries the previous symbol's chirp tail through tap i, so a
@@ -120,8 +114,17 @@ def build_fast_sim(params: LoRaParams, g: DechirpedGains) -> FastSimModel:
                     2j * np.pi * ((s_grid * u) % m) / m
                 )
         edge_table *= np.conj(chirp_samples(params, 0, np.arange(span)))[None, :]
-    head_bank = bank[:, :span].copy()
-    return FastSimModel(params, g, z, cov, chol, edge_table, head_bank)
+    head = mf_filter_bank(params, g, cols=span)
+    return FastSimModel(params, g, np.array(lags, dtype=np.int64),
+                        np.array(coeffs, dtype=np.complex128), edge_table, head)
+
+
+def _add_steady_rows(model: FastSimModel, sent: np.ndarray, out: np.ndarray) -> None:
+    """Add the steady-state statistic rows of the sent symbols to out, one entry per lag."""
+    m = model.params.m
+    rows = np.arange(sent.size)
+    for lag, coeff in zip(model.lags, model.lag_coeffs):
+        out[rows, (sent - lag) % m] += coeff * np.exp(-2j * np.pi * ((sent * lag) % m) / m)
 
 
 def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
@@ -139,28 +142,24 @@ def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
     if model.edge_table.shape[1] == 0:
         return np.zeros((sent.size, model.params.m), dtype=np.complex128)
     delta = model.edge_table[prev] - model.edge_table[sent]
-    return delta @ model.head_bank.T
+    return delta @ model.head.T
 
 
 def sample_correlated_noise(
     model: FastSimModel,
     sigma2: float,
     rng: np.random.Generator,
-    candidates: np.ndarray | None = None,
     size: int | None = None,
 ):
-    """Draw statistic noise with the model covariance scaled by sigma2.
+    """Draw statistic noise with covariance sigma2 * model.cov.
 
-    Returns shape (M,) or (size, M); with candidates (an array of bin
-    indices) given, the full draw is restricted to those bins afterwards,
-    preserving their joint law.
+    The rake combiner applied to white CN(0, M*sigma2) spectral noise,
+    which is what the exact pipeline's statistics see. Returns shape (M,)
+    or (size, M).
     """
     m = model.params.m
     n = 1 if size is None else int(size)
-    xi = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
-    w = math.sqrt(sigma2) * (xi @ model.chol.T)
-    if candidates is not None:
-        w = w[:, np.asarray(candidates)]
+    w = rake_combine(model.params, complex_noise((n, m), m * sigma2, rng), model.gains)
     return w[0] if size is None else w
 
 
@@ -170,17 +169,14 @@ def simulate_ser(
     n_symbols: int,
     rng: np.random.Generator,
     batch: int = 4096,
-    edge_correction: bool = True,
 ) -> int:
     """Symbol errors of the full-search detector under the fast model.
 
-    Draws one uniform symbol chain and correlated statistic noise, scores
-    every bin's real part, and counts argmax mismatches. The chain opens
-    on a value-0 predecessor, mirroring the trailing pilot before a data
-    burst. With edge_correction the exact previous-symbol head term is
-    added to the steady-state statistics; without it the pure
-    steady-state model runs, which underestimates the error rate
-    slightly. Returns the error count over n_symbols.
+    Draws one uniform symbol chain and the statistic noise, adds the
+    steady-state statistics and the exact previous-symbol head term,
+    scores every bin's real part, and counts argmax mismatches. The chain
+    opens on a value-0 predecessor, mirroring the trailing pilot before a
+    data burst. Returns the error count over n_symbols.
     """
     m = model.params.m
     errors = 0
@@ -189,13 +185,12 @@ def simulate_ser(
     while done < n_symbols:
         n = min(batch, n_symbols - done)
         sent = rng.integers(0, m, size=n)
-        noise = sample_correlated_noise(model, sigma2, rng, size=n)
-        z = model.z_matrix[sent]
-        if edge_correction and model.edge_table.shape[1]:
+        stats = sample_correlated_noise(model, sigma2, rng, size=n)
+        if model.edge_table.shape[1]:
             prev = np.concatenate([[last], sent[:-1]])
-            z = z + edge_statistics(model, prev, sent)
-        scores = (z + noise).real
-        errors += int(np.sum(np.argmax(scores, axis=1) != sent))
+            stats += edge_statistics(model, prev, sent)
+        _add_steady_rows(model, sent, stats)
+        errors += int(np.sum(np.argmax(stats.real, axis=1) != sent))
         done += n
         last = int(sent[-1])
     return errors

@@ -297,7 +297,7 @@ class _TrialData:
 _mf_bank_cache: tuple = (None, None)
 
 
-def _mf_bank(params: LoRaParams, g: DechirpedGains) -> tuple[np.ndarray, np.ndarray]:
+def _mf_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
     """The prepared mf filter bank of a gain set, rebuilt only when the gains change."""
     global _mf_bank_cache
     key = (params.sf, g.delays, g.gains.tobytes())

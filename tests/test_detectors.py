@@ -338,9 +338,10 @@ def test_mf_scores_equal_rake_scores(case):
 @settings(max_examples=40, deadline=None)
 @given(_channel_case(min_sf=2, anywhere=True))
 def test_mf_scores_are_the_real_part_of_the_complex_product(case):
-    # two real products against the complex one they replace. Both sum the same
-    # 2M real products in some order, so each is within gamma_2M * sum|terms| of
-    # the exact value (any order, with or without FMA); and the same decisions
+    # one real product of the interleaved float view against the complex one it
+    # replaces. Both sum the same 2M real products in some order, so each is
+    # within gamma_2M * sum|terms| of the exact value (any order, with or without
+    # FMA); and the same decisions
     p, ch, seed = case
     bank = mf_filter_bank(p, dechirped_gain(p, ch))
     rd = _windows(p, np.random.default_rng(seed), n=32)

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorarake.channel import (
     C1,
+    C2,
     MultipathChannel,
     apply_channel,
     build_frame,
+    complex_noise,
     dechirped_gain,
     parse_channel,
 )
-from lorarake.detectors import mf_statistic
+from lorarake.detectors import mf_statistic, rake_combine
 from lorarake.fastsim import (
+    FastSimModel,
     build_fast_sim,
     edge_statistics,
     sample_correlated_noise,
@@ -94,7 +99,7 @@ def test_candidate_restriction_preserves_marginals():
     g = dechirped_gain(p, parse_channel("0:1,2:0.8"))
     model = build_fast_sim(p, g)
     rng = np.random.default_rng(51)
-    w = sample_correlated_noise(model, 1.0, rng, candidates=np.array([3, 5]), size=100_000)
+    w = sample_correlated_noise(model, 1.0, rng, size=100_000)[:, [3, 5]]
     assert w.shape == (100_000, 2)
     var = np.mean(np.abs(w) ** 2, axis=0)
     np.testing.assert_allclose(var, np.diag(model.cov).real[[3, 5]], rtol=0.03)
@@ -143,19 +148,46 @@ def test_edge_statistics_single_tap_is_zero():
         edge_statistics(model, [1], [2, 3])
 
 
-def test_steady_state_model_underestimates_errors():
-    # the residual bias of the pure steady-state sampler is visible and
-    # one-sided: ignoring the previous-symbol heads removes interference
-    from lorarake.waveform import noise_variance, snr_ebn0_convert
+class _ChainRng:
+    """Stands in for a Generator: hands out a fixed symbol chain block by
+    block and all-zero normals, so the statistics are noise-free."""
 
-    p = LoRaParams(7)
-    model = build_fast_sim(p, dechirped_gain(p, C1))
-    sigma2 = noise_variance(snr_ebn0_convert(p, -2.0, "ebn0_to_snr"))
-    n = 60_000
-    with_edges = simulate_ser(model, sigma2, n, np.random.default_rng(61))
-    without = simulate_ser(model, sigma2, n, np.random.default_rng(61),
-                           edge_correction=False)
-    assert without < with_edges
+    def __init__(self, chain):
+        self.chain = np.asarray(chain)
+
+    def integers(self, low, high, size):
+        out, self.chain = self.chain[:size], self.chain[size:]
+        return out
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_noise_free_errors_are_the_exact_pipelines():
+    # strong late echoes at sf 4: only the previous-symbol heads cause errors,
+    # so the count pins that simulate_ser applies them along its symbol chain,
+    # from a value-0 predecessor and across its blocks
+    p = LoRaParams(4)
+    ch = parse_channel("0:0.4,6:0.9j,7:1.2")
+    g = dechirped_gain(p, ch)
+    model = build_fast_sim(p, g)
+    n = 400
+    sent = np.random.default_rng(4).integers(0, p.m, n)
+
+    def exact_errors(frame_symbols):
+        frame = build_frame(p, 0, frame_symbols)
+        rd = dechirp(p, apply_channel(p, frame, ch).reshape(-1, p.m)[1:])
+        stats = [[mf_statistic(p, r, g, b).real for b in range(p.m)] for r in rd]
+        return np.argmax(stats, axis=1) != frame_symbols[1:]
+
+    errors = int(np.sum(exact_errors([0, *sent])))
+    assert errors > 50
+    assert np.all(np.argmax(model.z_matrix[sent].real, axis=1) == sent)
+    for batch in (n, 7):
+        assert simulate_ser(model, 0.0, n, _ChainRng(sent), batch=batch) == errors
+    for a in range(p.m):
+        first = int(exact_errors([0, a])[0])
+        assert simulate_ser(model, 0.0, 1, _ChainRng([a])) == first
 
 
 def test_simulate_ser_noise_free_limit():
@@ -177,3 +209,64 @@ def test_simulate_ser_degrades_with_noise():
     hi = simulate_ser(model, sigma2[-4.0], 20_000, np.random.default_rng(9))
     assert lo < hi
     assert hi > 1000  # deep-noise regime errs on a large fraction of symbols
+
+
+def test_noise_is_the_rake_combiner_of_white_spectral_noise():
+    # the same draws through the detectors' rake combiner, bit for bit
+    p = LoRaParams(6)
+    g = dechirped_gain(p, C1)
+    model = build_fast_sim(p, g)
+    w = sample_correlated_noise(model, 0.3, np.random.default_rng(5), size=8)
+    white = complex_noise((8, p.m), p.m * 0.3, np.random.default_rng(5))
+    assert w.tobytes() == rake_combine(p, white, g).tobytes()
+
+
+def test_simulate_ser_never_builds_the_dense_forms(monkeypatch):
+    def refuse(self):
+        raise AssertionError("simulate_ser built an M x M array")
+
+    monkeypatch.setattr(FastSimModel, "z_matrix", property(refuse))
+    monkeypatch.setattr(FastSimModel, "cov", property(refuse))
+    p = LoRaParams(7)
+    model = build_fast_sim(p, dechirped_gain(p, C1))
+    assert simulate_ser(model, 1e-12, 500, np.random.default_rng(3)) == 0
+
+
+def test_model_memory_is_linear_in_m():
+    # at sf 12 one M x M complex array alone would be 256 MB
+    p = LoRaParams(12)
+    model = build_fast_sim(p, dechirped_gain(p, C2))
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 2**20
+    assert all(a.ndim < 2 or a.shape[1] < p.m for a in arrays)
+
+
+@st.composite
+def _edge_case(draw):
+    """A random sf in 4..8, a 1-4 tap channel with k_max < M/2, and a (prev, sent) pair."""
+    sf = draw(st.integers(4, 8))
+    m = 2**sf
+    echoes = draw(st.lists(st.integers(1, m // 2 - 1), max_size=3, unique=True))
+    delays = (0, *sorted(echoes))
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+    gains = [complex(draw(parts), draw(parts)) for _ in delays]
+    gains[0] += 3.0  # keep the first path alive
+    symbols = st.integers(0, m - 1)
+    return LoRaParams(sf), MultipathChannel(delays, tuple(gains)), draw(symbols), draw(symbols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edge_case())
+@example((LoRaParams(4), MultipathChannel((0, 7), (3.0, -2.0j)), 15, 0))
+@example((LoRaParams(6), MultipathChannel((0,), (3.0,)), 2, 9))
+def test_steady_rows_plus_edge_term_are_the_exact_statistics(case):
+    # z_matrix row plus the head term against mf_statistic on a real
+    # two-symbol frame, over random channels and symbol pairs
+    p, ch, prev, sent = case
+    g = dechirped_gain(p, ch)
+    model = build_fast_sim(p, g)
+    frame = build_frame(p, 0, [prev, sent])
+    rd = dechirp(p, apply_channel(p, frame, ch).reshape(2, p.m)[1])
+    ref = np.array([mf_statistic(p, rd, g, b) for b in range(p.m)])
+    fast = model.z_matrix[sent] + edge_statistics(model, [prev], [sent])[0]
+    np.testing.assert_allclose(fast, ref, atol=1e-9 * p.m * g.energy())

@@ -3,7 +3,11 @@
 The channel is a sparse FIR filter c[k] = sum_i gains[i] * delta[k - d_i]
 with the receiver synchronized on the first path (d_0 = 0). After
 dechirping, each path appears as a phase-rotated gain at a known spectral
-offset; the helpers here carry taps through that transformation.
+offset; the helpers here carry taps through that transformation, and
+dechirped_spectra writes a burst's dechirped window spectra in that
+closed form without building samples. Frame.samples (built on first
+read), apply_channel and waveform.dechirp are the sample-level reference
+chain.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +34,8 @@ __all__ = [
     "add_awgn",
     "complex_noise",
     "dechirped_gain",
+    "dechirped_spectra",
+    "window_heads",
     "rotate_gains",
     "channel_coefficient",
     "load_channel_file",
@@ -123,32 +129,41 @@ class DechirpedGains:
 
 @dataclass(frozen=True)
 class Frame:
-    """Pilot-prefixed symbol burst and its concatenated transmit samples."""
+    """Pilot-prefixed symbol burst; its transmit samples are built on first read.
 
+    A sweep reads only the symbols (dechirped_spectra needs no samples);
+    the sample-level reference chain reads samples.
+    """
+
+    params: LoRaParams
     n_p: int
     n_d: int
     symbols: np.ndarray
-    samples: np.ndarray
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """Concatenated chirps of the burst, (n_p + n_d) * M samples."""
+        m = self.params.m
+        base, roots = _chirp_tables(self.params.sf)
+        # x_a[k] = x_0[k] * exp(2j*pi*a*k/M); reduce a*k mod M (a power of
+        # two) to keep phases exact, and keep base as the left operand: the
+        # SIMD complex multiply is not bitwise commutative
+        phase_idx = np.multiply.outer(self.symbols, np.arange(m))
+        phase_idx &= m - 1
+        rows = roots[phase_idx]
+        np.multiply(base, rows, out=rows)
+        return rows.reshape(-1)
 
 
 def build_frame(params: LoRaParams, pilots: int, data) -> Frame:
-    """Concatenate pilot chirps (symbol 0) and data chirps into one burst."""
+    """Prefix the data symbols with pilot chirps (symbol 0) into one burst."""
     if pilots < 0:
         raise ValueError(f"pilot count must be >= 0, got {pilots}")
     data = np.asarray(data, dtype=np.int64).reshape(-1)
     if data.size and (data.min() < 0 or data.max() >= params.m):
         raise ValueError(f"data symbols must be in [0, {params.m})")
     symbols = np.concatenate([np.zeros(pilots, dtype=np.int64), data])
-    m = params.m
-    base, roots = _chirp_tables(params.sf)
-    # x_a[k] = x_0[k] * exp(2j*pi*a*k/M); reduce a*k mod M (a power of two)
-    # to keep phases exact, and keep base as the left operand: the SIMD
-    # complex multiply is not bitwise commutative
-    phase_idx = np.multiply.outer(symbols, np.arange(m))
-    phase_idx &= m - 1
-    rows = roots[phase_idx]
-    np.multiply(base, rows, out=rows)
-    return Frame(int(pilots), int(data.size), symbols, rows.reshape(-1))
+    return Frame(params, int(pilots), int(data.size), symbols)
 
 
 @lru_cache(maxsize=None)
@@ -189,13 +204,12 @@ def complex_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Circular complex Gaussian samples with total per-sample variance sigma2."""
     if sigma2 < 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-    scale = math.sqrt(sigma2 / 2.0)
-    out = np.empty(shape, dtype=np.complex128)
-    # one draw fills all real parts, then all imaginary parts
-    draws = rng.standard_normal((2, *out.shape))
-    np.multiply(scale, draws[0], out=out.real)
-    np.multiply(scale, draws[1], out=out.imag)
-    return out
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    # one block of interleaved (real, imaginary) pairs, scaled in place and
+    # viewed as complex
+    draws = rng.standard_normal((*shape, 2))
+    draws *= math.sqrt(sigma2 / 2.0)
+    return draws.view(np.complex128).reshape(shape)
 
 
 def add_awgn(samples, sigma2: float, rng: np.random.Generator) -> np.ndarray:
@@ -210,6 +224,72 @@ def dechirped_gain(params: LoRaParams, ch: MultipathChannel) -> DechirpedGains:
     """Rotate raw tap gains into the dechirped domain: gain_i * x_0[-d_i]."""
     rot = chirp_samples(params, 0, -np.asarray(ch.delays, dtype=np.float64))
     return DechirpedGains(ch.delays, np.asarray(ch.gains) * rot)
+
+
+def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols) -> np.ndarray:
+    """Noise-free DFT of every dechirped window of a burst, in closed form.
+
+    Row j equals fft(dechirp(...)) of window j of
+    apply_channel(build_frame(...)) for the same symbol sequence, up to
+    float rounding, without building a sample. Window j, carrying symbol
+    s, holds one line M * G_i * exp(-2j*pi*d_i*s/M) per tap at bin
+    (s - d_i) mod M, G_i being the dechirped gain, plus the DFT of its
+    head term: over the first k_max samples, the previous symbol's tail
+    minus the window's own cyclic wrap. The first window follows silence.
+    """
+    m = params.m
+    if ch.k_max >= m:
+        raise ValueError(f"max delay {ch.k_max} must be < M={m}")
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    heads = window_heads(params, ch.delays, ch.gains, s)
+    delta = np.negative(heads)
+    delta[1:] += heads[:-1]
+    spec = np.fft.fft(delta, n=m, axis=1)
+    roots = _chirp_tables(params.sf)[1]
+    rows = np.arange(s.size)
+    for d, g in zip(ch.delays, dechirped_gain(params, ch).gains):
+        spec[rows, (s - d) & (m - 1)] += (m * g) * np.conj(roots[(s * d) & (m - 1)])
+    return spec
+
+
+def window_heads(params: LoRaParams, delays, gains, symbols) -> np.ndarray:
+    """Dechirped tail each symbol sends into the next window's head.
+
+    Row j, column k < k_max: sum over taps with d_i > k of
+    gains[i] * x_s(M + k - d_i) * conj(x_0(k)), for s = symbols[j] and raw
+    (not dechirped) tap gains. A steady-state window's cyclic model holds
+    its own symbol's row here; a burst window holds its predecessor's.
+    """
+    m = params.m
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    roots = _chirp_tables(params.sf)[1]
+    heads = np.zeros((s.size, max(delays)), dtype=np.complex128)
+    for u, c in _head_coeffs(params.sf, tuple(delays), tuple(complex(g) for g in gains)):
+        # x_s(u) = x_0(u) * exp(2j*pi*s*u/M), gathered at (s*u) mod M
+        idx = np.multiply.outer(s, u)
+        idx &= m - 1
+        term = roots[idx]
+        term *= c
+        heads[:, : u.size] += term
+    return heads
+
+
+@lru_cache(maxsize=16)
+def _head_coeffs(sf: int, delays: tuple, gains: tuple) -> tuple:
+    # per echo tap: u = M + k - d_i and c = gains_i * x_0(u) * conj(x_0(k))
+    # over k < d_i, so at most K * k_max entries
+    m = 1 << sf
+    base = _chirp_tables(sf)[0]
+    out = []
+    for d, g in zip(delays, gains):
+        if d == 0:
+            continue
+        u = np.arange(m - d, m)
+        c = g * base[u] * np.conj(base[:d])
+        u.setflags(write=False)
+        c.setflags(write=False)
+        out.append((u, c))
+    return tuple(out)
 
 
 def rotate_gains(params: LoRaParams, g: DechirpedGains, b: int) -> DechirpedGains:

@@ -133,14 +133,17 @@ def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -
     """
     m = params.m
     bgrid = np.arange(m)
-    z = np.zeros(data_spec.shape, dtype=np.complex128)
-    term = np.empty_like(z)
-    for d, gain in zip(g.delays, g.gains):
-        coef = np.conj(gain) * np.exp(2j * np.pi * ((d * bgrid) % m) / m)
-        # coef times the spectrum cyclically shifted right by d
-        np.multiply(coef[d:], data_spec[:, : m - d], out=term[:, d:])
-        np.multiply(coef[:d], data_spec[:, m - d :], out=term[:, :d])
-        z += term
+    coefs = [np.conj(gain) * np.exp(2j * np.pi * ((d * bgrid) % m) / m)
+             for d, gain in zip(g.delays, g.gains)]
+    # delays[0] == 0, so the first tap needs no shift and starts the sum
+    z = coefs[0] * data_spec
+    if len(coefs) > 1:
+        term = np.empty_like(z)
+        for d, coef in zip(g.delays[1:], coefs[1:]):
+            # coef times the spectrum cyclically shifted right by d
+            np.multiply(coef[d:], data_spec[:, : m - d], out=term[:, d:])
+            np.multiply(coef[:d], data_spec[:, m - d :], out=term[:, :d])
+            z += term
     return z
 
 

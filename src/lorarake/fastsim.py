@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DechirpedGains, complex_noise
+from .channel import DechirpedGains, complex_noise, window_heads
 from .detectors import mf_filter_bank, rake_combine
 from .waveform import LoRaParams, chirp_samples
 
@@ -95,26 +95,12 @@ def build_fast_sim(params: LoRaParams, g: DechirpedGains) -> FastSimModel:
                     coeff += gains[i] * np.conj(gains[j]) * phase
         coeffs.append(m * coeff)
 
-    # Head table for the exact previous-symbol correction. Window sample
-    # k < d_i carries the previous symbol's chirp tail through tap i, so a
-    # symbol's head contribution is a fixed k_max-sample vector; raw tap
-    # gains are recovered by undoing the dechirp rotation of the delays.
-    span = g.k_max
-    edge_table = np.zeros((m, span), dtype=np.complex128)
-    if span:
-        s_grid = np.arange(m)
-        for d, gain in zip(delays, gains):
-            if d == 0:
-                continue
-            raw = gain * np.conj(complex(chirp_samples(params, 0, float(-d))))
-            for k in range(d):
-                u = m + k - d
-                x0u = complex(chirp_samples(params, 0, float(u)))
-                edge_table[:, k] += raw * x0u * np.exp(
-                    2j * np.pi * ((s_grid * u) % m) / m
-                )
-        edge_table *= np.conj(chirp_samples(params, 0, np.arange(span)))[None, :]
-    head = mf_filter_bank(params, g, cols=span)
+    # Head table for the exact previous-symbol correction: row s is the
+    # dechirped tail symbol s sends into the next window's first k_max
+    # samples, from the raw tap gains (the dechirp rotation undone).
+    raw = gains * np.conj(chirp_samples(params, 0, -delays))
+    edge_table = window_heads(params, g.delays, raw, np.arange(m))
+    head = mf_filter_bank(params, g, cols=g.k_max)
     return FastSimModel(params, g, np.array(lags, dtype=np.int64),
                         np.array(coeffs, dtype=np.complex128), edge_table, head)
 
@@ -163,6 +149,10 @@ def sample_correlated_noise(
     return w[0] if size is None else w
 
 
+# elements of one (block, M) complex array in simulate_ser: 16 MiB
+_BLOCK_ELEMENTS = 1 << 20
+
+
 def simulate_ser(
     model: FastSimModel,
     sigma2: float,
@@ -176,14 +166,16 @@ def simulate_ser(
     steady-state statistics and the exact previous-symbol head term,
     scores every bin's real part, and counts argmax mismatches. The chain
     opens on a value-0 predecessor, mirroring the trailing pilot before a
-    data burst. Returns the error count over n_symbols.
+    data burst. Works on blocks of at most batch symbols and at most
+    _BLOCK_ELEMENTS bins. Returns the error count over n_symbols.
     """
     m = model.params.m
+    block = min(batch, _BLOCK_ELEMENTS // m)
     errors = 0
     done = 0
     last = 0
     while done < n_symbols:
-        n = min(batch, n_symbols - done)
+        n = min(block, n_symbols - done)
         sent = rng.integers(0, m, size=n)
         stats = sample_correlated_noise(model, sigma2, rng, size=n)
         if model.edge_table.shape[1]:

@@ -1,13 +1,13 @@
 """Monte Carlo experiment engine: SER sweeps, indicator reports, cost
 tables, estimation studies, and candidate-count sweeps.
 
-Each trial builds one pilot-prefixed frame, passes it through the exact
-channel convolution, adds one shared noise realization, and runs every
-configured detector on the same data, so detector comparisons are
-paired. Trials are independent Monte Carlo units with their own RNG
-substream keyed by (master_seed, trial, Eb/N0), which makes results
-reproducible for any worker count and lets separate runs share noise
-point by point.
+Each trial draws one pilot-prefixed symbol burst, writes its dechirped
+window spectra in closed form (channel.dechirped_spectra), adds one
+shared white spectral noise realization, and runs every configured
+detector on the same data, so detector comparisons are paired. Trials
+are independent Monte Carlo units with their own RNG substream keyed by
+(master_seed, trial, Eb/N0), which makes results reproducible for any
+worker count and lets separate runs share noise point by point.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import numpy as np
 
 from .channel import (
     MultipathChannel,
-    apply_channel,
     build_frame,
     complex_noise,
     dechirped_gain,
+    dechirped_spectra,
     DechirpedGains,
     parse_channel,
 )
@@ -46,7 +46,14 @@ from .detectors import (
     tdel_detect,
 )
 from .estimator import EstimatorConfig, detect_paths, gains_at_delays
-from .waveform import LoRaParams, dechirp, noise_variance, snr_ebn0_convert
+from .waveform import LoRaParams, noise_variance, snr_ebn0_convert
+
+# A sweep calls neither apply_channel nor dechirp. perfbench's tracer still
+# looks both up in this module, so they stay importable here until the
+# benchmark wraps channel.dechirped_spectra instead (ROADMAP item 6); a
+# traced run lists their layers as not exercised.
+from .channel import apply_channel  # noqa: F401
+from .waveform import dechirp  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -255,24 +262,27 @@ def _trial_rng(master_seed: int, trial: int, ebn0_db: float) -> np.random.Genera
 
 @dataclass
 class _TrialData:
-    """One trial's frame, noise and receiver front end.
+    """One trial's data symbols, spectral noise and noisy window spectra.
 
-    The magnitudes, scores and candidate mask are computed on first use,
-    so the detectors that share them (noncoh and the candidate mask, mf and
-    cand-mf, rake and cand-rake) pay for each once per trial.
+    The dechirped samples, magnitudes, scores and candidate mask are
+    computed on first use, so the detectors that share them (mf and
+    ideal-mf, noncoh and the candidate mask, mf and cand-mf, rake and
+    cand-rake) pay for each once per trial.
     """
 
     params: LoRaParams
     ch: MultipathChannel
     cfg: SimConfig
     data: np.ndarray
-    data_dech: np.ndarray
     data_spec: np.ndarray
     pilot_avg: np.ndarray | None
     gains: DechirpedGains
     coh_ref: complex
-    noise: np.ndarray
-    frame_samples: np.ndarray
+    noise: np.ndarray | None  # the data rows' spectral noise alone, kept for coh-awgn
+
+    @cached_property
+    def data_dech(self) -> np.ndarray:
+        return np.fft.ifft(self.data_spec, axis=1)
 
     @cached_property
     def mag(self) -> np.ndarray:
@@ -308,19 +318,17 @@ def _mf_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
 
 
 def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
-    """Draw one frame and noise realization; estimate gains per the CSIR mode."""
+    """Draw one burst and noise realization; estimate gains per the CSIR mode."""
     m = params.m
     rng = _trial_rng(cfg.master_seed, trial, ebn0_db)
     data = rng.integers(0, m, size=cfg.n_d)
     frame = build_frame(params, cfg.n_p, data)
-    rx = apply_channel(params, frame, ch)
     sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
-    noise = complex_noise(rx.shape, sigma2, rng)
-
-    # rx is apply_channel's own buffer; coh-awgn reads noise and the frame
-    rx += noise
-    dech = dechirp(params, rx.reshape(-1, m))
-    spectra = np.fft.fft(dech, axis=1)
+    # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
+    # over the bins, so the noise is drawn in the spectrum
+    noise = complex_noise((frame.symbols.size, m), m * sigma2, rng)
+    spectra = dechirped_spectra(params, ch, frame.symbols)
+    spectra += noise
     pilot_avg = spectra[: cfg.n_p].mean(axis=0) if cfg.n_p else None
 
     if cfg.csir == "perfect":
@@ -344,23 +352,21 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
         ch=ch,
         cfg=cfg,
         data=data,
-        data_dech=dech[cfg.n_p :],
         data_spec=spectra[cfg.n_p :],
         pilot_avg=pilot_avg,
         gains=gains,
         coh_ref=coh_ref,
-        noise=noise,
-        frame_samples=frame.samples,
+        # one (n, M) array less to hold for the rest of the trial otherwise
+        noise=noise[cfg.n_p :] if "coh-awgn" in cfg.detectors else None,
     )
 
 
 def _coh_awgn_decisions(t: _TrialData) -> np.ndarray:
-    # flat single-tap reference carrying the same energy, same noise
-    m = t.params.m
-    start = t.cfg.n_p * m
-    flat = math.sqrt(t.ch.energy()) * t.frame_samples[start:] + t.noise[start:]
-    spec = np.fft.fft(dechirp(t.params, flat.reshape(-1, m)), axis=1)
-    return np.argmax(spec.real, axis=1)
+    # flat single-tap reference carrying the same energy under the same
+    # noise: its noise-free spectrum is sqrt(E) * M at the sent bin alone
+    scores = t.noise.real.copy()
+    scores[np.arange(t.data.size), t.data] += math.sqrt(t.ch.energy()) * t.params.m
+    return np.argmax(scores, axis=1)
 
 
 class _Detector(NamedTuple):
@@ -399,7 +405,7 @@ def _op_sums(kind: str, params, n_paths: int, n_d: int, nc_total: float):
 
 
 def _run_point_trial(params, ch, cfg, ebn0_db, trial) -> dict:
-    """One frame at one operating point.
+    """One burst at one operating point.
 
     Returns detector -> (errors, candidate_count_sum, cmult_sum, cadd_sum).
     """
@@ -434,7 +440,7 @@ def _map_trials(fn, tasks: list[tuple], workers: int) -> list:
 def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     """Monte Carlo SER sweep over the configured Eb/N0 axis.
 
-    Every detector sees the same frames and noise within a trial; each
+    Every detector sees the same symbols and noise within a trial; each
     (trial, Eb/N0) pair owns an RNG substream, so results do not depend
     on scheduling or worker count.
     """
@@ -677,7 +683,7 @@ class CandSweepRow:
 def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[CandSweepRow]:
     """Sweep the candidate-set size, pairing every n_c on the same trials.
 
-    All grid values reuse the same frames, noise, spectra, and scores, so
+    All grid values reuse the same symbols, noise, spectra, and scores, so
     the curves differ only through the candidate restriction; the full
     alphabet (nc_norm = 1) reproduces the unrestricted detector exactly.
     """
@@ -707,7 +713,7 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
 
 
 def _cand_sweep_trial(params, ch, cfg, ebn0_db, trial, nc_list) -> list[int]:
-    """Errors of the fixed-size candidate combiner for each n_c on one frame."""
+    """Errors of the fixed-size candidate combiner for each n_c on one burst."""
     st = _trial_setup(params, ch, cfg, ebn0_db, trial)
     return [int(np.sum(_masked_argmax(st.rake, _candidate_masks(st.mag, ("fixed", n_c)))
                        != st.data))

@@ -46,6 +46,9 @@ from lorarake import (
     simulate_ser,
     snr_ebn0_convert,
 )
+from lorarake.channel import complex_noise
+from lorarake.detectors import rake_scores
+from lorarake.simulate import _trial_rng
 
 # ----------------------------------------------------------------------
 # helpers
@@ -464,7 +467,25 @@ def test_09_pilot_averaging_and_single_path_fallback(report):
 
 
 # ----------------------------------------------------------------------
-# 10. fast statistic-domain sampler matches the sample-level pipeline
+# 10. fast statistic-domain sampler and the synthesized sweep match the
+#     sample-level pipeline
+
+
+def _sample_chain_ser(cfg: SimConfig, ebn0_db: float) -> float:
+    """Rake SER through the sample-level chain (frame, channel convolution,
+    white sample noise, dechirp, FFT) with the sweep's own trial seeds."""
+    params, ch = cfg.resolve()
+    g = dechirped_gain(params, ch)
+    sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
+    errors = 0
+    for trial in range(cfg.n_trials):
+        rng = _trial_rng(cfg.master_seed, trial, ebn0_db)
+        data = rng.integers(0, params.m, size=cfg.n_d)
+        rx = apply_channel(params, build_frame(params, cfg.n_p, data), ch)
+        rx += complex_noise(rx.shape, sigma2, rng)
+        spec = dft(dechirp(params, rx.reshape(-1, params.m)))[cfg.n_p:]
+        errors += int(np.sum(np.argmax(rake_scores(params, spec, g), axis=1) != data))
+    return errors / (cfg.n_trials * cfg.n_d)
 
 
 def test_10_fast_sim_matches_exact_pipeline(report):
@@ -479,7 +500,8 @@ def test_10_fast_sim_matches_exact_pipeline(report):
         csir="perfect",
         master_seed=1,
     )
-    exact = {p.ebn0_db: p for p in run_ser_sweep(cfg)}
+    n_exact = cfg.n_trials * cfg.n_d
+    sweep = {p.ebn0_db: p for p in run_ser_sweep(cfg)}
 
     params = LoRaParams(7)
     g = dechirped_gain(params, parse_channel("c1"))
@@ -488,14 +510,16 @@ def test_10_fast_sim_matches_exact_pipeline(report):
     ok = True
     details = []
     for i, e in enumerate(axis):
+        exact = _sample_chain_ser(cfg, e)
         sigma2 = noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
         errors = simulate_ser(model, sigma2, n_fast, np.random.default_rng([2, i]))
         fast_ser = errors / n_fast
-        point = exact[e]
-        tol = 3.0 * math.hypot(_se(point.ser, point.symbols), _se(fast_ser, n_fast))
-        diff = abs(fast_ser - point.ser)
-        if diff > tol:
-            ok = False
-        details.append(f"{e:+.0f}dB exact={point.ser:.4f} fast={fast_ser:.4f} |d|={diff:.4f}<{tol:.4f}")
+        synth_ser = sweep[e].ser
+        for name, ser, n in (("fast", fast_ser, n_fast), ("sweep", synth_ser, sweep[e].symbols)):
+            tol = 3.0 * math.hypot(_se(exact, n_exact), _se(ser, n))
+            diff = abs(ser - exact)
+            if diff > tol:
+                ok = False
+            details.append(f"{e:+.0f}dB exact={exact:.4f} {name}={ser:.4f} |d|={diff:.4f}<{tol:.4f}")
     report("10 fast-sim agreement", ok, "; ".join(details))
     assert ok

@@ -20,6 +20,7 @@ from lorarake.channel import (
     channel_coefficient,
     complex_noise,
     dechirped_gain,
+    dechirped_spectra,
     load_channel_file,
     parse_channel,
     rotate_gains,
@@ -160,6 +161,7 @@ def test_build_frame_layout():
     frame = build_frame(p, 3, [7, 1])
     assert frame.n_p == 3 and frame.n_d == 2
     np.testing.assert_array_equal(frame.symbols, [0, 0, 0, 7, 1])
+    assert "samples" not in vars(frame)  # built on first read
     assert frame.samples.shape == (5 * p.m,)
     np.testing.assert_allclose(np.abs(frame.samples), 1.0, atol=1e-12)
     np.testing.assert_allclose(frame.samples[3 * p.m : 4 * p.m],
@@ -287,9 +289,44 @@ def test_apply_channel_is_bitwise_the_zero_start_convolution(case, n_sym):
     st.floats(1e-6, 1e6),
     st.integers(0, 2**32 - 1),
 )
-def test_complex_noise_is_bitwise_the_two_draw_formula(shape, sigma2, seed):
+def test_complex_noise_is_bitwise_the_one_block_formula(shape, sigma2, seed):
+    # one (*shape, 2) draw of interleaved (real, imaginary) pairs
     scale = math.sqrt(sigma2 / 2.0)
-    rng = np.random.default_rng(seed)
-    ref = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    draws = np.random.default_rng(seed).standard_normal((*np.atleast_1d(shape), 2))
+    ref = np.empty(draws.shape[:-1], dtype=np.complex128)
+    ref.real = scale * draws[..., 0]
+    ref.imag = scale * draws[..., 1]
     out = complex_noise(shape, sigma2, np.random.default_rng(seed))
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _synthesis_case(draw):
+    """A random sf in 2..12, 1-4 taps anywhere in [0, M), pilots and a symbol chain."""
+    sf = draw(st.integers(2, 12))
+    m = 2**sf
+    echoes = draw(st.lists(st.integers(1, m - 1), max_size=3, unique=True))
+    delays = (0, *sorted(echoes))
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+    gains = [complex(draw(parts), draw(parts)) for _ in delays]
+    gains[0] += 3.0
+    pilots = draw(st.integers(0, 6))
+    data = draw(st.lists(st.integers(0, m - 1), max_size=12))
+    return LoRaParams(sf), MultipathChannel(delays, tuple(gains)), pilots, data
+
+
+@settings(max_examples=80, deadline=None)
+@given(_synthesis_case())
+@example((LoRaParams(12), MultipathChannel((0, 4095), (1.0, 0.5j)), 2, [4095, 0, 17, 17]))
+@example((LoRaParams(5), MultipathChannel((0,), (1.0 - 2.0j,)), 0, [3, 31, 0]))
+def test_dechirped_spectra_match_the_sample_chain(case):
+    p, ch, pilots, data = case
+    frame = build_frame(p, pilots, data)
+    ref = dft(dechirp(p, apply_channel(p, frame, ch).reshape(-1, p.m)))
+    out = dechirped_spectra(p, ch, frame.symbols)
+    # the chirp tables' phases reach pi*M/4, so each sample carries a
+    # relative rounding error of order eps*M, and a bin sums M samples per
+    # unit of tap gain
+    tol = 4.0 * np.finfo(float).eps * p.m**2 * sum(abs(g) for g in ch.gains)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref), initial=0.0) <= tol

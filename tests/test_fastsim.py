@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -239,6 +241,20 @@ def test_model_memory_is_linear_in_m():
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 2**20
     assert all(a.ndim < 2 or a.shape[1] < p.m for a in arrays)
+
+
+def test_simulate_ser_blocks_are_capped_in_bytes():
+    # at sf 11 one 4096-row block would hold 128 MiB per (block, M) complex
+    # array; the cap keeps each at 16 MiB whatever batch allows
+    p = LoRaParams(11)
+    model = build_fast_sim(p, dechirped_gain(p, C2))
+    tracemalloc.start()
+    try:
+        simulate_ser(model, 0.1, 4096, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**27
 
 
 @st.composite

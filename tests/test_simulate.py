@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lorarake import simulate
+from lorarake.channel import Frame
 from lorarake.complexity import op_count
 from lorarake.simulate import (
     ConfigError,
@@ -112,6 +113,18 @@ def test_mf_and_rake_agree_through_the_batch_paths():
     by = {(p.detector, p.ebn0_db): p.errors for p in points}
     for e in (-2.0, 2.0):
         assert by[("mf", e)] == by[("rake", e)]
+
+
+@pytest.mark.parametrize("csir", ["perfect", "estimated"])
+def test_sweep_builds_no_samples(monkeypatch, csir):
+    # every detector reads the closed-form spectra; a burst's samples are
+    # only for the sample-level reference chain
+    def refuse(self):
+        raise AssertionError("the sweep built the frame's samples")
+
+    monkeypatch.setattr(Frame, "samples", property(refuse))
+    points = run_ser_sweep(_small(detectors=simulate.DETECTOR_IDS, csir=csir, n_d=20))
+    assert len(points) == len(simulate.DETECTOR_IDS)
 
 
 def _count_mf_bank_builds(monkeypatch) -> list:

@@ -19,7 +19,7 @@ from .channel import (
 )
 from .complexity import op_count
 from .detectors import auto_cross_correlation, mf_statistic, rake_statistic
-from .estimator import EstimatorConfig, average_pilot_dft, detect_paths
+from .estimator import average_pilot_dft, detect_paths
 from .fastsim import build_fast_sim, simulate_ser
 from .simulate import SimConfig, run_delta_report, run_ser_sweep
 from .waveform import LoRaParams, dechirp, dft, noise_variance, snr_ebn0_convert
@@ -27,7 +27,6 @@ from .waveform import LoRaParams, dechirp, dft, noise_variance, snr_ebn0_convert
 __version__ = "0.1.0"
 
 __all__ = [
-    "EstimatorConfig",
     "LoRaParams",
     "MultipathChannel",
     "SimConfig",

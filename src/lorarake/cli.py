@@ -229,29 +229,20 @@ COMPLEXITY_HEADER = [
     "mf_cmult", "mf_cadd", "rake_cmult", "rake_cadd",
     "cand_mf_cmult", "cand_mf_cadd", "cand_rake_cmult", "cand_rake_cadd",
     "ratio_full", "ratio_cand",
-    "wall_us_mf", "wall_us_rake", "wall_us_cand_mf", "wall_us_cand_rake",
 ]
 
 
 def _cmd_complexity(args) -> int:
     t0 = time.perf_counter()
-    rows = run_complexity_report(
-        args.sf_list, args.k, args.nc_list,
-        bench_repeats=args.bench, seed=args.seed if args.seed is not None else 0,
-    )
-    table = []
-    for r in rows:
-        wall = r.wall_us or {}
-        table.append([
-            r.sf, r.k, r.n_c,
-            r.mf.cmult, r.mf.cadd, r.rake.cmult, r.rake.cadd,
-            r.cand_mf.cmult, r.cand_mf.cadd, r.cand_rake.cmult, r.cand_rake.cadd,
-            r.ratio_full, r.ratio_cand,
-            wall.get("mf"), wall.get("rake"), wall.get("cand_mf"), wall.get("cand_rake"),
-        ])
+    rows = run_complexity_report(args.sf_list, args.k, args.nc_list)
+    table = [[r.sf, r.k, r.n_c,
+              r.mf.cmult, r.mf.cadd, r.rake.cmult, r.rake.cadd,
+              r.cand_mf.cmult, r.cand_mf.cadd, r.cand_rake.cmult, r.cand_rake.cadd,
+              r.ratio_full, r.ratio_cand]
+             for r in rows]
     n = _write_csv(args.out, COMPLEXITY_HEADER, table)
     payload = {"cmd": "complexity", "sf_list": list(args.sf_list), "k": args.k,
-               "nc_list": list(args.nc_list), "bench": args.bench}
+               "nc_list": list(args.nc_list)}
     _summary("complexity", "-", payload, n, t0)
     return 0
 
@@ -329,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--k", type=int, default=3, help="channel tap count")
     p_cx.add_argument("--nc-list", dest="nc_list", type=_parse_int_list,
                       default=(1, 2, 4, 8, 16, 32))
-    p_cx.add_argument("--bench", type=int, default=0, metavar="REPEATS",
-                      help="also time the numpy kernels (median of REPEATS runs)")
-    p_cx.add_argument("--seed", type=int, default=0)
     p_cx.add_argument("--out", default="-")
     p_cx.set_defaults(func=_cmd_complexity)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -45,7 +44,7 @@ from .detectors import (
     rake_scores as _rake_scores,
     tdel_detect,
 )
-from .estimator import EstimatorConfig, detect_paths, gains_at_delays
+from .estimator import detect_paths, gains_at_delays
 from .waveform import LoRaParams, noise_variance, snr_ebn0_convert
 
 # A sweep calls neither apply_channel nor dechirp. perfbench's tracer still
@@ -107,6 +106,21 @@ def _check_type(name: str, annotation: str, value) -> None:
         raise ConfigError(name, f"expected {annotation}, got {value!r}")
 
 
+def _params_and_channel(sf, channel) -> tuple[LoRaParams, MultipathChannel]:
+    """The parameter set and parsed channel; ConfigError names sf or channel."""
+    try:
+        params = LoRaParams(sf)
+    except ValueError as exc:
+        raise ConfigError("sf", str(exc)) from None
+    try:
+        ch = parse_channel(channel)
+    except ValueError as exc:
+        raise ConfigError("channel", str(exc)) from None
+    if ch.k_max >= params.m:
+        raise ConfigError("channel", f"max delay {ch.k_max} must be < M={params.m}")
+    return params, ch
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one Monte Carlo sweep needs; resolve() validates."""
@@ -150,17 +164,8 @@ class SimConfig:
         """Validate every field; return the parameter set and channel."""
         for f in fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
-        try:
-            params = LoRaParams(self.sf)
-        except ValueError as exc:
-            raise ConfigError("sf", str(exc)) from None
-        try:
-            ch = parse_channel(self.channel)
-        except ValueError as exc:
-            raise ConfigError("channel", str(exc)) from None
+        params, ch = _params_and_channel(self.sf, self.channel)
         m = params.m
-        if ch.k_max >= m:
-            raise ConfigError("channel", f"max delay {ch.k_max} must be < M={m}")
         if not self.detectors:
             raise ConfigError("detectors", "need at least one detector")
         for det in self.detectors:
@@ -338,13 +343,8 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
         gains = gains_at_delays(params, pilot_avg, cfg.forced_khat)
         coh_ref = complex(gains.gains[0])
     else:
-        est = EstimatorConfig(
-            n_p=cfg.n_p,
-            rho_p=cfg.rho_p,
-            k_max=cfg.k_max,
-            known_k=ch.n_paths if cfg.known_k else None,
-        )
-        gains = detect_paths(params, pilot_avg, est)
+        gains = detect_paths(params, pilot_avg, cfg.rho_p, cfg.k_max,
+                             ch.n_paths if cfg.known_k else None)
         coh_ref = complex(gains.gains[0])
 
     return _TrialData(
@@ -491,8 +491,7 @@ def run_delta_report(channel, sf: int) -> tuple[list[DeltaRow], float]:
     """
     from .detectors import delta_indicator
 
-    params = LoRaParams(sf)
-    ch = parse_channel(channel)
+    params, ch = _params_and_channel(sf, channel)
     rows = [
         DeltaRow(
             a,
@@ -522,73 +521,18 @@ class ComplexityRow:
     cand_rake: OpCount
     ratio_full: float
     ratio_cand: float
-    wall_us: dict | None = None
 
 
-def _bench_channel(k: int) -> MultipathChannel:
-    gains = [1.0 / math.sqrt(k)] * k
-    return MultipathChannel.from_taps(list(zip(range(k), gains)))
-
-
-def _bench_kernels(params, k: int, n_c: int, repeats: int, symbols: int, seed: int) -> dict:
-    """Median per-symbol wall time (microseconds) of the batched detector kernels."""
-    ch = _bench_channel(k)
-    g = dechirped_gain(params, ch)
-    rng = np.random.default_rng(seed)
-    dech = (rng.standard_normal((symbols, params.m)) + 1j * rng.standard_normal((symbols, params.m)))
-    spec = np.fft.fft(dech, axis=1)
-    mag = np.abs(spec)
-    # a sweep builds the bank once per gain set, outside the per-trial kernels
-    bank = prepare_mf_bank(mf_filter_bank(params, g))
-
-    def mf():
-        _mf_scores(dech, bank)
-
-    def rake():
-        np.fft.fft(dech, axis=1)
-        _rake_scores(params, spec, g)
-
-    def cand_mf():
-        mask = _candidate_masks(mag, ("fixed", n_c))
-        _masked_argmax(_mf_scores(dech, bank), mask)
-
-    def cand_rake():
-        np.fft.fft(dech, axis=1)
-        mask = _candidate_masks(mag, ("fixed", n_c))
-        _masked_argmax(_rake_scores(params, spec, g), mask)
-
-    out = {}
-    for name, fn in (("mf", mf), ("rake", rake), ("cand_mf", cand_mf), ("cand_rake", cand_rake)):
-        fn()  # warmup
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        out[name] = times[len(times) // 2] / symbols * 1e6
-    return out
-
-
-def run_complexity_report(
-    sf_list,
-    n_paths: int,
-    nc_list,
-    bench_repeats: int = 0,
-    bench_symbols: int = 256,
-    seed: int = 0,
-) -> list[ComplexityRow]:
-    """Closed-form cost rows, optionally with measured kernel wall times.
-
-    Wall times are machine-specific medians over bench_repeats runs after
-    a warmup pass; they are off by default and only the relative ordering
-    is meaningful.
-    """
+def run_complexity_report(sf_list, n_paths: int, nc_list) -> list[ComplexityRow]:
+    """Closed-form cost rows for every (sf, n_c) pair at n_paths taps."""
     if n_paths < 1:
         raise ConfigError("k", f"must be >= 1, got {n_paths}")
     rows = []
     for sf in sf_list:
         params = LoRaParams(sf)
+        if n_paths > params.m:
+            # K distinct delays below M cannot number more than M
+            raise ConfigError("k", f"must be <= {params.m} for sf={sf}, got {n_paths}")
         mf = op_count("mf", params, n_paths)
         rake = op_count("rake", params, n_paths)
         for n_c in nc_list:
@@ -596,13 +540,10 @@ def run_complexity_report(
                 raise ConfigError("nc", f"must be in [1, {params.m}] for sf={sf}, got {n_c}")
             cm = op_count("cand_mf", params, n_paths, n_c)
             cr = op_count("cand_rake", params, n_paths, n_c)
-            wall = None
-            if bench_repeats > 0:
-                wall = _bench_kernels(params, n_paths, n_c, bench_repeats, bench_symbols, seed)
             rows.append(
                 ComplexityRow(
                     sf, n_paths, int(n_c), mf, rake, cm, cr,
-                    complexity_ratio(mf, rake), complexity_ratio(cm, cr), wall,
+                    complexity_ratio(mf, rake), complexity_ratio(cm, cr),
                 )
             )
     return rows

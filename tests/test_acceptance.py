@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from lorarake import (
-    EstimatorConfig,
     LoRaParams,
     MultipathChannel,
     SimConfig,
@@ -247,7 +246,7 @@ def test_05_noise_free_estimator_exact(report):
         params = LoRaParams(7)
         ch = parse_channel(alias)
         avg = _steady_pilot_average(params, ch, 6)
-        est = detect_paths(params, avg, EstimatorConfig(n_p=6, rho_p=0.4, k_max=10))
+        est = detect_paths(params, avg, rho_p=0.4, k_max=10)
         truth = dechirped_gain(params, ch)
         if est.delays != truth.delays:
             ok_delays = False

@@ -146,6 +146,12 @@ def test_bad_config_exits_two(tmp_path, capsys):
         rc5, _, err5 = _run(capsys, ["ser", "--ebn0", axis])
         assert rc5 == 2
         assert "ebn0_db" in err5
+    rc6, out6, err6 = _run(capsys, ["delta", "--sf", "7", "--channel", "0:1,200:0.5"])
+    assert rc6 == 2 and out6 == ""
+    assert err6.startswith("error: channel:")
+    rc7, out7, err7 = _run(capsys, ["complexity", "--sf-list", "7", "--k", "200"])
+    assert rc7 == 2 and out7 == ""
+    assert err7.startswith("error: k:")
 
 
 def test_unknown_flag_exits_two():
@@ -168,22 +174,20 @@ def test_complexity_csv(capsys):
     rc, out, _ = _run(capsys, ["complexity", "--sf-list", "7,10", "--nc-list", "8,16"])
     assert rc == 0
     lines = out.strip().split("\n")
-    assert lines[0].startswith("sf,k,n_c,mf_cmult,mf_cadd,rake_cmult")
+    assert lines[0] == ("sf,k,n_c,mf_cmult,mf_cadd,rake_cmult,rake_cadd,cand_mf_cmult,"
+                        "cand_mf_cadd,cand_rake_cmult,cand_rake_cadd,ratio_full,ratio_cand")
     assert len(lines) == 1 + 4
     row = lines[1].split(",")
     assert row[:3] == ["7", "3", "8"]
     assert row[3] == "82304"
-    # wall-clock columns stay empty without --bench
-    assert row[-4:] == ["", "", "", ""]
 
 
-def test_complexity_bench_fills_wall_columns(capsys):
-    rc, out, _ = _run(capsys, ["complexity", "--sf-list", "7", "--nc-list", "8",
-                               "--bench", "1"])
-    assert rc == 0
-    row = out.strip().split("\n")[1].split(",")
-    assert all(field for field in row[-4:])
-    assert float(row[-4]) > 0
+def test_complexity_matches_committed_output(tmp_path, capsys):
+    # tests/data/complexity_default.csv pins the default cost table byte for byte
+    out = tmp_path / "complexity.csv"
+    assert main(["complexity", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / "complexity_default.csv").read_bytes()
 
 
 def test_estimate_study_csv(capsys):

@@ -14,7 +14,7 @@ from lorarake.channel import (
     complex_noise,
     dechirped_gain,
 )
-from lorarake.estimator import EstimatorConfig, average_pilot_dft, detect_paths
+from lorarake.estimator import average_pilot_dft, detect_paths
 from lorarake.waveform import LoRaParams, dechirp, dft
 
 
@@ -28,17 +28,13 @@ def _steady_state_average(params, ch, n_p):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(n_p=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(rho_p=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(rho_p=1.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(k_max=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(known_k=0)
-    assert EstimatorConfig().n_p == 6
+    p = LoRaParams(5)
+    avg = np.zeros(p.m, dtype=complex)
+    avg[0] = p.m
+    for bad in ({"rho_p": 0.0}, {"rho_p": 1.0}, {"k_max": 0}, {"known_k": 0}):
+        with pytest.raises(ValueError):
+            detect_paths(p, avg, **{"rho_p": 0.4, "k_max": 10, **bad})
+    assert detect_paths(p, avg, 0.4, 10).delays == (0,)
 
 
 def test_average_pilot_dft_shape_check():
@@ -52,7 +48,7 @@ def test_noise_free_exactness_threshold_mode():
     p = LoRaParams(7)
     for ch in (C1, C2):
         avg = _steady_state_average(p, ch, 6)
-        est = detect_paths(p, avg, EstimatorConfig(n_p=6, rho_p=0.4, k_max=10))
+        est = detect_paths(p, avg, rho_p=0.4, k_max=10)
         truth = dechirped_gain(p, ch)
         assert est.delays == truth.delays
         np.testing.assert_allclose(est.gains, truth.gains, atol=1e-9)
@@ -62,8 +58,7 @@ def test_noise_free_exactness_known_count_mode():
     p = LoRaParams(7)
     for ch in (C1, C2):
         avg = _steady_state_average(p, ch, 4)
-        cfg = EstimatorConfig(n_p=4, rho_p=0.4, k_max=10, known_k=ch.n_paths)
-        est = detect_paths(p, avg, cfg)
+        est = detect_paths(p, avg, rho_p=0.4, k_max=10, known_k=ch.n_paths)
         truth = dechirped_gain(p, ch)
         assert est.delays == truth.delays
         np.testing.assert_allclose(est.gains, truth.gains, atol=1e-9)
@@ -73,11 +68,9 @@ def test_threshold_drops_weak_tap():
     # the 0.5 tap of the three-path benchmark sits below a 0.6 threshold
     p = LoRaParams(7)
     avg = _steady_state_average(p, C1, 6)
-    est = detect_paths(p, avg, EstimatorConfig(n_p=6, rho_p=0.6, k_max=10))
+    est = detect_paths(p, avg, rho_p=0.6, k_max=10)
     assert est.delays == (0, 2)
-    est_known = detect_paths(
-        p, avg, EstimatorConfig(n_p=6, rho_p=0.6, k_max=10, known_k=3)
-    )
+    est_known = detect_paths(p, avg, rho_p=0.6, k_max=10, known_k=3)
     assert est_known.delays == (0, 2, 3)
 
 
@@ -85,9 +78,9 @@ def test_k_max_limits_the_search():
     p = LoRaParams(7)
     ch = MultipathChannel.from_taps([(0, 1.0), (12, 0.8)])
     avg = _steady_state_average(p, ch, 6)
-    est = detect_paths(p, avg, EstimatorConfig(n_p=6, rho_p=0.4, k_max=10))
+    est = detect_paths(p, avg, rho_p=0.4, k_max=10)
     assert est.delays == (0,)
-    found = detect_paths(p, avg, EstimatorConfig(n_p=6, rho_p=0.4, k_max=12))
+    found = detect_paths(p, avg, rho_p=0.4, k_max=12)
     assert found.delays == (0, 12)
 
 
@@ -98,16 +91,16 @@ def test_known_count_tie_prefers_smaller_delay():
     avg[0] = m
     avg[m - 2] = 0.5 * m  # delay 2
     avg[m - 7] = 0.5 * m  # delay 7, same magnitude
-    est = detect_paths(p, avg, EstimatorConfig(n_p=1, rho_p=0.4, k_max=10, known_k=2))
+    est = detect_paths(p, avg, rho_p=0.4, k_max=10, known_k=2)
     assert est.delays == (0, 2)
 
 
 def test_estimator_input_validation():
     p = LoRaParams(5)
     with pytest.raises(ValueError):
-        detect_paths(p, np.zeros(p.m - 1, dtype=complex), EstimatorConfig())
+        detect_paths(p, np.zeros(p.m - 1, dtype=complex), rho_p=0.4, k_max=10)
     with pytest.raises(ValueError):
-        detect_paths(p, np.zeros(p.m, dtype=complex), EstimatorConfig(k_max=p.m))
+        detect_paths(p, np.zeros(p.m, dtype=complex), rho_p=0.4, k_max=p.m)
 
 
 def test_averaging_shrinks_gain_variance():
@@ -125,10 +118,7 @@ def test_averaging_shrinks_gain_variance():
             rx = apply_channel(p, frame, C2)
             rx = rx + complex_noise(rx.shape, sigma2, rng)
             spectra = dft(dechirp(p, rx.reshape(-1, p.m)))[1:]
-            est = detect_paths(
-                p, average_pilot_dft(spectra),
-                EstimatorConfig(n_p=n_p, rho_p=0.4, k_max=10, known_k=2),
-            )
+            est = detect_paths(p, average_pilot_dft(spectra), rho_p=0.4, k_max=10, known_k=2)
             errs[i] = est.gains[0] - truth.gains[0]
         return float(np.mean(np.abs(errs) ** 2))
 

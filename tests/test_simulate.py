@@ -240,20 +240,14 @@ def test_complexity_report_matches_op_count():
     assert first.ratio_full == pytest.approx(
         op_count("mf", p7, 3).total / op_count("rake", p7, 3).total
     )
-    assert first.wall_us is None
     with pytest.raises(ConfigError):
         run_complexity_report([7], 0, [4])
     with pytest.raises(ConfigError):
         run_complexity_report([7], 3, [0])
     with pytest.raises(ConfigError):
         run_complexity_report([7], 3, [129])
-
-
-def test_complexity_report_bench_mode():
-    rows = run_complexity_report([7], 2, [8], bench_repeats=1, bench_symbols=32)
-    wall = rows[0].wall_us
-    assert set(wall) == {"mf", "rake", "cand_mf", "cand_rake"}
-    assert all(v > 0 for v in wall.values())
+    with pytest.raises(ConfigError, match="^k:"):
+        run_complexity_report([7], 129, [4])
 
 
 def test_estimation_study_structure():

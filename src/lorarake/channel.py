@@ -36,6 +36,8 @@ __all__ = [
     "dechirped_gain",
     "dechirped_spectra",
     "window_heads",
+    "BLOCK_BINS",
+    "block_rows",
     "rotate_gains",
     "channel_coefficient",
     "load_channel_file",
@@ -226,7 +228,20 @@ def dechirped_gain(params: LoRaParams, ch: MultipathChannel) -> DechirpedGains:
     return DechirpedGains(ch.delays, np.asarray(ch.gains) * rot)
 
 
-def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols) -> np.ndarray:
+# Bins (rows * M) of one block of windows that a trial or the fast simulator
+# holds at a time: 4 MiB per complex block array at any sf, small enough for
+# the allocator to reuse block arrays instead of mapping and faulting in
+# fresh pages for each, and for a trial's memory not to grow with its length.
+BLOCK_BINS = 1 << 18
+
+
+def block_rows(m: int) -> int:
+    """Windows of M bins per block: BLOCK_BINS // M, at least one."""
+    return max(1, BLOCK_BINS // m)
+
+
+def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
+                      prev: int | None = None) -> np.ndarray:
     """Noise-free DFT of every dechirped window of a burst, in closed form.
 
     Row j equals fft(dechirp(...)) of window j of
@@ -235,7 +250,10 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols) -> np.n
     s, holds one line M * G_i * exp(-2j*pi*d_i*s/M) per tap at bin
     (s - d_i) mod M, G_i being the dechirped gain, plus the DFT of its
     head term: over the first k_max samples, the previous symbol's tail
-    minus the window's own cyclic wrap. The first window follows silence.
+    minus the window's own cyclic wrap. The first window follows prev, the
+    symbol sent just before it, or silence when prev is None; chaining
+    calls over consecutive parts of a burst, each with the last symbol of
+    the part before, gives the one-call spectra bit for bit.
     """
     m = params.m
     if ch.k_max >= m:
@@ -244,6 +262,8 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols) -> np.n
     heads = window_heads(params, ch.delays, ch.gains, s)
     delta = np.negative(heads)
     delta[1:] += heads[:-1]
+    if prev is not None and s.size:
+        delta[0] += window_heads(params, ch.delays, ch.gains, [prev])[0]
     spec = np.fft.fft(delta, n=m, axis=1)
     roots = _chirp_tables(params.sf)[1]
     rows = np.arange(s.size)

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import DechirpedGains, channel_coefficient, dechirped_gain, rotate_gains
+from .channel import (
+    DechirpedGains,
+    _chirp_tables,
+    channel_coefficient,
+    dechirped_gain,
+    rotate_gains,
+)
 from .waveform import LoRaParams
 
 __all__ = [
@@ -117,10 +123,16 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     m = params.m
     grid = np.arange(m)
     k = grid if cols is None else grid[:cols]
-    h = channel_coefficient(params, g, 0)
-    cmat = h[(grid[:, None] + k[None, :]) % m]
-    twiddle = np.exp(-2j * np.pi * ((grid[:, None] * k[None, :]) % m) / m)
-    return np.conj(cmat) * twiddle
+    # conj(C_b[k]) = conj(C_0)[(b + k) mod M], and the twiddle is the
+    # conjugated root at (b * k) mod M (M a power of two); the bank stays
+    # the left operand, as in conj(cmat) * twiddle
+    idx = np.add.outer(grid, k)
+    idx &= m - 1
+    bank = np.conj(channel_coefficient(params, g, 0))[idx]
+    np.multiply.outer(grid, k, out=idx)
+    idx &= m - 1
+    bank *= np.conj(_chirp_tables(params.sf)[1])[idx]
+    return bank
 
 
 def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
@@ -133,7 +145,9 @@ def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -
     """
     m = params.m
     bgrid = np.arange(m)
-    coefs = [np.conj(gain) * np.exp(2j * np.pi * ((d * bgrid) % m) / m)
+    # the tap's b-rotation exp(2j*pi*d*b/M), gathered from the roots table
+    roots = _chirp_tables(params.sf)[1]
+    coefs = [np.conj(gain) * roots[(d * bgrid) & (m - 1)]
              for d, gain in zip(g.delays, g.gains)]
     # delays[0] == 0, so the first tap needs no shift and starts the sum
     z = coefs[0] * data_spec

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DechirpedGains, complex_noise, window_heads
+from .channel import DechirpedGains, block_rows, complex_noise, window_heads
 from .detectors import mf_filter_bank, rake_combine
 from .waveform import LoRaParams, chirp_samples
 
@@ -149,10 +149,6 @@ def sample_correlated_noise(
     return w[0] if size is None else w
 
 
-# elements of one (block, M) complex array in simulate_ser: 16 MiB
-_BLOCK_ELEMENTS = 1 << 20
-
-
 def simulate_ser(
     model: FastSimModel,
     sigma2: float,
@@ -167,10 +163,11 @@ def simulate_ser(
     scores every bin's real part, and counts argmax mismatches. The chain
     opens on a value-0 predecessor, mirroring the trailing pilot before a
     data burst. Works on blocks of at most batch symbols and at most
-    _BLOCK_ELEMENTS bins. Returns the error count over n_symbols.
+    channel.block_rows(M), the sweep's block size. Returns the error count
+    over n_symbols.
     """
     m = model.params.m
-    block = min(batch, _BLOCK_ELEMENTS // m)
+    block = min(batch, block_rows(m))
     errors = 0
     done = 0
     last = 0

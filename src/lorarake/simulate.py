@@ -4,7 +4,9 @@ tables, estimation studies, and candidate-count sweeps.
 Each trial draws one pilot-prefixed symbol burst, writes its dechirped
 window spectra in closed form (channel.dechirped_spectra), adds one
 shared white spectral noise realization, and runs every configured
-detector on the same data, so detector comparisons are paired. Trials
+detector on the same data, so detector comparisons are paired. It does
+so one block of consecutive windows at a time (channel.BLOCK_BINS), so a
+trial's memory does not grow with its length. Trials
 are independent Monte Carlo units with their own RNG substream keyed by
 (master_seed, trial, Eb/N0), which makes results reproducible for any
 worker count and lets separate runs share noise point by point.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -24,6 +26,7 @@ import numpy as np
 
 from .channel import (
     MultipathChannel,
+    block_rows,
     build_frame,
     complex_noise,
     dechirped_gain,
@@ -267,12 +270,13 @@ def _trial_rng(master_seed: int, trial: int, ebn0_db: float) -> np.random.Genera
 
 @dataclass
 class _TrialData:
-    """One trial's data symbols, spectral noise and noisy window spectra.
+    """One block of a trial: its data symbols, spectral noise and noisy
+    window spectra, with the trial's pilot average and gains.
 
     The dechirped samples, magnitudes, scores and candidate mask are
     computed on first use, so the detectors that share them (mf and
     ideal-mf, noncoh and the candidate mask, mf and cand-mf, rake and
-    cand-rake) pay for each once per trial.
+    cand-rake) pay for each once per block.
     """
 
     params: LoRaParams
@@ -322,43 +326,54 @@ def _mf_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
     return _mf_bank_cache[1]
 
 
-def _trial_setup(params, ch, cfg, ebn0_db, trial) -> _TrialData:
-    """Draw one burst and noise realization; estimate gains per the CSIR mode."""
+def _trial_setup(params, ch, cfg, ebn0_db, trial) -> Iterator[_TrialData]:
+    """Draw one burst and noise realization; estimate gains per the CSIR mode.
+
+    Yields the burst's data in blocks of consecutive windows, at most
+    block_rows(M) of them (the first block also carries every pilot and at
+    least one data symbol). Each block draws its own noise from the trial's
+    generator in burst order, so the draws are the whole-burst ones, and
+    its spectra continue from the previous block's last symbol. The first
+    block fixes the gains, from its pilots when they are estimated.
+    """
     m = params.m
     rng = _trial_rng(cfg.master_seed, trial, ebn0_db)
     data = rng.integers(0, m, size=cfg.n_d)
-    frame = build_frame(params, cfg.n_p, data)
     sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
-    # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
-    # over the bins, so the noise is drawn in the spectrum
-    noise = complex_noise((frame.symbols.size, m), m * sigma2, rng)
-    spectra = dechirped_spectra(params, ch, frame.symbols)
-    spectra += noise
-    pilot_avg = spectra[: cfg.n_p].mean(axis=0) if cfg.n_p else None
-
-    if cfg.csir == "perfect":
-        gains = dechirped_gain(params, ch)
-        coh_ref = complex(ch.gains[0])
-    elif cfg.csir == "forced":
-        gains = gains_at_delays(params, pilot_avg, cfg.forced_khat)
-        coh_ref = complex(gains.gains[0])
-    else:
-        gains = detect_paths(params, pilot_avg, cfg.rho_p, cfg.k_max,
-                             ch.n_paths if cfg.known_k else None)
-        coh_ref = complex(gains.gains[0])
-
-    return _TrialData(
-        params=params,
-        ch=ch,
-        cfg=cfg,
-        data=data,
-        data_spec=spectra[cfg.n_p :],
-        pilot_avg=pilot_avg,
-        gains=gains,
-        coh_ref=coh_ref,
-        # one (n, M) array less to hold for the rest of the trial otherwise
-        noise=noise[cfg.n_p :] if "coh-awgn" in cfg.detectors else None,
-    )
+    rows = block_rows(m)
+    n_p, start, prev = cfg.n_p, 0, None
+    while start < cfg.n_d:
+        stop = min(cfg.n_d, start + max(1, rows - n_p))
+        frame = build_frame(params, n_p, data[start:stop])
+        # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
+        # over the bins, so the noise is drawn in the spectrum
+        noise = complex_noise((frame.symbols.size, m), m * sigma2, rng)
+        spectra = dechirped_spectra(params, ch, frame.symbols, prev)
+        spectra += noise
+        if start == 0:
+            pilot_avg = spectra[:n_p].mean(axis=0) if n_p else None
+            if cfg.csir == "perfect":
+                gains = dechirped_gain(params, ch)
+                coh_ref = complex(ch.gains[0])
+            elif cfg.csir == "forced":
+                gains = gains_at_delays(params, pilot_avg, cfg.forced_khat)
+                coh_ref = complex(gains.gains[0])
+            else:
+                gains = detect_paths(params, pilot_avg, cfg.rho_p, cfg.k_max,
+                                     ch.n_paths if cfg.known_k else None)
+                coh_ref = complex(gains.gains[0])
+        yield _TrialData(
+            params=params,
+            ch=ch,
+            cfg=cfg,
+            data=frame.symbols[n_p:],
+            data_spec=spectra[n_p:],
+            pilot_avg=pilot_avg,
+            gains=gains,
+            coh_ref=coh_ref,
+            noise=noise[n_p:] if "coh-awgn" in cfg.detectors else None,
+        )
+        n_p, start, prev = 0, stop, int(frame.symbols[-1])
 
 
 def _coh_awgn_decisions(t: _TrialData) -> np.ndarray:
@@ -409,17 +424,23 @@ def _run_point_trial(params, ch, cfg, ebn0_db, trial) -> dict:
 
     Returns detector -> (errors, candidate_count_sum, cmult_sum, cadd_sum).
     """
-    st = _trial_setup(params, ch, cfg, ebn0_db, trial)
+    errors = dict.fromkeys(cfg.detectors, 0)
+    masked = 0  # candidate bins over the trial, when a candidate detector runs
+    candidates = cfg.candidate_rule() is not None
+    for st in _trial_setup(params, ch, cfg, ebn0_db, trial):
+        for det in cfg.detectors:
+            errors[det] += int(np.sum(_DETECTORS[det].decide(st) != st.data))
+        if candidates:
+            masked += int(st.mask.sum())
     k_hat = st.gains.n_paths
     out = {}
     for det in cfg.detectors:
         spec = _DETECTORS[det]
-        dec = spec.decide(st)
-        nc_sum = float(st.mask.sum()) if spec.candidates else float(cfg.n_d * params.m)
+        nc_sum = float(masked) if spec.candidates else float(cfg.n_d * params.m)
         cmult = cadd = 0.0
         if spec.op_kind is not None:
             cmult, cadd = _op_sums(spec.op_kind, params, k_hat, cfg.n_d, nc_sum)
-        out[det] = (int(np.sum(dec != st.data)), nc_sum, cmult, cadd)
+        out[det] = (errors[det], nc_sum, cmult, cadd)
     return out
 
 
@@ -655,7 +676,9 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
 
 def _cand_sweep_trial(params, ch, cfg, ebn0_db, trial, nc_list) -> list[int]:
     """Errors of the fixed-size candidate combiner for each n_c on one burst."""
-    st = _trial_setup(params, ch, cfg, ebn0_db, trial)
-    return [int(np.sum(_masked_argmax(st.rake, _candidate_masks(st.mag, ("fixed", n_c)))
-                       != st.data))
-            for n_c in nc_list]
+    errors = [0] * len(nc_list)
+    for st in _trial_setup(params, ch, cfg, ebn0_db, trial):
+        for j, n_c in enumerate(nc_list):
+            dec = _masked_argmax(st.rake, _candidate_masks(st.mag, ("fixed", n_c)))
+            errors[j] += int(np.sum(dec != st.data))
+    return errors

@@ -330,3 +330,18 @@ def test_dechirped_spectra_match_the_sample_chain(case):
     tol = 4.0 * np.finfo(float).eps * p.m**2 * sum(abs(g) for g in ch.gains)
     assert out.shape == ref.shape
     assert np.max(np.abs(out - ref), initial=0.0) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(_synthesis_case(), st.lists(st.integers(0, 18), max_size=4))
+@example((LoRaParams(4), MultipathChannel((0, 15), (1.0, 0.5j)), 3, [15, 0, 7, 7, 1]), [1, 3, 3, 4])
+@example((LoRaParams(5), MultipathChannel((0,), (1.0 - 2.0j,)), 0, [3, 31, 0]), [2])
+def test_chained_spectra_are_bitwise_the_one_call_spectra(case, cuts):
+    # a burst cut into consecutive parts, each part continuing from the last
+    # symbol of the one before, as a trial's blocks are
+    p, ch, pilots, data = case
+    s = build_frame(p, pilots, data).symbols
+    edges = [0, *sorted(min(c, s.size) for c in cuts), s.size]
+    parts = [dechirped_spectra(p, ch, s[a:b], int(s[a - 1]) if a else None)
+             for a, b in zip(edges, edges[1:])]
+    assert np.concatenate(parts).tobytes() == dechirped_spectra(p, ch, s).tobytes()

@@ -91,6 +91,26 @@ def test_cand_sweep_matches_committed_output(tmp_path, capsys):
     assert out.read_bytes() == (_DATA / "cand_sweep_sf8.csv").read_bytes()
 
 
+def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch):
+    # 11 rows per block at sf 7 (6 pilots and 5 data symbols first) and 5 at
+    # sf 8 (the first block holds all 6 pilots and one data symbol): every
+    # committed sweep must come out byte for byte as from whole-burst blocks
+    monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", 11 * 128 + 37)
+    out = tmp_path / "out.csv"
+    for csir in sorted(_CSIR_FLAGS):
+        for sf in (7, 8):
+            argv = ["ser", "--sf", str(sf), "--channel", "c1", "--detectors", _ALL_DETECTORS,
+                    "--ebn0=-2,0", "--n-trials", "2", "--n-d", "100", "--seed", "11",
+                    *_CSIR_FLAGS[csir], "--out", str(out)]
+            assert main(argv) == 0
+            assert out.read_bytes() == (_DATA / f"ser_{csir}_sf{sf}.csv").read_bytes(), (csir, sf)
+    argv = ["cand-sweep", "--sf", "8", "--channel", "c1", "--ebn0=-2,0", "--n-trials", "2",
+            "--n-d", "100", "--seed", "11", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / "cand_sweep_sf8.csv").read_bytes()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(lorarake.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]

@@ -139,6 +139,25 @@ def test_mf_filter_bank_rows_reproduce_statistics():
         assert scores[b] == pytest.approx(mf_statistic(p, rd, g, b), abs=1e-9)
 
 
+@pytest.mark.parametrize("sf", [4, 7, 10])
+@pytest.mark.parametrize("ch", [C1, C2], ids=["c1", "c2"])
+def test_mf_filter_bank_is_bitwise_the_exp_formula(sf, ch):
+    # the table-driven bank against the modulo gather and per-entry exp
+    # twiddles it replaced, written out here, for the full bank and the
+    # k_max-column head
+    p = LoRaParams(sf)
+    m = p.m
+    g = dechirped_gain(p, ch)
+    h = channel_coefficient(p, g, 0)
+    grid = np.arange(m)
+    for cols in (None, g.k_max):
+        k = grid[:cols]
+        cmat = h[(grid[:, None] + k[None, :]) % m]
+        twiddle = np.exp(-2j * np.pi * ((grid[:, None] * k[None, :]) % m) / m)
+        ref = np.conj(cmat) * twiddle
+        assert mf_filter_bank(p, g, cols=cols).tobytes() == ref.tobytes()
+
+
 def test_ideal_mf_parasitic_peaks():
     # noise-free spectrum after true-symbol filtering: M * Gamma_aa[a - n]
     p = LoRaParams(7)
@@ -305,10 +324,10 @@ def test_detectors_on_noisy_frame_recover_symbols():
 
 
 @st.composite
-def _channel_case(draw, min_sf=5, anywhere=False):
-    """A random sf in min_sf..8, a 1-4 tap channel within the first M/4 chips
-    (anywhere in [0, M) with anywhere=True), and a seed."""
-    sf = draw(st.integers(min_sf, 8))
+def _channel_case(draw, min_sf=5, anywhere=False, max_sf=8):
+    """A random sf in min_sf..max_sf, a 1-4 tap channel within the first M/4
+    chips (anywhere in [0, M) with anywhere=True), and a seed."""
+    sf = draw(st.integers(min_sf, max_sf))
     m = 2**sf
     max_delay = m - 1 if anywhere else m // 4
     echoes = draw(st.lists(st.integers(1, max_delay), max_size=3, unique=True))
@@ -396,11 +415,13 @@ def test_threshold_rule_keeps_bin_zero_of_an_all_zero_row(sf, rho_c, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_channel_case(min_sf=2, anywhere=True))
+@given(_channel_case(min_sf=2, anywhere=True, max_sf=12))
 @example((LoRaParams(5), MultipathChannel((0,), (1.0 - 0.5j,)), 1))
 @example((LoRaParams(5), MultipathChannel((0, 31), (3.0, 0.7j)), 2))
+@example((LoRaParams(12), MultipathChannel((0, 1, 2048, 4095), (3.0, 0.7j, -1.0, 0.2)), 4))
 def test_rake_scores_are_bitwise_the_roll_sum(case):
-    # the kernel against the np.roll form it replaced, written out here
+    # the kernel, whose tap phases are gathered from the chirp roots table,
+    # against the np.roll form with per-call exp phases, written out here
     p, ch, seed = case
     m = p.m
     g = dechirped_gain(p, ch)

@@ -245,7 +245,7 @@ def test_model_memory_is_linear_in_m():
 
 def test_simulate_ser_blocks_are_capped_in_bytes():
     # at sf 11 one 4096-row block would hold 128 MiB per (block, M) complex
-    # array; the cap keeps each at 16 MiB whatever batch allows
+    # array; the cap (channel.BLOCK_BINS) keeps each at 4 MiB whatever batch allows
     p = LoRaParams(11)
     model = build_fast_sim(p, dechirped_gain(p, C2))
     tracemalloc.start()

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lorarake import simulate
+from lorarake import channel, simulate
 from lorarake.channel import Frame
 from lorarake.complexity import op_count
 from lorarake.simulate import (
@@ -163,6 +164,41 @@ def test_mf_equals_rake_when_the_gains_change_every_trial(monkeypatch, csir):
     for e in ebn0:
         assert by[("mf", e)] == by[("rake", e)]
     assert len(set(calls)) == len(calls) == cfg.n_trials * len(ebn0)
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param(dict(n_p=0, detectors=("noncoh", "coh", "coh-awgn", "ideal-mf", "mf", "cand-mf",
+                                        "rake", "cand-rake"), n_c=9), id="no-pilots"),
+    pytest.param(dict(n_d=3, n_p=1, detectors=simulate.DETECTOR_IDS, rho_c=0.4), id="one-block"),
+    pytest.param(dict(csir="estimated", detectors=("coh-awgn", "tdel", "mf", "cand-rake"),
+                      n_c=5, n_p=3), id="estimated"),
+])
+def test_block_size_does_not_change_results(monkeypatch, patch):
+    # 5 windows per block at sf 7 (643 bins, not a multiple of M), so a
+    # trial runs through many blocks unless it is shorter than one
+    cfg = _small(channel="c1", ebn0_db=(-2.0, 2.0), **patch)
+    whole = run_ser_sweep(cfg)
+    monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
+    assert run_ser_sweep(cfg) == whole
+
+
+def _trial_peak_bytes(n_d: int) -> int:
+    cfg = _small(sf=12, channel="c1", detectors=("noncoh", "rake", "cand-rake"),
+                 csir="estimated", n_c=32, ebn0_db=(0.0,), n_trials=1, n_d=n_d)
+    tracemalloc.start()
+    try:
+        run_ser_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_memory_is_one_block_whatever_n_d():
+    # whole-burst arrays made one sf 12 trial of 1000 symbols peak near 220 MB;
+    # a trial now holds one block of windows at a time
+    peak = _trial_peak_bytes(1000)
+    assert peak < 48 * 2**20
+    assert _trial_peak_bytes(4000) <= 1.1 * peak
 
 
 def test_full_candidate_set_reproduces_full_search():

@@ -35,6 +35,7 @@ __all__ = [
     "complex_noise",
     "dechirped_gain",
     "dechirped_spectra",
+    "add_lines",
     "window_heads",
     "BLOCK_BINS",
     "block_rows",
@@ -265,11 +266,23 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     if prev is not None and s.size:
         delta[0] += window_heads(params, ch.delays, ch.gains, [prev])[0]
     spec = np.fft.fft(delta, n=m, axis=1)
+    add_lines(params, dechirped_gain(params, ch), s, spec)
+    return spec
+
+
+def add_lines(params: LoRaParams, g: DechirpedGains, symbols, spec: np.ndarray) -> None:
+    """Add each window's K spectral lines to spec, one row per symbol, in place.
+
+    Row j, carrying symbol s, gains M * G_i * exp(-2j*pi*d_i*s/M) at bin
+    (s - d_i) mod M per tap, G_i being the dechirped gain: the cyclic
+    (steady-state) spectrum of a window, without its head term.
+    """
+    m = params.m
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
     roots = _chirp_tables(params.sf)[1]
     rows = np.arange(s.size)
-    for d, g in zip(ch.delays, dechirped_gain(params, ch).gains):
-        spec[rows, (s - d) & (m - 1)] += (m * g) * np.conj(roots[(s * d) & (m - 1)])
-    return spec
+    for d, gain in zip(g.delays, g.gains):
+        spec[rows, (s - d) & (m - 1)] += (m * gain) * np.conj(roots[(s * d) & (m - 1)])
 
 
 def window_heads(params: LoRaParams, delays, gains, symbols) -> np.ndarray:

@@ -116,9 +116,10 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     Row b is conj(C_b[k]) * exp(-2j*pi*b*k/M), so the statistics of a batch
     of windows are windows @ bank.T; mf_scores takes the bank through
     prepare_mf_bank. With cols given, only the first cols window samples
-    (columns) are built: fastsim's previous-symbol head term needs k_max of
-    them. bank @ bank^H is the statistic-noise covariance at unit noise
-    variance, which fastsim samples through rake_combine instead.
+    (columns) are built: fastsim maps a window's k_max head samples to
+    statistics through them. bank @ bank^H is the statistic-noise
+    covariance at unit noise variance; rake_combine draws noise with it
+    from white spectral noise, without the bank.
     """
     m = params.m
     grid = np.arange(m)

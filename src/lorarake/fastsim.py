@@ -1,19 +1,18 @@
-"""Closed-form statistic model for fast symbol-error simulation.
+"""Statistic-domain fast symbol-error simulation for the full-search detector.
 
-For a given channel the steady-state noise-free detector statistic
-depends only on the (sent, tested) symbol pair, and it is nonzero only
-where the signed lag sent - tested is a difference of two path delays:
-one coefficient per lag describes it. The statistic noise needs no
-model of its own. The matched filter is a rake over the DFT output, and
-the dechirped noise of a window has a white CN(0, M*sigma2) spectrum, so
-the rake combiner applied to white spectral noise draws the statistic
-noise with its exact joint law. A Monte Carlo trial is then one white
-draw, one rake pass and an argmax, skipping waveform synthesis entirely.
+The matched filter is a rake over the DFT output, so a window's
+statistics are rake_combine applied to its dechirped spectrum. Under a
+steady (cyclic) window that spectrum is the K spectral lines the sweep
+writes (channel.add_lines), and the dechirped noise of a window has a
+white CN(0, M*sigma2) spectrum, so the combiner applied to lines plus
+white spectral noise draws the statistics with their exact joint law. A
+Monte Carlo trial is then one white draw, one rake pass and an argmax,
+skipping waveform synthesis and the FFT entirely.
 
-The steady-state statistic neglects one real effect: the first k_max
-samples of a window carry the previous symbol's chirp tail. That
-perturbation also has a closed form in the (previous, current) symbol
-pair, and the sampler applies it exactly.
+The cyclic window neglects one real effect: its first k_max samples carry
+the previous symbol's chirp tail. That perturbation has a closed form in
+the (previous, current) symbol pair, the window heads, and the sampler
+applies it exactly through the first k_max columns of the filter bank.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DechirpedGains, block_rows, complex_noise, window_heads
+from .channel import DechirpedGains, add_lines, block_rows, complex_noise, window_heads
 from .detectors import mf_filter_bank, rake_combine
 from .waveform import LoRaParams, chirp_samples
 
@@ -37,97 +36,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FastSimModel:
-    """Per-lag statistic coefficients plus the previous-symbol head term.
+    """One channel's gains plus the previous-symbol head term.
 
-    When a was sent, the steady-state statistic of tested bin a - lags[i]
-    is lag_coeffs[i] * exp(-2j*pi*a*lags[i]/M), and every other bin's is
-    zero. edge_table row s holds the dechirped head contribution of symbol
-    s over the first k_max window samples, and head is the matching
-    k_max-column slice of the matched-filter bank; together they give the
-    exact previous-symbol correction. No array is M x M: z_matrix and cov
-    are built on demand, for checks only.
+    raw holds the raw (not dechirped) tap gains that window_heads takes,
+    and head is the k_max-column slice of the matched-filter bank that maps
+    a window's head samples to its statistics. No array is M x M.
     """
 
     params: LoRaParams
     gains: DechirpedGains
-    lags: np.ndarray
-    lag_coeffs: np.ndarray
-    edge_table: np.ndarray
+    raw: np.ndarray
     head: np.ndarray
-
-    @property
-    def z_matrix(self) -> np.ndarray:
-        """z_matrix[a, b]: steady-state statistic for tested bin b when a was sent."""
-        z = np.zeros((self.params.m, self.params.m), dtype=np.complex128)
-        _add_steady_rows(self, np.arange(self.params.m), z)
-        return z
-
-    @property
-    def cov(self) -> np.ndarray:
-        """Statistic-noise covariance at unit per-sample noise variance: the
-        Gram matrix of the matched-filter bank (scale by sigma2)."""
-        bank = mf_filter_bank(self.params, self.gains)
-        return bank @ bank.conj().T
 
 
 def build_fast_sim(params: LoRaParams, g: DechirpedGains) -> FastSimModel:
-    """Precompute the lag coefficients and the head term for one channel.
-
-    For K paths spanning k_max chips the model holds at most K^2 lag
-    coefficients and two M x k_max tables; no M x M array is built.
-    """
-    m = params.m
-    if g.k_max >= m // 2:
-        raise ValueError(f"tap span {g.k_max} must be below M/2={m // 2} for signed lags")
-    delays = np.asarray(g.delays, dtype=np.int64)
-    gains = g.gains
-
-    # Noise-free statistic: one coefficient per signed lag a - b that is a
-    # pairwise delay difference (distinct mod M, as the span is below M/2).
-    lags = sorted({int(di - dj) for di in delays for dj in delays})
-    coeffs = []
-    for lag in lags:
-        coeff = 0j
-        for i, di in enumerate(delays):
-            for j, dj in enumerate(delays):
-                if di - dj == lag:
-                    phase = np.exp(-2j * np.pi * ((lag * int(dj)) % m) / m)
-                    coeff += gains[i] * np.conj(gains[j]) * phase
-        coeffs.append(m * coeff)
-
-    # Head table for the exact previous-symbol correction: row s is the
-    # dechirped tail symbol s sends into the next window's first k_max
-    # samples, from the raw tap gains (the dechirp rotation undone).
-    raw = gains * np.conj(chirp_samples(params, 0, -delays))
-    edge_table = window_heads(params, g.delays, raw, np.arange(m))
-    head = mf_filter_bank(params, g, cols=g.k_max)
-    return FastSimModel(params, g, np.array(lags, dtype=np.int64),
-                        np.array(coeffs, dtype=np.complex128), edge_table, head)
-
-
-def _add_steady_rows(model: FastSimModel, sent: np.ndarray, out: np.ndarray) -> None:
-    """Add the steady-state statistic rows of the sent symbols to out, one entry per lag."""
-    m = model.params.m
-    rows = np.arange(sent.size)
-    for lag, coeff in zip(model.lags, model.lag_coeffs):
-        out[rows, (sent - lag) % m] += coeff * np.exp(-2j * np.pi * ((sent * lag) % m) / m)
+    """The model of one channel: its gains and an M x k_max bank slice."""
+    if g.k_max >= params.m:
+        raise ValueError(f"max delay {g.k_max} must be < M={params.m}")
+    # undo the dechirp rotation: gains_i = raw_i * x_0[-d_i]
+    raw = g.gains * np.conj(chirp_samples(params, 0, -np.asarray(g.delays, dtype=np.int64)))
+    return FastSimModel(params, g, raw, mf_filter_bank(params, g, cols=g.k_max))
 
 
 def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
     """Exact statistic correction for the previous-symbol window heads.
 
-    Returns the (n, M) complex adjustment that turns steady-state rows
-    z_matrix[symbols] into the true noise-free statistics of windows
-    preceded by prev_symbols. Zero whenever the two symbols agree or the
-    channel has a single tap.
+    Returns the (n, M) complex adjustment that turns the cyclic statistics
+    of symbols into the true noise-free statistics of windows preceded by
+    prev_symbols. Zero whenever the two symbols agree or the channel has a
+    single tap (k_max = 0 leaves both operands zero columns wide).
     """
     prev = np.asarray(prev_symbols, dtype=np.int64)
     sent = np.asarray(symbols, dtype=np.int64)
     if prev.shape != sent.shape:
         raise ValueError("previous and current symbol arrays must align")
-    if model.edge_table.shape[1] == 0:
-        return np.zeros((sent.size, model.params.m), dtype=np.complex128)
-    delta = model.edge_table[prev] - model.edge_table[sent]
+    delays = model.gains.delays
+    delta = window_heads(model.params, delays, model.raw, prev)
+    delta -= window_heads(model.params, delays, model.raw, sent)
     return delta @ model.head.T
 
 
@@ -137,11 +82,11 @@ def sample_correlated_noise(
     rng: np.random.Generator,
     size: int | None = None,
 ):
-    """Draw statistic noise with covariance sigma2 * model.cov.
+    """Draw statistic noise with covariance sigma2 * bank @ bank^H.
 
     The rake combiner applied to white CN(0, M*sigma2) spectral noise,
-    which is what the exact pipeline's statistics see. Returns shape (M,)
-    or (size, M).
+    which is what the exact pipeline's statistics see; bank is
+    mf_filter_bank(params, gains). Returns shape (M,) or (size, M).
     """
     m = model.params.m
     n = 1 if size is None else int(size)
@@ -158,27 +103,29 @@ def simulate_ser(
 ) -> int:
     """Symbol errors of the full-search detector under the fast model.
 
-    Draws one uniform symbol chain and the statistic noise, adds the
-    steady-state statistics and the exact previous-symbol head term,
-    scores every bin's real part, and counts argmax mismatches. The chain
-    opens on a value-0 predecessor, mirroring the trailing pilot before a
-    data burst. Works on blocks of at most batch symbols and at most
+    Per block: draws the symbols and their white spectral noise, writes
+    the symbols' spectral lines into it, applies the rake combiner, adds
+    the exact previous-symbol head term along the symbol chain, and counts
+    the rows whose real-part argmax misses the sent symbol. The chain opens
+    on a value-0 predecessor, mirroring the trailing pilot before a data
+    burst. Blocks hold at most batch symbols and at most
     channel.block_rows(M), the sweep's block size. Returns the error count
     over n_symbols.
     """
-    m = model.params.m
-    block = min(batch, block_rows(m))
+    p = model.params
+    block = min(batch, block_rows(p.m))
     errors = 0
     done = 0
     last = 0
     while done < n_symbols:
         n = min(block, n_symbols - done)
-        sent = rng.integers(0, m, size=n)
-        stats = sample_correlated_noise(model, sigma2, rng, size=n)
-        if model.edge_table.shape[1]:
-            prev = np.concatenate([[last], sent[:-1]])
-            stats += edge_statistics(model, prev, sent)
-        _add_steady_rows(model, sent, stats)
+        sent = rng.integers(0, p.m, size=n)
+        spec = complex_noise((n, p.m), p.m * sigma2, rng)
+        add_lines(p, model.gains, sent, spec)
+        stats = rake_combine(p, spec, model.gains)
+        # free the block before the head product so its memory is reused
+        del spec
+        stats += edge_statistics(model, np.concatenate([[last], sent[:-1]]), sent)
         errors += int(np.sum(np.argmax(stats.real, axis=1) != sent))
         done += n
         last = int(sent[-1])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -107,6 +108,20 @@ def _check_type(name: str, annotation: str, value) -> None:
     check = _TYPE_CHECKS.get(kind)
     if check is not None and not all(check(v) for v in items):
         raise ConfigError(name, f"expected {annotation}, got {value!r}")
+
+
+# Peak bytes per M^2 while a process builds and prepares an mf bank
+# (mf_filter_bank's index and gather temporaries, then prepare_mf_bank's
+# copy): 40.0-40.1 under tracemalloc at sf 9-12, 640 MiB at sf 12.
+_MF_BUILD_BYTES_PER_M2 = 40
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _params_and_channel(sf, channel) -> tuple[LoRaParams, MultipathChannel]:
@@ -224,6 +239,18 @@ class SimConfig:
             raise ConfigError("master_seed", f"must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers", f"must be >= 1, got {self.workers}")
+        banked = [d for d in self.detectors if d in ("mf", "cand-mf")]
+        phys = _physical_memory() if banked else None
+        if phys is not None:
+            # every worker process builds its own bank
+            need = self.workers * _MF_BUILD_BYTES_PER_M2 * m * m
+            if need > phys:
+                raise ConfigError(
+                    "detectors",
+                    f"{banked[0]} at sf {self.sf} builds an M x M filter bank that peaks at "
+                    f"{need / 2**30:.1f} GiB over {self.workers} worker(s), more than the "
+                    f"{phys / 2**30:.1f} GiB of physical memory; rake and cand-rake make the "
+                    "same decisions without one")
         return params, ch
 
 

@@ -228,6 +228,27 @@ def test_parse_channel_forms():
         parse_channel("0:1,bad:tap:x")
 
 
+@st.composite
+def _inline_taps(draw):
+    """A channel of 1-6 taps, delays below 2^12, any finite complex gains."""
+    part = st.floats(allow_nan=False, allow_infinity=False)
+    echoes = draw(st.lists(st.integers(1, 4095), max_size=5, unique=True))
+    gains = [complex(draw(part), draw(part)) for _ in range(len(echoes) + 1)]
+    if gains[0] == 0:
+        gains[0] = 1.0
+    taps = draw(st.permutations(list(zip([0, *echoes], gains))))
+    return MultipathChannel.from_taps(taps), taps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_inline_taps())
+def test_inline_channel_text_round_trips(case):
+    # delay:gain pairs in any order, gains as Python writes a complex
+    ch, taps = case
+    text = ",".join(f"{d}:{g}" for d, g in taps)
+    assert parse_channel(text) == ch
+
+
 # Bitwise checks: each kernel against the formula it replaced, written out
 # here as the reference. The kernels must perform the same float operations
 # on the same operands, so the bytes agree, not just the values.

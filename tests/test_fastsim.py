@@ -1,4 +1,10 @@
-"""Closed-form statistic model: noise-free matrix, covariance, sampling."""
+"""Fast statistic-domain simulator: noise-free statistics, covariance, sampling.
+
+The dense forms are built here, for checks only: the steady-state
+statistic rows are rake_combine over the spectral-line rows of
+channel.add_lines, and the statistic-noise covariance at unit noise
+variance is the Gram matrix of the matched-filter bank.
+"""
 
 from __future__ import annotations
 
@@ -13,21 +19,40 @@ from lorarake.channel import (
     C1,
     C2,
     MultipathChannel,
+    add_lines,
     apply_channel,
     build_frame,
     complex_noise,
     dechirped_gain,
     parse_channel,
 )
-from lorarake.detectors import mf_statistic, rake_combine
+from lorarake.detectors import mf_filter_bank, mf_statistic, rake_combine
 from lorarake.fastsim import (
-    FastSimModel,
     build_fast_sim,
     edge_statistics,
     sample_correlated_noise,
     simulate_ser,
 )
 from lorarake.waveform import LoRaParams, chirp_samples, dechirp
+
+
+def _steady_rows(p, g, sent):
+    """Steady-state statistic rows of the sent symbols: rake over their line rows."""
+    sent = np.asarray(sent).reshape(-1)
+    lines = np.zeros((sent.size, p.m), dtype=complex)
+    add_lines(p, g, sent, lines)
+    return rake_combine(p, lines, g)
+
+
+def _z_matrix(p, g):
+    """z[a, b]: steady-state statistic for tested bin b when a was sent."""
+    return _steady_rows(p, g, np.arange(p.m))
+
+
+def _cov(p, g):
+    """Statistic-noise covariance at unit per-sample noise variance."""
+    bank = mf_filter_bank(p, g)
+    return bank @ bank.conj().T
 
 
 def _cyclic_window(params, ch, a):
@@ -41,45 +66,48 @@ def _cyclic_window(params, ch, a):
 def test_z_matrix_matches_statistics_on_cyclic_windows():
     p = LoRaParams(7)
     g = dechirped_gain(p, C1)
-    model = build_fast_sim(p, g)
+    z = _z_matrix(p, g)
     tol = 1e-9 * p.m * g.energy()
     for a in (0, 1, 37, 127):
         rd = dechirp(p, _cyclic_window(p, C1, a))
         ref = np.array([mf_statistic(p, rd, g, b) for b in range(p.m)])
-        np.testing.assert_allclose(model.z_matrix[a], ref, atol=tol)
+        np.testing.assert_allclose(z[a], ref, atol=tol)
 
 
 def test_covariance_equals_z_transpose():
     # two independent constructions of the same object: the Gram matrix of
-    # the filter bank and the per-lag statistic build
+    # the filter bank and the rake of the spectral-line rows
     p = LoRaParams(7)
     for ch in (C1, parse_channel("0:1,5:0.8")):
         g = dechirped_gain(p, ch)
-        model = build_fast_sim(p, g)
         np.testing.assert_allclose(
-            model.cov, model.z_matrix.T, atol=1e-9 * p.m * g.energy()
+            _cov(p, g), _z_matrix(p, g).T, atol=1e-9 * p.m * g.energy()
         )
 
 
 def test_covariance_diagonal_and_psd():
     p = LoRaParams(7)
     g = dechirped_gain(p, C1)
-    model = build_fast_sim(p, g)
+    cov = _cov(p, g)
     np.testing.assert_allclose(
-        np.diag(model.cov).real, p.m * g.energy(), atol=1e-9 * p.m
+        np.diag(cov).real, p.m * g.energy(), atol=1e-9 * p.m
     )
-    np.testing.assert_allclose(model.cov, model.cov.conj().T, atol=1e-9 * p.m)
-    eigs = np.linalg.eigvalsh(model.cov)
+    np.testing.assert_allclose(cov, cov.conj().T, atol=1e-9 * p.m)
+    eigs = np.linalg.eigvalsh(cov)
     assert eigs.min() > -1e-8 * p.m * g.energy()
     # far-apart bins decorrelate completely
-    assert abs(model.cov[0, p.m // 2]) < 1e-9 * p.m
+    assert abs(cov[0, p.m // 2]) < 1e-9 * p.m
 
 
 def test_tap_span_limit():
+    # any span below M builds, as in a sweep; a tap at delay M or beyond cannot
     p = LoRaParams(5)
-    wide = dechirped_gain(p, MultipathChannel.from_taps([(0, 1.0), (p.m // 2, 0.5)]))
-    with pytest.raises(ValueError):
-        build_fast_sim(p, wide)
+    widest = dechirped_gain(p, MultipathChannel.from_taps([(0, 1.0), (p.m - 1, 0.5)]))
+    assert build_fast_sim(p, widest).head.shape == (p.m, p.m - 1)
+    for d in (p.m, p.m + 3):
+        beyond = dechirped_gain(p, MultipathChannel.from_taps([(0, 1.0), (d, 0.5)]))
+        with pytest.raises(ValueError):
+            build_fast_sim(p, beyond)
 
 
 def test_empirical_covariance_matches_model():
@@ -93,7 +121,7 @@ def test_empirical_covariance_matches_model():
     w = sample_correlated_noise(model, sigma2, rng, size=n)
     emp = (w.T @ w.conj()) / n  # emp[i, j] estimates E[w_i conj(w_j)]
     scale = p.m * g.energy() * sigma2
-    assert np.max(np.abs(emp - sigma2 * model.cov)) < 0.02 * scale
+    assert np.max(np.abs(emp - sigma2 * _cov(p, g))) < 0.02 * scale
 
 
 def test_candidate_restriction_preserves_marginals():
@@ -104,7 +132,7 @@ def test_candidate_restriction_preserves_marginals():
     w = sample_correlated_noise(model, 1.0, rng, size=100_000)[:, [3, 5]]
     assert w.shape == (100_000, 2)
     var = np.mean(np.abs(w) ** 2, axis=0)
-    np.testing.assert_allclose(var, np.diag(model.cov).real[[3, 5]], rtol=0.03)
+    np.testing.assert_allclose(var, np.diag(_cov(p, g)).real[[3, 5]], rtol=0.03)
 
 
 def test_sampling_is_reproducible():
@@ -133,7 +161,7 @@ def test_edge_statistics_match_exact_two_symbol_frames():
         window = apply_channel(p, frame, C1).reshape(2, p.m)[1]
         rd = dechirp(p, window)
         ref = np.array([mf_statistic(p, rd, g, b) for b in range(p.m)])
-        fast = model.z_matrix[sent] + edge_statistics(model, [prev], [sent])[0]
+        fast = _steady_rows(p, g, sent)[0] + edge_statistics(model, [prev], [sent])[0]
         np.testing.assert_allclose(fast, ref, atol=tol)
     # equal neighbors need no correction at all
     same = edge_statistics(model, [5], [5])
@@ -166,11 +194,16 @@ class _ChainRng:
 
 
 def test_noise_free_errors_are_the_exact_pipelines():
-    # strong late echoes at sf 4: only the previous-symbol heads cause errors,
+    # strong late echoes at sf 4-5: only the previous-symbol heads cause errors,
     # so the count pins that simulate_ser applies them along its symbol chain,
-    # from a value-0 predecessor and across its blocks
-    p = LoRaParams(4)
-    ch = parse_channel("0:0.4,6:0.9j,7:1.2")
+    # from a value-0 predecessor and across its blocks; the last two channels
+    # span M/2 and more, up to M - 1
+    for sf, taps in ((4, "0:0.4,6:0.9j,7:1.2"), (4, "0:0.4,9:0.9j,15:1.2"),
+                     (5, "0:0.5,16:1.1,29:0.9j")):
+        _check_noise_free_chain(LoRaParams(sf), parse_channel(taps))
+
+
+def _check_noise_free_chain(p, ch):
     g = dechirped_gain(p, ch)
     model = build_fast_sim(p, g)
     n = 400
@@ -184,7 +217,7 @@ def test_noise_free_errors_are_the_exact_pipelines():
 
     errors = int(np.sum(exact_errors([0, *sent])))
     assert errors > 50
-    assert np.all(np.argmax(model.z_matrix[sent].real, axis=1) == sent)
+    assert np.all(np.argmax(_steady_rows(p, g, sent).real, axis=1) == sent)
     for batch in (n, 7):
         assert simulate_ser(model, 0.0, n, _ChainRng(sent), batch=batch) == errors
     for a in range(p.m):
@@ -223,17 +256,6 @@ def test_noise_is_the_rake_combiner_of_white_spectral_noise():
     assert w.tobytes() == rake_combine(p, white, g).tobytes()
 
 
-def test_simulate_ser_never_builds_the_dense_forms(monkeypatch):
-    def refuse(self):
-        raise AssertionError("simulate_ser built an M x M array")
-
-    monkeypatch.setattr(FastSimModel, "z_matrix", property(refuse))
-    monkeypatch.setattr(FastSimModel, "cov", property(refuse))
-    p = LoRaParams(7)
-    model = build_fast_sim(p, dechirped_gain(p, C1))
-    assert simulate_ser(model, 1e-12, 500, np.random.default_rng(3)) == 0
-
-
 def test_model_memory_is_linear_in_m():
     # at sf 12 one M x M complex array alone would be 256 MB
     p = LoRaParams(12)
@@ -259,10 +281,10 @@ def test_simulate_ser_blocks_are_capped_in_bytes():
 
 @st.composite
 def _edge_case(draw):
-    """A random sf in 4..8, a 1-4 tap channel with k_max < M/2, and a (prev, sent) pair."""
+    """A random sf in 4..8, a 1-4 tap channel with k_max < M, and a (prev, sent) pair."""
     sf = draw(st.integers(4, 8))
     m = 2**sf
-    echoes = draw(st.lists(st.integers(1, m // 2 - 1), max_size=3, unique=True))
+    echoes = draw(st.lists(st.integers(1, m - 1), max_size=3, unique=True))
     delays = (0, *sorted(echoes))
     parts = st.floats(-2.0, 2.0, allow_nan=False)
     gains = [complex(draw(parts), draw(parts)) for _ in delays]
@@ -275,8 +297,9 @@ def _edge_case(draw):
 @given(_edge_case())
 @example((LoRaParams(4), MultipathChannel((0, 7), (3.0, -2.0j)), 15, 0))
 @example((LoRaParams(6), MultipathChannel((0,), (3.0,)), 2, 9))
+@example((LoRaParams(5), MultipathChannel((0, 31), (3.0, 1.5 - 0.5j)), 7, 20))
 def test_steady_rows_plus_edge_term_are_the_exact_statistics(case):
-    # z_matrix row plus the head term against mf_statistic on a real
+    # steady-state row plus the head term against mf_statistic on a real
     # two-symbol frame, over random channels and symbol pairs
     p, ch, prev, sent = case
     g = dechirped_gain(p, ch)
@@ -284,5 +307,5 @@ def test_steady_rows_plus_edge_term_are_the_exact_statistics(case):
     frame = build_frame(p, 0, [prev, sent])
     rd = dechirp(p, apply_channel(p, frame, ch).reshape(2, p.m)[1])
     ref = np.array([mf_statistic(p, rd, g, b) for b in range(p.m)])
-    fast = model.z_matrix[sent] + edge_statistics(model, [prev], [sent])[0]
+    fast = _steady_rows(p, g, sent)[0] + edge_statistics(model, [prev], [sent])[0]
     np.testing.assert_allclose(fast, ref, atol=1e-9 * p.m * g.energy())

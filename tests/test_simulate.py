@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorarake import channel, simulate
 from lorarake.channel import Frame
@@ -79,6 +82,77 @@ def test_resolve_validation(patch, field):
     with pytest.raises(ConfigError) as err:
         _small(**patch).resolve()
     assert err.value.field_name == field
+
+
+_TEXT = st.text(max_size=4)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _lists(elems):
+    # from_dict turns a JSON list into a tuple
+    return st.lists(elems, min_size=1, max_size=3)
+
+
+# values of a wrong type for each SimConfig annotation
+_WRONG_BY_ANNOTATION = {
+    "int": st.one_of(_TEXT, st.booleans(), _FLOATS, st.none(), _lists(st.integers(0, 9))),
+    "float": st.one_of(_TEXT, st.booleans(), st.none(), _lists(_FLOATS)),
+    "bool": st.one_of(st.integers(0, 1), _FLOATS, _TEXT, st.none()),
+    "str": st.one_of(st.integers(), _FLOATS, st.booleans(), st.none(), _lists(_TEXT)),
+    "object": st.one_of(st.integers(), _FLOATS, st.booleans(), st.none(),
+                        _lists(st.integers(0, 9))),
+    "tuple[str, ...]": st.one_of(_TEXT, st.integers(), st.none(), _lists(st.integers())),
+    "tuple[float, ...]": st.one_of(_TEXT, _FLOATS, st.none(), _lists(_TEXT),
+                                   _lists(st.booleans())),
+    "tuple[int, ...] | None": st.one_of(_TEXT, st.integers(), _lists(_FLOATS), _lists(_TEXT)),
+    "float | None": st.one_of(_TEXT, st.booleans(), _lists(_FLOATS)),
+    "int | None": st.one_of(_TEXT, st.booleans(), _FLOATS, _lists(st.integers())),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_from_dict_rejects_a_wrongly_typed_value_in_any_field(data):
+    f = data.draw(st.sampled_from(fields(SimConfig)), label="field")
+    value = data.draw(_WRONG_BY_ANNOTATION[f.type], label="value")
+    with pytest.raises(ConfigError) as err:
+        SimConfig.from_dict({f.name: value}).resolve()
+    assert err.value.field_name == f.name
+
+
+def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
+    # the estimate is workers x 40 bytes per M^2: 10 GiB for mf at sf 14, 2.5
+    # GiB per worker at sf 13; resolve() allocates none of it
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
+    for det, sf, workers in (("mf", 14, 1), ("cand-mf", 13, 4), ("mf", 16, 1)):
+        with pytest.raises(ConfigError) as err:
+            _small(sf=sf, detectors=("rake", det), workers=workers).resolve()
+        assert err.value.field_name == "detectors"
+        assert str(err.value).startswith(f"detectors: {det} at sf {sf} ")
+    _small(sf=13, detectors=("cand-mf",), workers=3).resolve()
+    _small(sf=16, detectors=("rake", "cand-rake", "ideal-mf")).resolve()
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: None)
+    _small(sf=14, detectors=("mf",)).resolve()
+
+
+def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
+    from lorarake.cli import main
+
+    def refuse(params, g):
+        raise AssertionError("built the bank the guard should refuse")
+
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
+    # a broken guard then fails here instead of allocating 10 GiB
+    monkeypatch.setattr(simulate, "_mf_bank", refuse)
+    assert main(["ser", "--sf", "14", "--detectors", "mf", "--n-trials", "1", "--n-d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: detectors: mf at sf 14 ")
+
+
+def test_physical_memory_probe():
+    phys = simulate._physical_memory()
+    assert phys is None or phys > 2**20
 
 
 def test_candidate_rule_defaults():

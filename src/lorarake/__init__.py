@@ -1,6 +1,6 @@
 """Chirp-modulation multipath detection library and simulation harness.
 
-Layers, bottom up: waveform (chirps, dechirping, DFT detection),
+Layers, bottom up: waveform (chirps, dechirping, the DFT),
 channel (multipath model, frames, noise), detectors (matched filter,
 tap combining, candidate pruning, pilot correlation), estimator (pilot
 based path detection), complexity (operation counts), fastsim

@@ -302,8 +302,13 @@ def window_heads(params: LoRaParams, delays, gains, symbols) -> np.ndarray:
         idx = np.multiply.outer(s, u)
         idx &= m - 1
         term = roots[idx]
-        term *= c
-        heads[:, : u.size] += term
+        # the complex product in real arithmetic: numpy rounds a complex product
+        # differently in its contiguous, broadcast and one-element loops, and a
+        # one-sample head (a tap at delay 1) takes the broadcast loop in a batch
+        # but not alone, so a row would depend on the rows batched with it
+        h = heads[:, : u.size]
+        h.real += term.real * c.real - term.imag * c.imag
+        h.imag += term.real * c.imag + term.imag * c.real
     return heads
 
 

@@ -21,10 +21,11 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from .channel import MultipathChannel, parse_channel
 from .simulate import (
+    DEFAULT_NC_GRID,
     ConfigError,
     SimConfig,
     run_candidate_sweep,
@@ -107,7 +108,6 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
         return
     sub.add_argument("--channel", help="channel: alias (c1, c2), inline delay:gain "
                                        "list, or CSV path")
-    sub.add_argument("--detectors", help="comma list of detector ids")
     sub.add_argument("--n-p", type=int, dest="n_p", help="pilot symbols per frame")
     sub.add_argument("--rho-p", type=float, dest="rho_p", help="estimator threshold")
     sub.add_argument("--k-max", type=int, dest="k_max", help="estimator delay search span")
@@ -259,11 +259,8 @@ def _cmd_estimate_study(args) -> int:
 
 def _cmd_cand_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg = _build_config(args)
-    if args.nc_grid:
-        rows = run_candidate_sweep(cfg, args.nc_grid)
-    else:
-        rows = run_candidate_sweep(cfg)
+    cfg = replace(_build_config(args), detectors=("cand-rake",))
+    rows = run_candidate_sweep(cfg, args.nc_grid or DEFAULT_NC_GRID)
     table = [[r.sf, r.ebn0_db, r.n_c, r.nc_norm, r.errors, r.symbols, r.ser, r.ci95]
              for r in rows]
     header = ["sf", "ebn0_db", "n_c", "nc_norm", "errors", "symbols", "ser", "ci95"]
@@ -305,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ser = sub.add_parser("ser", help="Monte Carlo symbol error rate sweep")
     _add_sweep_flags(p_ser)
+    p_ser.add_argument("--detectors", help="comma list of detector ids")
     p_ser.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_ser.set_defaults(func=_cmd_ser)
 

@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import (
     DechirpedGains,
     _chirp_tables,
+    block_rows,
     channel_coefficient,
     dechirped_gain,
     rotate_gains,
@@ -38,7 +39,6 @@ __all__ = [
     "mf_statistic",
     "rake_statistic",
     "mf_filter_bank",
-    "prepare_mf_bank",
     "rake_combine",
     "rake_scores",
     "mf_scores",
@@ -111,28 +111,37 @@ def rake_statistic(params: LoRaParams, spectrum, g: DechirpedGains, b: int) -> c
 
 
 def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
-    """M x M matrix whose row b turns a dechirped window into the hypothesis-b statistic.
+    """The matched-filter bank in the form mf_scores takes: a real (2 * cols, M) array.
 
-    Row b is conj(C_b[k]) * exp(-2j*pi*b*k/M), so the statistics of a batch
-    of windows are windows @ bank.T; mf_scores takes the bank through
-    prepare_mf_bank. With cols given, only the first cols window samples
-    (columns) are built: fastsim maps a window's k_max head samples to
-    statistics through them. bank @ bank^H is the statistic-noise
-    covariance at unit noise variance; rake_combine draws noise with it
-    from white spectral noise, without the bank.
+    Window sample k's coefficients over the hypotheses b are
+    conj(C_b[k]) * exp(-2j*pi*b*k/M); rows 2k and 2k+1 hold their real part
+    and negated imaginary part, so a window's interleaved (real, imaginary)
+    float view times the bank is the real part of every statistic. cols
+    defaults to M; with cols given only the first cols samples are built:
+    fastsim maps a window's k_max head samples to statistics through them.
+    Built in slabs of channel.block_rows(M) samples, so the build holds the
+    bank plus one slab of temporaries.
     """
     m = params.m
+    n = m if cols is None else cols
+    hc = np.conj(channel_coefficient(params, g, 0))
+    # window k of the doubled row holds conj(C_b)[k] = conj(C_0)[(b + k) mod M] over b
+    heads = sliding_window_view(np.concatenate((hc, hc)), m)
+    twiddles = np.conj(_chirp_tables(params.sf)[1])
     grid = np.arange(m)
-    k = grid if cols is None else grid[:cols]
-    # conj(C_b[k]) = conj(C_0)[(b + k) mod M], and the twiddle is the
-    # conjugated root at (b * k) mod M (M a power of two); the bank stays
-    # the left operand, as in conj(cmat) * twiddle
-    idx = np.add.outer(grid, k)
-    idx &= m - 1
-    bank = np.conj(channel_coefficient(params, g, 0))[idx]
-    np.multiply.outer(grid, k, out=idx)
-    idx &= m - 1
-    bank *= np.conj(_chirp_tables(params.sf)[1])[idx]
+    bank = np.empty((2 * n, m))
+    step = block_rows(m)
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        # the twiddle is the conjugated root at (b * k) mod M (M a power of two)
+        idx = np.multiply.outer(grid[k0:k1], grid)
+        idx &= m - 1
+        slab = twiddles[idx]
+        # the coefficients stay the left operand: the SIMD complex multiply
+        # is not bitwise commutative
+        np.multiply(heads[k0:k1], slab, out=slab)
+        bank[2 * k0 : 2 * k1 : 2] = slab.real
+        np.negative(slab.imag, out=bank[2 * k0 + 1 : 2 * k1 : 2])
     return bank
 
 
@@ -167,25 +176,17 @@ def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) ->
     return rake_combine(params, data_spec, g).real
 
 
-def prepare_mf_bank(bank: np.ndarray) -> np.ndarray:
-    """The form of an mf_filter_bank that mf_scores takes: a (2M, M) real array
-    whose rows 2k and 2k+1 hold column k's real part and negated imaginary part."""
-    w = np.empty((2 * bank.shape[1], bank.shape[0]))
-    w[0::2] = bank.real.T
-    w[1::2] = -bank.imag.T
-    return w
-
-
 def mf_scores(data_dech: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Matched-filter scores for a batch of dechirped windows through a prepared filter bank.
+    """Matched-filter scores for a batch of dechirped windows through the filter bank.
 
-    bank is prepare_mf_bank(mf_filter_bank(...)). Only the real part of
-    each statistic is scored, Re(r @ B.T) = sum_k r_k.real B_bk.real - r_k.imag B_bk.imag:
-    one real matrix product of the windows' interleaved (real, imaginary)
-    float view, half the flops of the complex one and no copies. Its sums
-    run in another order, so scores may differ from (r @ B.T).real by a few
-    ulp. Independent of the rake construction, so the two cross-check each
-    other.
+    bank is mf_filter_bank(...), or its first cols samples for (n, cols)
+    windows. Only the real part of each statistic is scored,
+    Re(sum_k r_k B_bk) = sum_k r_k.real B_bk.real - r_k.imag B_bk.imag: one
+    real matrix product of the windows' interleaved (real, imaginary) float
+    view, half the flops of the complex one and no copies. Its sums run in
+    another order, so scores may differ from the complex product's real part
+    by a few ulp. Independent of the rake construction, so the two
+    cross-check each other.
     """
     return np.ascontiguousarray(data_dech).view(np.float64) @ bank
 

@@ -12,7 +12,8 @@ skipping waveform synthesis and the FFT entirely.
 The cyclic window neglects one real effect: its first k_max samples carry
 the previous symbol's chirp tail. That perturbation has a closed form in
 the (previous, current) symbol pair, the window heads, and the sampler
-applies it exactly through the first k_max columns of the filter bank.
+applies it exactly as the matched-filter scores of the head difference,
+through the first k_max samples of the filter bank.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DechirpedGains, add_lines, block_rows, complex_noise, window_heads
-from .detectors import mf_filter_bank, rake_combine
+from .detectors import mf_filter_bank, mf_scores, rake_combine, rake_scores
 from .waveform import LoRaParams, chirp_samples
 
 __all__ = [
@@ -39,8 +40,9 @@ class FastSimModel:
     """One channel's gains plus the previous-symbol head term.
 
     raw holds the raw (not dechirped) tap gains that window_heads takes,
-    and head is the k_max-column slice of the matched-filter bank that maps
-    a window's head samples to its statistics. No array is M x M.
+    and head is mf_filter_bank(params, gains, cols=k_max), through which
+    mf_scores maps a window's k_max head samples to its scores. No array
+    is M x M.
     """
 
     params: LoRaParams
@@ -50,7 +52,7 @@ class FastSimModel:
 
 
 def build_fast_sim(params: LoRaParams, g: DechirpedGains) -> FastSimModel:
-    """The model of one channel: its gains and an M x k_max bank slice."""
+    """The model of one channel: its gains and the bank's k_max head samples."""
     if g.k_max >= params.m:
         raise ValueError(f"max delay {g.k_max} must be < M={params.m}")
     # undo the dechirp rotation: gains_i = raw_i * x_0[-d_i]
@@ -59,12 +61,12 @@ def build_fast_sim(params: LoRaParams, g: DechirpedGains) -> FastSimModel:
 
 
 def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
-    """Exact statistic correction for the previous-symbol window heads.
+    """Exact score correction for the previous-symbol window heads.
 
-    Returns the (n, M) complex adjustment that turns the cyclic statistics
-    of symbols into the true noise-free statistics of windows preceded by
-    prev_symbols. Zero whenever the two symbols agree or the channel has a
-    single tap (k_max = 0 leaves both operands zero columns wide).
+    Returns the (n, M) real adjustment that turns the cyclic scores (the
+    statistics' real parts) of symbols into the true noise-free scores of
+    windows preceded by prev_symbols. Zero whenever the two symbols agree or
+    the channel has a single tap (k_max = 0 leaves both operands zero wide).
     """
     prev = np.asarray(prev_symbols, dtype=np.int64)
     sent = np.asarray(symbols, dtype=np.int64)
@@ -73,7 +75,7 @@ def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
     delays = model.gains.delays
     delta = window_heads(model.params, delays, model.raw, prev)
     delta -= window_heads(model.params, delays, model.raw, sent)
-    return delta @ model.head.T
+    return mf_scores(delta, model.head)
 
 
 def sample_correlated_noise(
@@ -82,11 +84,12 @@ def sample_correlated_noise(
     rng: np.random.Generator,
     size: int | None = None,
 ):
-    """Draw statistic noise with covariance sigma2 * bank @ bank^H.
+    """Draw statistic noise with the exact pipeline's joint law.
 
     The rake combiner applied to white CN(0, M*sigma2) spectral noise,
-    which is what the exact pipeline's statistics see; bank is
-    mf_filter_bank(params, gains). Returns shape (M,) or (size, M).
+    which is what the exact pipeline's statistics see: covariance sigma2
+    times the Gram matrix of the per-hypothesis matched filters. Returns
+    shape (M,) or (size, M).
     """
     m = model.params.m
     n = 1 if size is None else int(size)
@@ -104,9 +107,9 @@ def simulate_ser(
     """Symbol errors of the full-search detector under the fast model.
 
     Per block: draws the symbols and their white spectral noise, writes
-    the symbols' spectral lines into it, applies the rake combiner, adds
-    the exact previous-symbol head term along the symbol chain, and counts
-    the rows whose real-part argmax misses the sent symbol. The chain opens
+    the symbols' spectral lines into it, scores them with the rake kernel,
+    adds the exact previous-symbol head term along the symbol chain, and
+    counts the rows whose argmax misses the sent symbol. The chain opens
     on a value-0 predecessor, mirroring the trailing pilot before a data
     burst. Blocks hold at most batch symbols and at most
     channel.block_rows(M), the sweep's block size. Returns the error count
@@ -122,11 +125,11 @@ def simulate_ser(
         sent = rng.integers(0, p.m, size=n)
         spec = complex_noise((n, p.m), p.m * sigma2, rng)
         add_lines(p, model.gains, sent, spec)
-        stats = rake_combine(p, spec, model.gains)
+        scores = rake_scores(p, spec, model.gains)
         # free the block before the head product so its memory is reused
         del spec
-        stats += edge_statistics(model, np.concatenate([[last], sent[:-1]]), sent)
-        errors += int(np.sum(np.argmax(stats.real, axis=1) != sent))
+        scores += edge_statistics(model, np.concatenate([[last], sent[:-1]]), sent)
+        errors += int(np.sum(np.argmax(scores, axis=1) != sent))
         done += n
         last = int(sent[-1])
     return errors

@@ -44,7 +44,6 @@ from .detectors import (
     masked_argmax as _masked_argmax,
     mf_filter_bank,
     mf_scores as _mf_scores,
-    prepare_mf_bank,
     rake_scores as _rake_scores,
     tdel_detect,
 )
@@ -108,12 +107,6 @@ def _check_type(name: str, annotation: str, value) -> None:
     check = _TYPE_CHECKS.get(kind)
     if check is not None and not all(check(v) for v in items):
         raise ConfigError(name, f"expected {annotation}, got {value!r}")
-
-
-# Peak bytes per M^2 while a process builds and prepares an mf bank
-# (mf_filter_bank's index and gather temporaries, then prepare_mf_bank's
-# copy): 40.0-40.1 under tracemalloc at sf 9-12, 640 MiB at sf 12.
-_MF_BUILD_BYTES_PER_M2 = 40
 
 
 def _physical_memory() -> int | None:
@@ -242,12 +235,13 @@ class SimConfig:
         banked = [d for d in self.detectors if d in ("mf", "cand-mf")]
         phys = _physical_memory() if banked else None
         if phys is not None:
-            # every worker process builds its own bank
-            need = self.workers * _MF_BUILD_BYTES_PER_M2 * m * m
+            # every worker process holds its own (2M, M) float64 bank; the build
+            # adds one slab of temporaries (channel.block_rows)
+            need = self.workers * 2 * m * m * 8
             if need > phys:
                 raise ConfigError(
                     "detectors",
-                    f"{banked[0]} at sf {self.sf} builds an M x M filter bank that peaks at "
+                    f"{banked[0]} at sf {self.sf} holds a (2M, M) filter bank of "
                     f"{need / 2**30:.1f} GiB over {self.workers} worker(s), more than the "
                     f"{phys / 2**30:.1f} GiB of physical memory; rake and cand-rake make the "
                     "same decisions without one")
@@ -337,19 +331,19 @@ class _TrialData:
         return _candidate_masks(self.mag, self.cfg.candidate_rule())
 
 
-# (key, bank) of the last mf bank built, prepared for _mf_scores. The key is
+# (key, bank) of the last mf bank built, in the form _mf_scores takes. The key is
 # the gain set's values, so with perfect CSIR a process builds the bank once,
 # and any other gain set replaces it: results never depend on the cache.
 _mf_bank_cache: tuple = (None, None)
 
 
 def _mf_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
-    """The prepared mf filter bank of a gain set, rebuilt only when the gains change."""
+    """The mf filter bank of a gain set, rebuilt only when the gains change."""
     global _mf_bank_cache
     key = (params.sf, g.delays, g.gains.tobytes())
     if _mf_bank_cache[0] != key:
         _mf_bank_cache = (None, None)  # free the old bank before building the new one
-        _mf_bank_cache = (key, prepare_mf_bank(mf_filter_bank(params, g)))
+        _mf_bank_cache = (key, mf_filter_bank(params, g))
     return _mf_bank_cache[1]
 
 
@@ -675,7 +669,10 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     All grid values reuse the same symbols, noise, spectra, and scores, so
     the curves differ only through the candidate restriction; the full
     alphabet (nc_norm = 1) reproduces the unrestricted detector exactly.
+    The fixed-size rake candidates are the one detector scored, whatever
+    cfg.detectors holds.
     """
+    cfg = replace(cfg, detectors=("cand-rake",))
     params, ch = cfg.resolve()
     m = params.m
     if not nc_norm_grid:

@@ -22,7 +22,6 @@ __all__ = [
     "dechirp",
     "dft",
     "idft",
-    "detect_legacy",
     "snr_ebn0_convert",
     "noise_variance",
 ]
@@ -110,24 +109,6 @@ def dft(buf: np.ndarray) -> np.ndarray:
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Exact inverse of dft (the 1/M rescale is included)."""
     return np.fft.ifft(spectrum, axis=-1)
-
-
-def detect_legacy(spectrum: np.ndarray, mode: str = "noncoh"):
-    """Single-peak detectors on a dechirped spectrum.
-
-    mode "noncoh" scores bin magnitudes; mode "coh" scores real parts, so
-    the caller must have aligned the first-path phase. Ties resolve to the
-    lowest bin index. Accepts (..., M) batches; returns int for 1-D input.
-    """
-    spectrum = np.asarray(spectrum)
-    if mode == "noncoh":
-        scores = np.abs(spectrum)
-    elif mode == "coh":
-        scores = spectrum.real
-    else:
-        raise ValueError(f"unknown detector mode {mode!r}")
-    idx = np.argmax(scores, axis=-1)
-    return int(idx) if np.ndim(idx) == 0 else idx
 
 
 def snr_ebn0_convert(params: LoRaParams, value_db: float, direction: str) -> float:

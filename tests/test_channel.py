@@ -357,9 +357,12 @@ def test_dechirped_spectra_match_the_sample_chain(case):
 @given(_synthesis_case(), st.lists(st.integers(0, 18), max_size=4))
 @example((LoRaParams(4), MultipathChannel((0, 15), (1.0, 0.5j)), 3, [15, 0, 7, 7, 1]), [1, 3, 3, 4])
 @example((LoRaParams(5), MultipathChannel((0,), (1.0 - 2.0j,)), 0, [3, 31, 0]), [2])
+@example((LoRaParams(3), MultipathChannel((0, 1), (3.0, 1 + 1j)), 0, [0, 0, 1]), [2])
 def test_chained_spectra_are_bitwise_the_one_call_spectra(case, cuts):
     # a burst cut into consecutive parts, each part continuing from the last
-    # symbol of the one before, as a trial's blocks are
+    # symbol of the one before, as a trial's blocks are. In the last example a
+    # tap at delay 1 gives one-sample heads, and the one-window last part must
+    # match the same window computed in a batch
     p, ch, pilots, data = case
     s = build_frame(p, pilots, data).symbols
     edges = [0, *sorted(min(c, s.size) for c in cuts), s.size]

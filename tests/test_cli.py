@@ -180,6 +180,13 @@ def test_unknown_flag_exits_two():
     assert exc.value.code == 2
 
 
+def test_cand_sweep_takes_no_detectors_flag():
+    # it scores the fixed-size rake candidates only
+    with pytest.raises(SystemExit) as exc:
+        main(["cand-sweep", "--detectors", "mf"])
+    assert exc.value.code == 2
+
+
 def test_delta_csv(capsys):
     rc, out, _ = _run(capsys, ["delta", "--sf", "7", "--channel", "c1"])
     assert rc == 0

@@ -29,7 +29,6 @@ from lorarake.detectors import (
     mf_filter_bank,
     mf_scores,
     mf_statistic,
-    prepare_mf_bank,
     rake_scores,
     rake_statistic,
     tdel_detect,
@@ -128,34 +127,50 @@ def test_mf_equals_rake_on_random_buffers():
                 assert zmf == pytest.approx(zrk, abs=1e-9 * p.m * g.energy())
 
 
+def _complex_bank(bank):
+    """The complex bank a real mf_filter_bank interleaves: row b, column k."""
+    return (bank[0::2] - 1j * bank[1::2]).T
+
+
+def _bank_by_formula(p, g, cols=None):
+    # conj(C_b[k]) * exp(-2j*pi*b*k/M) through a modulo gather and per-entry
+    # exp twiddles, as rows b and columns k, interleaved into rows 2k
+    # (real part) and 2k+1 (negated imaginary part). The twiddle is written
+    # conj(exp(+...)): exp(-0j) has a +0.0 imaginary part, its conjugate -0.0,
+    # which shows in the bytes when C_0 is real (a real single tap)
+    m = p.m
+    h = channel_coefficient(p, g, 0)
+    grid = np.arange(m)
+    k = grid[:cols]
+    cmat = h[(grid[:, None] + k[None, :]) % m]
+    twiddle = np.conj(np.exp(2j * np.pi * ((grid[:, None] * k[None, :]) % m) / m))
+    ref = np.conj(cmat) * twiddle
+    out = np.empty((2 * k.size, m))
+    out[0::2] = ref.real.T
+    out[1::2] = -ref.imag.T
+    return out
+
+
 def test_mf_filter_bank_rows_reproduce_statistics():
     p = LoRaParams(6)
     g = dechirped_gain(p, C2)
     rng = np.random.default_rng(21)
     rd = rng.standard_normal(p.m) + 1j * rng.standard_normal(p.m)
-    bank = mf_filter_bank(p, g)
+    bank = _complex_bank(mf_filter_bank(p, g))
     scores = bank @ rd
     for b in (0, 9, 63):
         assert scores[b] == pytest.approx(mf_statistic(p, rd, g, b), abs=1e-9)
 
 
-@pytest.mark.parametrize("sf", [4, 7, 10])
+@pytest.mark.parametrize("sf", [4, 7, 10, 12])
 @pytest.mark.parametrize("ch", [C1, C2], ids=["c1", "c2"])
 def test_mf_filter_bank_is_bitwise_the_exp_formula(sf, ch):
-    # the table-driven bank against the modulo gather and per-entry exp
-    # twiddles it replaced, written out here, for the full bank and the
-    # k_max-column head
+    # the slab-built real bank against the exp formula, for the full bank
+    # (up to sf 10) and the k_max-sample head
     p = LoRaParams(sf)
-    m = p.m
     g = dechirped_gain(p, ch)
-    h = channel_coefficient(p, g, 0)
-    grid = np.arange(m)
-    for cols in (None, g.k_max):
-        k = grid[:cols]
-        cmat = h[(grid[:, None] + k[None, :]) % m]
-        twiddle = np.exp(-2j * np.pi * ((grid[:, None] * k[None, :]) % m) / m)
-        ref = np.conj(cmat) * twiddle
-        assert mf_filter_bank(p, g, cols=cols).tobytes() == ref.tobytes()
+    for cols in (None, g.k_max) if sf <= 10 else (g.k_max,):
+        assert mf_filter_bank(p, g, cols=cols).tobytes() == _bank_by_formula(p, g, cols).tobytes()
 
 
 def test_ideal_mf_parasitic_peaks():
@@ -219,7 +234,7 @@ def test_detect_noise_free_sampled_symbols_mf():
     g = dechirped_gain(p, C1)
     sent = np.arange(0, p.m, 11)
     rd = np.stack([dechirp(p, _cyclic_window(p, C1, a)) for a in sent])
-    scores = mf_scores(rd, prepare_mf_bank(mf_filter_bank(p, g)))
+    scores = mf_scores(rd, mf_filter_bank(p, g))
     np.testing.assert_array_equal(np.argmax(scores, axis=1), sent)
 
 
@@ -338,6 +353,18 @@ def _channel_case(draw, min_sf=5, anywhere=False, max_sf=8):
     return LoRaParams(sf), MultipathChannel(delays, tuple(gains)), draw(st.integers(0, 2**32 - 1))
 
 
+@settings(max_examples=30, deadline=None)
+@given(_channel_case(min_sf=2, anywhere=True, max_sf=10))
+@example((LoRaParams(5), MultipathChannel((0, 31), (3.0, 0.7j)), 0))
+@example((LoRaParams(2), MultipathChannel((0,), (3.0,)), 0))
+def test_mf_filter_bank_is_bitwise_the_exp_formula_for_any_channel(case):
+    # delays anywhere below M, a bank of several slabs at sf 10
+    p, ch, _ = case
+    g = dechirped_gain(p, ch)
+    for cols in (None, g.k_max):
+        assert mf_filter_bank(p, g, cols=cols).tobytes() == _bank_by_formula(p, g, cols).tobytes()
+
+
 def _windows(p, rng, n=6):
     return rng.standard_normal((n, p.m)) + 1j * rng.standard_normal((n, p.m))
 
@@ -348,7 +375,7 @@ def test_mf_scores_equal_rake_scores(case):
     p, ch, seed = case
     g = dechirped_gain(p, ch)
     rd = _windows(p, np.random.default_rng(seed))
-    zmf = mf_scores(rd, prepare_mf_bank(mf_filter_bank(p, g)))
+    zmf = mf_scores(rd, mf_filter_bank(p, g))
     zrk = rake_scores(p, np.fft.fft(rd, axis=1), g)
     # the per-statistic budget of the mf/rake acceptance check
     assert np.max(np.abs(zmf - zrk)) <= 1e-9 * p.m * g.energy()
@@ -362,10 +389,11 @@ def test_mf_scores_are_the_real_part_of_the_complex_product(case):
     # within gamma_2M * sum|terms| of the exact value (any order, with or without
     # FMA); and the same decisions
     p, ch, seed = case
-    bank = mf_filter_bank(p, dechirped_gain(p, ch))
+    real_bank = mf_filter_bank(p, dechirped_gain(p, ch))
+    bank = _complex_bank(real_bank)
     rd = _windows(p, np.random.default_rng(seed), n=32)
     ref = (rd @ bank.T).real
-    got = mf_scores(rd, prepare_mf_bank(bank))
+    got = mf_scores(rd, real_bank)
     terms = np.abs(rd.real) @ np.abs(bank.real).T + np.abs(rd.imag) @ np.abs(bank.imag).T
     assert np.all(np.abs(got - ref) <= 2 * p.m * np.finfo(float).eps * terms)
     np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))

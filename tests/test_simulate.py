@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 from dataclasses import fields
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorarake import channel, simulate
-from lorarake.channel import Frame
+from lorarake.channel import Frame, MultipathChannel
 from lorarake.complexity import op_count
 from lorarake.simulate import (
     ConfigError,
@@ -121,18 +122,19 @@ def test_from_dict_rejects_a_wrongly_typed_value_in_any_field(data):
 
 
 def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
-    # the estimate is workers x 40 bytes per M^2: 10 GiB for mf at sf 14, 2.5
-    # GiB per worker at sf 13; resolve() allocates none of it
+    # the bank is (2M, M) float64 per worker, 16 bytes per M^2: 16 GiB for mf
+    # at sf 15, 1 GiB per worker at sf 13; resolve() allocates none of it
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
-    for det, sf, workers in (("mf", 14, 1), ("cand-mf", 13, 4), ("mf", 16, 1)):
+    for det, sf, workers in (("mf", 15, 1), ("cand-mf", 13, 9), ("mf", 16, 1)):
         with pytest.raises(ConfigError) as err:
             _small(sf=sf, detectors=("rake", det), workers=workers).resolve()
         assert err.value.field_name == "detectors"
         assert str(err.value).startswith(f"detectors: {det} at sf {sf} ")
-    _small(sf=13, detectors=("cand-mf",), workers=3).resolve()
+    _small(sf=14, detectors=("mf",)).resolve()
+    _small(sf=13, detectors=("cand-mf",), workers=8).resolve()
     _small(sf=16, detectors=("rake", "cand-rake", "ideal-mf")).resolve()
     monkeypatch.setattr(simulate, "_physical_memory", lambda: None)
-    _small(sf=14, detectors=("mf",)).resolve()
+    _small(sf=15, detectors=("mf",)).resolve()
 
 
 def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
@@ -142,17 +144,56 @@ def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
         raise AssertionError("built the bank the guard should refuse")
 
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
-    # a broken guard then fails here instead of allocating 10 GiB
+    # a broken guard then fails here instead of allocating 16 GiB
     monkeypatch.setattr(simulate, "_mf_bank", refuse)
-    assert main(["ser", "--sf", "14", "--detectors", "mf", "--n-trials", "1", "--n-d", "1"]) == 2
+    assert main(["ser", "--sf", "15", "--detectors", "mf", "--n-trials", "1", "--n-d", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: detectors: mf at sf 14 ")
+    assert captured.err.startswith("error: detectors: mf at sf 15 ")
+
+
+def test_mf_bank_build_peaks_at_the_bank_plus_one_slab(monkeypatch):
+    # the (2M, M) bank is 256 MiB at sf 12; building the complex M x M bank
+    # and then its real copy peaked at 640 MiB
+    monkeypatch.setattr(simulate, "_mf_bank_cache", (None, None))
+    p = LoRaParams(12)
+    g = channel.dechirped_gain(p, channel.C1)
+    tracemalloc.start()
+    try:
+        bank = simulate._mf_bank(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.nbytes == 2**28
+    assert peak <= 2**28 + 32 * 2**20
 
 
 def test_physical_memory_probe():
     phys = simulate._physical_memory()
     assert phys is None or phys > 2**20
+
+
+def test_cand_sweep_scores_the_rake_candidates_whatever_the_detectors(monkeypatch):
+    # with one byte of memory the guard refuses any mf bank; a candidate sweep
+    # scores cand-rake alone, so it must not be refused
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 1)
+    with pytest.raises(ConfigError):
+        _small(detectors=("mf",)).resolve()
+    rows = run_candidate_sweep(_small(detectors=("mf",), n_d=50), (0.05, 1.0))
+    assert rows == run_candidate_sweep(_small(detectors=("noncoh",), n_d=50), (0.05, 1.0))
+
+
+@settings(max_examples=24, deadline=None)
+@given(sf=st.integers(2, 10),
+       gain=st.builds(cmath.rect, st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
+       csir=st.sampled_from(["perfect", "estimated"]),
+       n_c=st.sampled_from([None, 1]))
+def test_every_detector_decodes_a_noise_free_single_tap_channel(sf, gain, csir, n_c):
+    cfg = _small(sf=sf, channel=MultipathChannel((0,), (gain,)), detectors=simulate.DETECTOR_IDS,
+                 ebn0_db=(150.0,), csir=csir, n_c=n_c, k_max=min(10, 2**sf - 1),
+                 n_trials=1, n_d=64)
+    errors = {p.detector: p.errors for p in run_ser_sweep(cfg)}
+    assert errors == dict.fromkeys(simulate.DETECTOR_IDS, 0)
 
 
 def test_candidate_rule_defaults():

@@ -1,4 +1,4 @@
-"""Chirp construction, dechirping, DFT detection, and SNR bookkeeping."""
+"""Chirp construction, dechirping, the DFT, and SNR bookkeeping."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from lorarake.waveform import (
     LoRaParams,
     chirp_samples,
     dechirp,
-    detect_legacy,
     dft,
     gen_chirp,
     idft,
@@ -105,18 +104,6 @@ def test_dft_matches_direct_sum():
     np.testing.assert_allclose(idft(dft(x)), x, atol=1e-12)
 
 
-def test_detect_legacy_modes_and_ties():
-    tie = np.array([3.0, 3.0, 1.0], dtype=complex)
-    assert detect_legacy(tie, "noncoh") == 0
-    spec = np.array([1 - 5j, 2 + 0j, -7 + 0j])
-    assert detect_legacy(spec, "noncoh") == 2
-    assert detect_legacy(spec, "coh") == 1
-    batch = np.stack([spec, tie])
-    np.testing.assert_array_equal(detect_legacy(batch, "noncoh"), [2, 0])
-    with pytest.raises(ValueError):
-        detect_legacy(spec, "bogus")
-
-
 def test_snr_conversion_round_trip_and_offset():
     p = LoRaParams(7)
     offset = 10.0 * math.log10(128.0 / 7.0)
@@ -148,7 +135,7 @@ def test_awgn_coherent_beats_noncoherent():
         rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
     )
     spec = dft(dechirp(p, rows + noise))
-    err_noncoh = int(np.sum(detect_legacy(spec, "noncoh") != syms))
-    err_coh = int(np.sum(detect_legacy(spec, "coh") != syms))
+    err_noncoh = int(np.sum(np.argmax(np.abs(spec), axis=1) != syms))
+    err_coh = int(np.sum(np.argmax(spec.real, axis=1) != syms))
     assert err_coh < err_noncoh
     assert err_noncoh > 0

@@ -62,6 +62,8 @@ class MultipathChannel:
             raise ValueError(f"first delay must be 0 (synchronized first path), got {delays[0]}")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError(f"delays must be strictly increasing, got {delays}")
+        if not all(math.isfinite(g.real) and math.isfinite(g.imag) for g in gains):
+            raise ValueError(f"tap gains must be finite, got {gains}")
         if gains[0] == 0:
             raise ValueError("first-path gain must be nonzero")
         object.__setattr__(self, "delays", delays)
@@ -230,9 +232,9 @@ def dechirped_gain(params: LoRaParams, ch: MultipathChannel) -> DechirpedGains:
 
 
 # Bins (rows * M) of one block of windows that a trial or the fast simulator
-# holds at a time: 4 MiB per complex block array at any sf, small enough for
-# the allocator to reuse block arrays instead of mapping and faulting in
-# fresh pages for each, and for a trial's memory not to grow with its length.
+# holds at a time: 4 MiB per complex block array at any sf, so a trial's
+# memory does not grow with its length. The allocator still returns and
+# re-faults the freed block arrays (ROADMAP item 4).
 BLOCK_BINS = 1 << 18
 
 

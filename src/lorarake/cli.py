@@ -260,7 +260,7 @@ def _cmd_estimate_study(args) -> int:
 def _cmd_cand_sweep(args) -> int:
     t0 = time.perf_counter()
     cfg = replace(_build_config(args), detectors=("cand-rake",))
-    rows = run_candidate_sweep(cfg, args.nc_grid or DEFAULT_NC_GRID)
+    rows = run_candidate_sweep(cfg, args.nc_grid)
     table = [[r.sf, r.ebn0_db, r.n_c, r.nc_norm, r.errors, r.symbols, r.ser, r.ci95]
              for r in rows]
     header = ["sf", "ebn0_db", "n_c", "nc_norm", "errors", "symbols", "ser", "ci95"]
@@ -330,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cand = sub.add_parser("cand-sweep", help="candidate-set size sweep")
     _add_sweep_flags(p_cand)
     p_cand.add_argument("--nc-grid", dest="nc_grid", type=_parse_float_list,
+                        default=DEFAULT_NC_GRID,
                         help="comma list of candidate fractions of M")
     p_cand.add_argument("--out", default="-")
     p_cand.set_defaults(func=_cmd_cand_sweep)

@@ -47,12 +47,12 @@ from .detectors import (
     rake_scores as _rake_scores,
     tdel_detect,
 )
-from .estimator import detect_paths, gains_at_delays
+from .estimator import average_pilot_dft, detect_paths, gains_at_delays
 from .waveform import LoRaParams, noise_variance, snr_ebn0_convert
 
 # A sweep calls neither apply_channel nor dechirp. perfbench's tracer still
 # looks both up in this module, so they stay importable here until the
-# benchmark wraps channel.dechirped_spectra instead (ROADMAP item 6); a
+# benchmark wraps channel.dechirped_spectra instead (ROADMAP item 1); a
 # traced run lists their layers as not exercised.
 from .channel import apply_channel  # noqa: F401
 from .waveform import dechirp  # noqa: F401
@@ -307,7 +307,6 @@ class _TrialData:
     data_spec: np.ndarray
     pilot_avg: np.ndarray | None
     gains: DechirpedGains
-    coh_ref: complex
     noise: np.ndarray | None  # the data rows' spectral noise alone, kept for coh-awgn
 
     @cached_property
@@ -372,17 +371,14 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> Iterator[_TrialData]:
         spectra = dechirped_spectra(params, ch, frame.symbols, prev)
         spectra += noise
         if start == 0:
-            pilot_avg = spectra[:n_p].mean(axis=0) if n_p else None
+            pilot_avg = average_pilot_dft(spectra[:n_p]) if n_p else None
             if cfg.csir == "perfect":
                 gains = dechirped_gain(params, ch)
-                coh_ref = complex(ch.gains[0])
             elif cfg.csir == "forced":
                 gains = gains_at_delays(params, pilot_avg, cfg.forced_khat)
-                coh_ref = complex(gains.gains[0])
             else:
                 gains = detect_paths(params, pilot_avg, cfg.rho_p, cfg.k_max,
                                      ch.n_paths if cfg.known_k else None)
-                coh_ref = complex(gains.gains[0])
         yield _TrialData(
             params=params,
             ch=ch,
@@ -391,7 +387,6 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> Iterator[_TrialData]:
             data_spec=spectra[n_p:],
             pilot_avg=pilot_avg,
             gains=gains,
-            coh_ref=coh_ref,
             noise=noise[n_p:] if "coh-awgn" in cfg.detectors else None,
         )
         n_p, start, prev = 0, stop, int(frame.symbols[-1])
@@ -416,7 +411,7 @@ class _Detector(NamedTuple):
 # this module's globals, where perfbench's tracer wraps it.
 _DETECTORS = {
     "noncoh": _Detector(lambda t: np.argmax(t.mag, axis=1)),
-    "coh": _Detector(lambda t: np.argmax((np.conj(t.coh_ref) * t.data_spec).real, axis=1)),
+    "coh": _Detector(lambda t: np.argmax((np.conj(t.gains.gains[0]) * t.data_spec).real, axis=1)),
     "coh-awgn": _Detector(_coh_awgn_decisions),
     "ideal-mf": _Detector(
         lambda t: np.argmax(_ideal_scores(t.params, t.data_dech, t.gains, t.data), axis=1)),
@@ -465,13 +460,20 @@ def _run_point_trial(params, ch, cfg, ebn0_db, trial) -> dict:
     return out
 
 
-def _map_trials(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for every task, in task order; across worker processes when workers > 1."""
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
-    return [fn(*t) for t in tasks]
+def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, list]]:
+    """(Eb/N0, [fn(params, ch, cfg, Eb/N0, trial, *extra) for each trial]) per
+    point of the axis, in axis order; across worker processes when
+    cfg.workers > 1."""
+    tasks = [(params, ch, cfg, float(ebn0), trial, *extra)
+             for ebn0 in cfg.ebn0_db for trial in range(cfg.n_trials)]
+    if cfg.workers > 1:
+        chunk = max(1, len(tasks) // (cfg.workers * 4))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+    else:
+        results = [fn(*t) for t in tasks]
+    n = cfg.n_trials
+    return [(ebn0, results[i * n:(i + 1) * n]) for i, ebn0 in enumerate(cfg.ebn0_db)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,28 +489,13 @@ def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     on scheduling or worker count.
     """
     params, ch = cfg.resolve()
-    tasks = [
-        (params, ch, cfg, float(ebn0), trial)
-        for ebn0 in cfg.ebn0_db
-        for trial in range(cfg.n_trials)
-    ]
-    results = _map_trials(_run_point_trial, tasks, cfg.workers)
-
-    points = []
     symbols = cfg.n_trials * cfg.n_d
-    for i, ebn0 in enumerate(cfg.ebn0_db):
-        block = results[i * cfg.n_trials : (i + 1) * cfg.n_trials]
+    points = []
+    for ebn0, block in _map_points(_run_point_trial, params, ch, cfg):
         for det in cfg.detectors:
-            errors = sum(r[det][0] for r in block)
-            nc_sum = sum(r[det][1] for r in block)
-            cmult = sum(r[det][2] for r in block)
-            cadd = sum(r[det][3] for r in block)
-            points.append(
-                SerPoint.from_counts(
-                    det, ebn0, errors, symbols,
-                    nc_sum / symbols, cmult / symbols, cadd / symbols,
-                )
-            )
+            errors, nc_sum, cmult, cadd = map(sum, zip(*(r[det] for r in block)))
+            points.append(SerPoint.from_counts(det, ebn0, errors, symbols, nc_sum / symbols,
+                                               cmult / symbols, cadd / symbols))
     return points
 
 
@@ -569,6 +556,10 @@ def run_complexity_report(sf_list, n_paths: int, nc_list) -> list[ComplexityRow]
     """Closed-form cost rows for every (sf, n_c) pair at n_paths taps."""
     if n_paths < 1:
         raise ConfigError("k", f"must be >= 1, got {n_paths}")
+    if not sf_list:
+        raise ConfigError("sf", "need at least one spreading factor")
+    if not nc_list:
+        raise ConfigError("nc", "need at least one candidate count")
     rows = []
     for sf in sf_list:
         params = LoRaParams(sf)
@@ -620,30 +611,18 @@ def run_estimation_study(cfg: SimConfig) -> list[StudyRow]:
     """
     base = replace(cfg, detectors=("rake",), csir="estimated",
                    known_k=False, forced_khat=None, channel="c2")
-    rows: list[StudyRow] = []
-
-    rows += [StudyRow("pilots", "perfect", p)
-             for p in run_ser_sweep(replace(base, csir="perfect"))]
-    for n_p in NP_STUDY:
-        for p in run_ser_sweep(replace(base, n_p=n_p, known_k=True)):
-            rows.append(StudyRow("pilots", str(n_p), p))
-
-    rows += [StudyRow("rho_p", "known_k", p)
-             for p in run_ser_sweep(replace(base, known_k=True))]
-    for rho in RHO_P_STUDY:
-        for p in run_ser_sweep(replace(base, rho_p=rho)):
-            rows.append(StudyRow("rho_p", str(rho), p))
-
     c1 = replace(base, channel="c1")
-    rows += [StudyRow("khat", "perfect", p)
-             for p in run_ser_sweep(replace(c1, csir="perfect"))]
-    rows += [StudyRow("khat", "coh", p)
-             for p in run_ser_sweep(replace(c1, detectors=("coh",)))]
-    for khat in KHAT_STUDY:
-        label = "-".join(str(k) for k in khat)
-        for p in run_ser_sweep(replace(c1, csir="forced", forced_khat=khat)):
-            rows.append(StudyRow("khat", label, p))
-    return rows
+    runs = [
+        ("pilots", "perfect", replace(base, csir="perfect")),
+        *(("pilots", str(n_p), replace(base, n_p=n_p, known_k=True)) for n_p in NP_STUDY),
+        ("rho_p", "known_k", replace(base, known_k=True)),
+        *(("rho_p", str(rho), replace(base, rho_p=rho)) for rho in RHO_P_STUDY),
+        ("khat", "perfect", replace(c1, csir="perfect")),
+        ("khat", "coh", replace(c1, detectors=("coh",))),
+        *(("khat", "-".join(str(k) for k in khat), replace(c1, csir="forced", forced_khat=khat))
+          for khat in KHAT_STUDY),
+    ]
+    return [StudyRow(study, param, p) for study, param, run in runs for p in run_ser_sweep(run)]
 
 
 DEFAULT_NC_GRID = (0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0)
@@ -680,18 +659,10 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     if any(not 0.0 < x <= 1.0 for x in nc_norm_grid):
         raise ConfigError("nc_grid", "fractions must lie in (0, 1]")
     nc_list = sorted({min(m, max(1, round(x * m))) for x in nc_norm_grid})
-    tasks = [
-        (params, ch, cfg, float(ebn0), trial, nc_list)
-        for ebn0 in cfg.ebn0_db
-        for trial in range(cfg.n_trials)
-    ]
-    results = _map_trials(_cand_sweep_trial, tasks, cfg.workers)
     symbols = cfg.n_trials * cfg.n_d
     rows = []
-    for i, ebn0 in enumerate(cfg.ebn0_db):
-        block = results[i * cfg.n_trials : (i + 1) * cfg.n_trials]
-        for j, n_c in enumerate(nc_list):
-            errors = sum(r[j] for r in block)
+    for ebn0, block in _map_points(_cand_sweep_trial, params, ch, cfg, nc_list):
+        for n_c, errors in zip(nc_list, map(sum, zip(*block))):
             ser = errors / symbols
             rows.append(CandSweepRow(params.sf, float(ebn0), n_c, n_c / m,
                                      errors, symbols, ser, _ci95(ser, symbols)))

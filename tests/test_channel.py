@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorarake.channel import (
@@ -37,6 +37,11 @@ def test_channel_validation():
         MultipathChannel((0, 2), (0.0, 0.5))  # dead first path
     with pytest.raises(ValueError):
         MultipathChannel((0, 2), (1.0,))  # length mismatch
+    for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            MultipathChannel((0, 2), (1.0, bad))  # non-finite tap gain
+        with pytest.raises(ValueError, match="finite"):
+            MultipathChannel((0,), (bad,))
     with pytest.raises(ValueError):
         MultipathChannel((), ())
     ch = MultipathChannel.from_taps([(3, 0.5j), (0, 1.0)])
@@ -59,6 +64,24 @@ def test_dechirped_gain_values():
     assert g.gains[1] == pytest.approx(expect, abs=1e-12)
     np.testing.assert_allclose(np.abs(g.gains), np.abs(np.asarray(C1.gains)), atol=1e-12)
     assert g.energy() == pytest.approx(C1.energy(), abs=1e-12)
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), _PART, _PART, st.integers(1, 3))
+@example(7, 1.0, -0.0, 2)
+@example(7, -0.0, -1.0, 2)
+def test_first_dechirped_gain_is_the_first_tap_gain(sf, re, im, echo):
+    # the delay-0 dechirp rotation is exactly 1, so the coherent detector's
+    # reference reads the first dechirped gain in every CSIR mode; only the
+    # sign of a zero part may differ, which no score comparison can see
+    g0 = complex(re, im)
+    assume(g0 != 0)
+    ch = MultipathChannel((0, echo), (g0, 0.5j))
+    assert dechirped_gain(LoRaParams(sf), ch).gains[0] == ch.gains[0]
 
 
 def test_dechirped_gains_validation():

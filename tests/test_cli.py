@@ -111,6 +111,24 @@ def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch
     assert out.read_bytes() == (_DATA / "cand_sweep_sf8.csv").read_bytes()
 
 
+def test_estimate_study_matches_committed_output(tmp_path, capsys):
+    # tests/data/estimate_study_sf6.csv pins the study's rows, labels and order
+    out = tmp_path / "study.csv"
+    argv = ["estimate-study", "--sf", "6", "--ebn0=-2,0", "--n-trials", "2", "--n-d", "100",
+            "--seed", "11", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / "estimate_study_sf6.csv").read_bytes()
+
+
+def test_delta_matches_committed_output(tmp_path, capsys):
+    # tests/data/delta_sf7_c1.csv pins the indicator table byte for byte
+    out = tmp_path / "delta.csv"
+    assert main(["delta", "--sf", "7", "--channel", "c1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / "delta_sf7_c1.csv").read_bytes()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(lorarake.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -172,6 +190,23 @@ def test_bad_config_exits_two(tmp_path, capsys):
     rc7, out7, err7 = _run(capsys, ["complexity", "--sf-list", "7", "--k", "200"])
     assert rc7 == 2 and out7 == ""
     assert err7.startswith("error: k:")
+    # a non-finite tap gain, inline or from a channel file
+    taps = tmp_path / "taps.csv"
+    taps.write_text("delay,gain_re,gain_im\n0,1,0\n2,nan,0\n", encoding="utf-8")
+    ser = ["ser", "--sf", "7", "--detectors", "rake,noncoh", "--n-trials", "1", "--n-d", "10"]
+    for argv in (ser + ["--channel", "0:1,2:nan"], ser + ["--channel", "0:inf"],
+                 ser + ["--channel", str(taps)], ["delta", "--channel", "0:1,2:nan"]):
+        rc8, out8, err8 = _run(capsys, argv)
+        assert rc8 == 2 and out8 == "", argv
+        assert err8.startswith("error: channel:"), argv
+    # an empty list flag
+    for argv, field in (
+            (["cand-sweep", "--n-trials", "1", "--n-d", "10", "--nc-grid", ","], "nc_grid"),
+            (["complexity", "--sf-list", ","], "sf"),
+            (["complexity", "--nc-list", ""], "nc")):
+        rc9, out9, err9 = _run(capsys, argv)
+        assert rc9 == 2 and out9 == "", argv
+        assert err9.startswith(f"error: {field}:"), argv
 
 
 def test_unknown_flag_exits_two():

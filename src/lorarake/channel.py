@@ -207,8 +207,8 @@ def apply_channel(params: LoRaParams, frame, ch: MultipathChannel) -> np.ndarray
 
 def complex_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Circular complex Gaussian samples with total per-sample variance sigma2."""
-    if sigma2 < 0:
-        raise ValueError(f"noise variance must be >= 0, got {sigma2}")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     # one block of interleaved (real, imaginary) pairs, scaled in place and
     # viewed as complex

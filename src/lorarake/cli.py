@@ -117,10 +117,6 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
                      help="channel knowledge mode")
     sub.add_argument("--forced-khat", dest="forced_khat", metavar="LIST",
                      help="comma list of forced delays (csir=forced)")
-    sub.add_argument("--rho-c", type=float, dest="rho_c", help="candidate threshold")
-    sub.add_argument("--n-c", type=int, dest="n_c", help="fixed candidate count")
-    sub.add_argument("--rho-tdel", type=float, dest="rho_tdel",
-                     help="pilot-correlation detector threshold")
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -303,6 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ser = sub.add_parser("ser", help="Monte Carlo symbol error rate sweep")
     _add_sweep_flags(p_ser)
     p_ser.add_argument("--detectors", help="comma list of detector ids")
+    p_ser.add_argument("--rho-c", type=float, dest="rho_c", help="candidate threshold")
+    p_ser.add_argument("--n-c", type=int, dest="n_c", help="fixed candidate count")
+    p_ser.add_argument("--rho-tdel", type=float, dest="rho_tdel",
+                       help="pilot-correlation detector threshold")
     p_ser.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_ser.set_defaults(func=_cmd_ser)
 

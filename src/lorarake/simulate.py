@@ -6,10 +6,11 @@ window spectra in closed form (channel.dechirped_spectra), adds one
 shared white spectral noise realization, and runs every configured
 detector on the same data, so detector comparisons are paired. It does
 so one block of consecutive windows at a time (channel.BLOCK_BINS), so a
-trial's memory does not grow with its length. Trials
-are independent Monte Carlo units with their own RNG substream keyed by
-(master_seed, trial, Eb/N0), which makes results reproducible for any
-worker count and lets separate runs share noise point by point.
+trial's memory does not grow with its length. Each trial is an independent
+Monte Carlo unit with one RNG stream keyed by (master_seed, trial), so
+results do not depend on the worker count; every Eb/N0 point draws the
+trial's symbols and standard normals and scales the noise to its own
+variance, so the points of one run are common random numbers.
 """
 
 from __future__ import annotations
@@ -188,13 +189,15 @@ class SimConfig:
             raise ConfigError("ebn0_db", "need at least one Eb/N0 point")
         if any(not math.isfinite(e) for e in self.ebn0_db):
             raise ConfigError("ebn0_db", "Eb/N0 values must be finite")
-        seen: dict[int, float] = {}
-        for e in self.ebn0_db:
-            key = _ebn0_stream_key(e)
-            if key in seen:
-                raise ConfigError("ebn0_db", f"{seen[key]!r} and {e!r} dB map to the same noise "
-                                             "stream (keyed by the value in mdB)")
-            seen[key] = e
+        if len(set(self.ebn0_db)) != len(self.ebn0_db):
+            raise ConfigError("ebn0_db", "duplicate Eb/N0 values")
+        for e in self.ebn0_db:  # the spectral noise variance M*sigma2 must be a finite float
+            try:
+                var = m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
+            except OverflowError:
+                var = math.inf
+            if var == math.inf:
+                raise ConfigError("ebn0_db", f"{e!r} dB makes the noise variance overflow")
         if self.n_trials < 1:
             raise ConfigError("n_trials", f"must be >= 1, got {self.n_trials}")
         if self.n_d < 1:
@@ -279,14 +282,8 @@ def _ci95(ser: float, symbols: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ebn0_stream_key(ebn0_db: float) -> int:
-    # key the substream on the Eb/N0 value itself so different sweeps with
-    # the same seed share noise at equal operating points
-    return int(round(ebn0_db * 1000.0)) % (2**32)
-
-
-def _trial_rng(master_seed: int, trial: int, ebn0_db: float) -> np.random.Generator:
-    return np.random.default_rng([master_seed, trial, _ebn0_stream_key(ebn0_db)])
+def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    return np.random.default_rng([master_seed, trial])
 
 
 @dataclass
@@ -357,7 +354,7 @@ def _trial_setup(params, ch, cfg, ebn0_db, trial) -> Iterator[_TrialData]:
     block fixes the gains, from its pilots when they are estimated.
     """
     m = params.m
-    rng = _trial_rng(cfg.master_seed, trial, ebn0_db)
+    rng = _trial_rng(cfg.master_seed, trial)
     data = rng.integers(0, m, size=cfg.n_d)
     sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
     rows = block_rows(m)
@@ -484,9 +481,10 @@ def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, lis
 def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     """Monte Carlo SER sweep over the configured Eb/N0 axis.
 
-    Every detector sees the same symbols and noise within a trial; each
-    (trial, Eb/N0) pair owns an RNG substream, so results do not depend
-    on scheduling or worker count.
+    Every detector sees the same symbols and noise within a trial, and
+    every point the same symbols and standard normals, scaled to its
+    noise variance; each trial owns an RNG stream, so results do not
+    depend on scheduling, worker count or the rest of the axis.
     """
     params, ch = cfg.resolve()
     symbols = cfg.n_trials * cfg.n_d

@@ -478,7 +478,7 @@ def _sample_chain_ser(cfg: SimConfig, ebn0_db: float) -> float:
     sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
     errors = 0
     for trial in range(cfg.n_trials):
-        rng = _trial_rng(cfg.master_seed, trial, ebn0_db)
+        rng = _trial_rng(cfg.master_seed, trial)
         data = rng.integers(0, params.m, size=cfg.n_d)
         rx = apply_channel(params, build_frame(params, cfg.n_p, data), ch)
         rx += complex_noise(rx.shape, sigma2, rng)

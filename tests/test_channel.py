@@ -201,8 +201,9 @@ def test_complex_noise_statistics():
     w = complex_noise(200_000, sigma2, rng)
     assert np.mean(np.abs(w) ** 2) == pytest.approx(sigma2, rel=0.01)
     assert np.var(w.real) == pytest.approx(sigma2 / 2.0, rel=0.02)
-    with pytest.raises(ValueError):
-        complex_noise(4, -1.0, rng)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            complex_noise(4, bad, rng)
 
 
 def test_dft_domain_noise_variance():

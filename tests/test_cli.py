@@ -47,6 +47,19 @@ def test_ser_csv_shape(capsys):
     assert err.startswith("# ser:")
 
 
+@pytest.mark.parametrize("axis", ["0.0001,0.0002", "1e308"])
+def test_ser_runs_close_and_noise_free_points(capsys, axis):
+    # each trial has one stream whatever the Eb/N0, so close points are
+    # distinct points; at 1e308 dB the noise variance underflows to 0
+    rc, out, _ = _run(capsys, ["ser", "--detectors", "rake", f"--ebn0={axis}",
+                               "--n-trials", "1", "--n-d", "50"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [float(r[1]) for r in rows] == [float(e) for e in axis.split(",")]
+    if axis == "1e308":
+        assert rows[0][2] == "0"
+
+
 def test_ser_reruns_are_byte_identical(tmp_path, capsys):
     argv = ["ser", "--sf", "7", "--channel", "c1", "--detectors", "rake",
             "--ebn0", "0", "--n-trials", "2", "--n-d", "100", "--seed", "5"]
@@ -65,68 +78,65 @@ _CSIR_FLAGS = {
     "estimated": ["--csir", "estimated", "--n-c", "6"],
     "forced": ["--csir", "forced", "--forced-khat", "0,2,3", "--rho-c", "0.4"],
 }
+_AXIS = ["--ebn0=-2,0", "--n-trials", "2", "--n-d", "100", "--seed", "11"]
+
+# Every file in tests/data with the command whose output it pins byte for
+# byte. A change that alters output bytes says so and regenerates the files
+# from this table.
+GOLDEN = {
+    **{f"ser_{csir}_sf{sf}.csv": ["ser", "--sf", str(sf), "--channel", "c1", *_AXIS,
+                                  "--detectors", _ALL_DETECTORS, *flags]
+       for csir, flags in _CSIR_FLAGS.items() for sf in (7, 8)},
+    "cand_sweep_sf8.csv": ["cand-sweep", "--sf", "8", "--channel", "c1", *_AXIS],
+    "estimate_study_sf6.csv": ["estimate-study", "--sf", "6", *_AXIS],
+    "delta_sf7_c1.csv": ["delta", "--sf", "7", "--channel", "c1"],
+    "complexity_default.csv": ["complexity"],
+}
+
+
+def _assert_matches_committed_output(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert main([*GOLDEN[name], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (_DATA / name).read_bytes(), name
+
+
+def test_every_committed_output_has_one_command():
+    assert sorted(p.name for p in _DATA.iterdir()) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("sf", [7, 8])
 @pytest.mark.parametrize("csir", sorted(_CSIR_FLAGS))
 def test_ser_matches_committed_output(tmp_path, capsys, csir, sf):
-    # tests/data/ser_<csir>_sf<sf>.csv pin this command's output byte for byte;
-    # a change that alters output bytes must say so and regenerate them
-    out = tmp_path / "ser.csv"
-    argv = ["ser", "--sf", str(sf), "--channel", "c1", "--detectors", _ALL_DETECTORS,
-            "--ebn0=-2,0", "--n-trials", "2", "--n-d", "100", "--seed", "11",
-            *_CSIR_FLAGS[csir], "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (_DATA / f"ser_{csir}_sf{sf}.csv").read_bytes()
+    _assert_matches_committed_output(tmp_path, capsys, f"ser_{csir}_sf{sf}.csv")
 
 
 def test_cand_sweep_matches_committed_output(tmp_path, capsys):
-    # tests/data/cand_sweep_sf8.csv pins this command's output byte for byte
-    out = tmp_path / "cand.csv"
-    argv = ["cand-sweep", "--sf", "8", "--channel", "c1", "--ebn0=-2,0", "--n-trials", "2",
-            "--n-d", "100", "--seed", "11", "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (_DATA / "cand_sweep_sf8.csv").read_bytes()
-
-
-def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch):
-    # 11 rows per block at sf 7 (6 pilots and 5 data symbols first) and 5 at
-    # sf 8 (the first block holds all 6 pilots and one data symbol): every
-    # committed sweep must come out byte for byte as from whole-burst blocks
-    monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", 11 * 128 + 37)
-    out = tmp_path / "out.csv"
-    for csir in sorted(_CSIR_FLAGS):
-        for sf in (7, 8):
-            argv = ["ser", "--sf", str(sf), "--channel", "c1", "--detectors", _ALL_DETECTORS,
-                    "--ebn0=-2,0", "--n-trials", "2", "--n-d", "100", "--seed", "11",
-                    *_CSIR_FLAGS[csir], "--out", str(out)]
-            assert main(argv) == 0
-            assert out.read_bytes() == (_DATA / f"ser_{csir}_sf{sf}.csv").read_bytes(), (csir, sf)
-    argv = ["cand-sweep", "--sf", "8", "--channel", "c1", "--ebn0=-2,0", "--n-trials", "2",
-            "--n-d", "100", "--seed", "11", "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (_DATA / "cand_sweep_sf8.csv").read_bytes()
+    _assert_matches_committed_output(tmp_path, capsys, "cand_sweep_sf8.csv")
 
 
 def test_estimate_study_matches_committed_output(tmp_path, capsys):
-    # tests/data/estimate_study_sf6.csv pins the study's rows, labels and order
-    out = tmp_path / "study.csv"
-    argv = ["estimate-study", "--sf", "6", "--ebn0=-2,0", "--n-trials", "2", "--n-d", "100",
-            "--seed", "11", "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (_DATA / "estimate_study_sf6.csv").read_bytes()
+    # also pins the study's row labels and order
+    _assert_matches_committed_output(tmp_path, capsys, "estimate_study_sf6.csv")
 
 
 def test_delta_matches_committed_output(tmp_path, capsys):
-    # tests/data/delta_sf7_c1.csv pins the indicator table byte for byte
-    out = tmp_path / "delta.csv"
-    assert main(["delta", "--sf", "7", "--channel", "c1", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (_DATA / "delta_sf7_c1.csv").read_bytes()
+    _assert_matches_committed_output(tmp_path, capsys, "delta_sf7_c1.csv")
+
+
+def test_complexity_matches_committed_output(tmp_path, capsys):
+    _assert_matches_committed_output(tmp_path, capsys, "complexity_default.csv")
+
+
+def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch):
+    # 11 rows per block at sf 7 (6 pilots and 5 data symbols first), 5 at
+    # sf 8 (the first block holds all 6 pilots and one data symbol) and 22
+    # at sf 6: every committed sweep must come out byte for byte as from
+    # whole-burst blocks
+    monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", 11 * 128 + 37)
+    for name, argv in GOLDEN.items():
+        if argv[0] in ("ser", "cand-sweep", "estimate-study"):
+            _assert_matches_committed_output(tmp_path, capsys, name)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -180,10 +190,11 @@ def test_bad_config_exits_two(tmp_path, capsys):
     rc4, _, err4 = _run(capsys, ["ser", "--config", str(cfg)])
     assert rc4 == 2
     assert "n_trials" in err4
-    for axis in ("1,1", "0.0001,0.0002"):
-        rc5, _, err5 = _run(capsys, ["ser", "--ebn0", axis])
-        assert rc5 == 2
-        assert "ebn0_db" in err5
+    # a repeated point, and points whose noise variance overflows a float
+    for axis in ("1,1", "-3100", "-3060"):
+        rc5, out5, err5 = _run(capsys, ["ser", "--sf", "7", f"--ebn0={axis}"])
+        assert rc5 == 2 and out5 == "", axis
+        assert err5.startswith("error: ebn0_db:"), axis
     rc6, out6, err6 = _run(capsys, ["delta", "--sf", "7", "--channel", "0:1,200:0.5"])
     assert rc6 == 2 and out6 == ""
     assert err6.startswith("error: channel:")
@@ -216,10 +227,13 @@ def test_unknown_flag_exits_two():
 
 
 def test_cand_sweep_takes_no_detectors_flag():
-    # it scores the fixed-size rake candidates only
-    with pytest.raises(SystemExit) as exc:
-        main(["cand-sweep", "--detectors", "mf"])
-    assert exc.value.code == 2
+    # it scores the fixed-size rake candidates only, so it takes no flag
+    # that picks or tunes the detectors
+    for flag in (["--detectors", "mf"], ["--n-c", "5"], ["--rho-c", "0.9"],
+                 ["--rho-tdel", "0.9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cand-sweep", *flag])
+        assert exc.value.code == 2, flag
 
 
 def test_delta_csv(capsys):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorarake.channel import (
     C1,
@@ -44,24 +49,44 @@ def test_average_pilot_dft_shape_check():
     np.testing.assert_allclose(avg, np.ones(8))
 
 
-def test_noise_free_exactness_threshold_mode():
-    p = LoRaParams(7)
-    for ch in (C1, C2):
-        avg = _steady_state_average(p, ch, 6)
-        est = detect_paths(p, avg, rho_p=0.4, k_max=10)
-        truth = dechirped_gain(p, ch)
-        assert est.delays == truth.delays
-        np.testing.assert_allclose(est.gains, truth.gains, atol=1e-9)
+_PHASES = st.floats(-math.pi, math.pi)
 
 
-def test_noise_free_exactness_known_count_mode():
-    p = LoRaParams(7)
-    for ch in (C1, C2):
-        avg = _steady_state_average(p, ch, 4)
-        est = detect_paths(p, avg, rho_p=0.4, k_max=10, known_k=ch.n_paths)
-        truth = dechirped_gain(p, ch)
-        assert est.delays == truth.delays
-        np.testing.assert_allclose(est.gains, truth.gains, atol=1e-9)
+@st.composite
+def _channels(draw, min_ratio):
+    """1-4 taps with delays up to 10, each echo at least min_ratio of the
+    first path's magnitude, with random phases."""
+    g0 = cmath.rect(draw(st.floats(0.5, 2.0)), draw(_PHASES))
+    echoes = [(d, cmath.rect(abs(g0) * draw(st.floats(min_ratio, 1.5)), draw(_PHASES)))
+              for d in sorted(draw(st.sets(st.integers(1, 10), max_size=3)))]
+    return MultipathChannel.from_taps([(0, g0), *echoes])
+
+
+@settings(deadline=None)
+@given(st.integers(4, 12), _channels(min_ratio=0.41))
+@example(7, C1)
+@example(7, C2)
+def test_noise_free_exactness_threshold_mode(sf, ch):
+    # every echo exceeds rho_p = 0.4 of the first path
+    p = LoRaParams(sf)
+    avg = _steady_state_average(p, ch, 6)
+    est = detect_paths(p, avg, rho_p=0.4, k_max=10)
+    truth = dechirped_gain(p, ch)
+    assert est.delays == truth.delays
+    np.testing.assert_allclose(est.gains, truth.gains, atol=1e-9)
+
+
+@settings(deadline=None)
+@given(st.integers(4, 12), _channels(min_ratio=0.05))
+@example(7, C1)
+@example(7, C2)
+def test_noise_free_exactness_known_count_mode(sf, ch):
+    p = LoRaParams(sf)
+    avg = _steady_state_average(p, ch, 4)
+    est = detect_paths(p, avg, rho_p=0.4, k_max=10, known_k=ch.n_paths)
+    truth = dechirped_gain(p, ch)
+    assert est.delays == truth.delays
+    np.testing.assert_allclose(est.gains, truth.gains, atol=1e-9)
 
 
 def test_threshold_drops_weak_tap():

@@ -24,7 +24,7 @@ from lorarake.simulate import (
     run_estimation_study,
     run_ser_sweep,
 )
-from lorarake.waveform import LoRaParams
+from lorarake.waveform import LoRaParams, noise_variance, snr_ebn0_convert
 
 
 def _small(**kw) -> SimConfig:
@@ -76,7 +76,8 @@ def test_from_dict_rejects_unknown_keys():
         (dict(detectors="rake"), "detectors"),
         (dict(workers=True), "workers"),
         (dict(ebn0_db=(1.0, 1.0)), "ebn0_db"),
-        (dict(ebn0_db=(0.0001, 0.0002)), "ebn0_db"),
+        (dict(ebn0_db=(-3100.0,)), "ebn0_db"),
+        (dict(ebn0_db=(0.0, -3060.0)), "ebn0_db"),
     ],
 )
 def test_resolve_validation(patch, field):
@@ -216,11 +217,30 @@ def test_workers_do_not_change_results():
 
 
 def test_points_pair_across_different_axes():
-    # the same (seed, trial, Eb/N0) triple owns the same noise everywhere
-    a = run_ser_sweep(_small(ebn0_db=(0.0,)))
-    b = run_ser_sweep(_small(ebn0_db=(-2.0, 0.0)))
-    at_zero = [p for p in b if p.ebn0_db == 0.0]
-    assert at_zero == [p for p in a if p.ebn0_db == 0.0]
+    # a point's rows depend on the seed, the trials and its Eb/N0, not on
+    # the other points of the axis
+    for sweep in (run_ser_sweep, lambda cfg: run_candidate_sweep(cfg, (0.05, 1.0))):
+        a = sweep(_small(ebn0_db=(0.0,)))
+        b = sweep(_small(ebn0_db=(-2.0, 0.0)))
+        at_zero = [p for p in b if p.ebn0_db == 0.0]
+        assert at_zero == [p for p in a if p.ebn0_db == 0.0] != []
+
+
+def test_every_point_scales_the_trials_standard_normals():
+    # the trial's generator draws the data symbols, then the standard normals
+    # of the first block (at sf 7 the whole burst); each point scales the
+    # same normals to its variance
+    cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), master_seed=4)
+    params, ch = cfg.resolve()
+    blocks = {e: next(simulate._trial_setup(params, ch, cfg, e, 3)) for e in cfg.ebn0_db}
+    np.testing.assert_array_equal(blocks[-3.0].data, blocks[5.0].data)
+    rng = np.random.default_rng([cfg.master_seed, 3])
+    rng.integers(0, params.m, size=cfg.n_d)
+    z = rng.standard_normal((cfg.n_p + cfg.n_d, params.m, 2))[cfg.n_p:]
+    for e, block in blocks.items():
+        var = params.m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
+        expect = (z * math.sqrt(var / 2.0)).view(np.complex128)[..., 0]
+        assert block.noise.tobytes() == expect.tobytes()
 
 
 def test_mf_and_rake_agree_through_the_batch_paths():

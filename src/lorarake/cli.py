@@ -21,7 +21,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 from .channel import MultipathChannel, parse_channel
 from .simulate import (
@@ -255,7 +255,7 @@ def _cmd_estimate_study(args) -> int:
 
 def _cmd_cand_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg = replace(_build_config(args), detectors=("cand-rake",))
+    cfg = _build_config(args)
     rows = run_candidate_sweep(cfg, args.nc_grid)
     table = [[r.sf, r.ebn0_db, r.n_c, r.nc_norm, r.errors, r.symbols, r.ser, r.ci95]
              for r in rows]

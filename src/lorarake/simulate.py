@@ -8,9 +8,9 @@ detector on the same data, so detector comparisons are paired. It does
 so one block of consecutive windows at a time (channel.BLOCK_BINS), so a
 trial's memory does not grow with its length. Each trial is an independent
 Monte Carlo unit with one RNG stream keyed by (master_seed, trial), so
-results do not depend on the worker count; every Eb/N0 point draws the
-trial's symbols and standard normals and scales the noise to its own
-variance, so the points of one run are common random numbers.
+results do not depend on the worker count. It makes each block's standard
+normals and noise-free spectra once, and every Eb/N0 point scales the normals
+to its own noise variance, so the points of one run are common random numbers.
 """
 
 from __future__ import annotations
@@ -172,6 +172,16 @@ class SimConfig:
             return ("fixed", self.n_c)
         return ("threshold", self.rho_c if self.rho_c is not None else _DEFAULT_RHO_C)
 
+    def _mf_banks(self) -> int:
+        """mf banks a process keeps: one per point of a trial unless CSIR is perfect."""
+        return 1 if self.csir == "perfect" else len(self.ebn0_db)
+
+    def _reject_unused(self, driver: str, names: tuple[str, ...]) -> None:
+        """Reject a field of names, one the driver overrides or never reads, set off its default."""
+        for name in names:
+            if getattr(self, name) != getattr(SimConfig, name):
+                raise ConfigError(name, f"the {driver} does not use this field; leave it unset")
+
     def resolve(self) -> tuple[LoRaParams, MultipathChannel]:
         """Validate every field; return the parameter set and channel."""
         for f in fields(self):
@@ -238,16 +248,15 @@ class SimConfig:
         banked = [d for d in self.detectors if d in ("mf", "cand-mf")]
         phys = _physical_memory() if banked else None
         if phys is not None:
-            # every worker process holds its own (2M, M) float64 bank; the build
+            # every worker process holds its own (2M, M) float64 banks; the build
             # adds one slab of temporaries (channel.block_rows)
-            need = self.workers * 2 * m * m * 8
+            need = self.workers * self._mf_banks() * 2 * m * m * 8
             if need > phys:
                 raise ConfigError(
                     "detectors",
-                    f"{banked[0]} at sf {self.sf} holds a (2M, M) filter bank of "
-                    f"{need / 2**30:.1f} GiB over {self.workers} worker(s), more than the "
-                    f"{phys / 2**30:.1f} GiB of physical memory; rake and cand-rake make the "
-                    "same decisions without one")
+                    f"{banked[0]} at sf {self.sf} holds {need / 2**30:.1f} GiB of (2M, M) filter "
+                    f"banks over {self.workers} worker(s), more than the {phys / 2**30:.1f} GiB "
+                    "of physical memory; rake and cand-rake make the same decisions without one")
         return params, ch
 
 
@@ -288,8 +297,8 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 @dataclass
 class _TrialData:
-    """One block of a trial: its data symbols, spectral noise and noisy
-    window spectra, with the trial's pilot average and gains.
+    """One block of a trial at one point: its data symbols and noisy window
+    spectra, with the point's pilot average and gains.
 
     The dechirped samples, magnitudes, scores and candidate mask are
     computed on first use, so the detectors that share them (mf and
@@ -304,7 +313,8 @@ class _TrialData:
     data_spec: np.ndarray
     pilot_avg: np.ndarray | None
     gains: DechirpedGains
-    noise: np.ndarray | None  # the data rows' spectral noise alone, kept for coh-awgn
+    normals: np.ndarray  # the data rows' standard normals, an (re, im) pair per bin
+    scale: float  # the point's spectral noise alone is normals * scale, read by coh-awgn
 
     @cached_property
     def data_dech(self) -> np.ndarray:
@@ -320,79 +330,76 @@ class _TrialData:
 
     @cached_property
     def mf(self) -> np.ndarray:
-        return _mf_scores(self.data_dech, _mf_bank(self.params, self.gains))
+        return _mf_scores(self.data_dech, _mf_bank(self.params, self.gains, self.cfg._mf_banks()))
 
     @cached_property
     def mask(self) -> np.ndarray:
         return _candidate_masks(self.mag, self.cfg.candidate_rule())
 
 
-# (key, bank) of the last mf bank built, in the form _mf_scores takes. The key is
-# the gain set's values, so with perfect CSIR a process builds the bank once,
-# and any other gain set replaces it: results never depend on the cache.
-_mf_bank_cache: tuple = (None, None)
+# Gain set -> mf bank in the form _mf_scores takes, oldest first. With perfect
+# CSIR a process builds one bank; with estimated or forced gains each point of
+# a trial has its own, kept for all its blocks. Results never depend on the cache.
+_mf_bank_cache: dict = {}
 
 
-def _mf_bank(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
-    """The mf filter bank of a gain set, rebuilt only when the gains change."""
-    global _mf_bank_cache
+def _mf_bank(params: LoRaParams, g: DechirpedGains, keep: int = 1) -> np.ndarray:
+    """The mf filter bank of a gain set; the cache keeps the last `keep` built."""
     key = (params.sf, g.delays, g.gains.tobytes())
-    if _mf_bank_cache[0] != key:
-        _mf_bank_cache = (None, None)  # free the old bank before building the new one
-        _mf_bank_cache = (key, mf_filter_bank(params, g))
-    return _mf_bank_cache[1]
+    if key not in _mf_bank_cache:
+        while len(_mf_bank_cache) >= keep:  # free the oldest before building a new one
+            del _mf_bank_cache[next(iter(_mf_bank_cache))]
+        _mf_bank_cache[key] = mf_filter_bank(params, g)
+    return _mf_bank_cache[key]
 
 
-def _trial_setup(params, ch, cfg, ebn0_db, trial) -> Iterator[_TrialData]:
-    """Draw one burst and noise realization; estimate gains per the CSIR mode.
+def _trial_setup(params, ch, cfg, trial) -> Iterator[tuple[int, _TrialData]]:
+    """Draw one burst; yield (point index, block) for each Eb/N0 point.
 
-    Yields the burst's data in blocks of consecutive windows, at most
-    block_rows(M) of them (the first block also carries every pilot and at
-    least one data symbol). Each block draws its own noise from the trial's
-    generator in burst order, so the draws are the whole-burst ones, and
-    its spectra continue from the previous block's last symbol. The first
-    block fixes the gains, from its pilots when they are estimated.
+    A block is at most block_rows(M) consecutive windows (the first also
+    carries every pilot and at least one data symbol). It draws its standard
+    normals from the trial's generator in burst order (the whole-burst draws),
+    and its noise-free spectra continue the previous block's last symbol. Each
+    point in axis order scales the normals to its variance and adds the
+    spectra; the first block fixes its gains, from its pilots if estimated.
     """
     m = params.m
     rng = _trial_rng(cfg.master_seed, trial)
     data = rng.integers(0, m, size=cfg.n_d)
-    sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
+    # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
+    # over the bins, so the noise is drawn in the spectrum
+    scales = [math.sqrt(m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr")) / 2.0)
+              for e in cfg.ebn0_db]
+    pilot_avg, gains = [None] * len(scales), [None] * len(scales)
     rows = block_rows(m)
     n_p, start, prev = cfg.n_p, 0, None
     while start < cfg.n_d:
         stop = min(cfg.n_d, start + max(1, rows - n_p))
-        frame = build_frame(params, n_p, data[start:stop])
-        # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
-        # over the bins, so the noise is drawn in the spectrum
-        noise = complex_noise((frame.symbols.size, m), m * sigma2, rng)
-        spectra = dechirped_spectra(params, ch, frame.symbols, prev)
-        spectra += noise
-        if start == 0:
-            pilot_avg = average_pilot_dft(spectra[:n_p]) if n_p else None
-            if cfg.csir == "perfect":
-                gains = dechirped_gain(params, ch)
-            elif cfg.csir == "forced":
-                gains = gains_at_delays(params, pilot_avg, cfg.forced_khat)
-            else:
-                gains = detect_paths(params, pilot_avg, cfg.rho_p, cfg.k_max,
-                                     ch.n_paths if cfg.known_k else None)
-        yield _TrialData(
-            params=params,
-            ch=ch,
-            cfg=cfg,
-            data=frame.symbols[n_p:],
-            data_spec=spectra[n_p:],
-            pilot_avg=pilot_avg,
-            gains=gains,
-            noise=noise[n_p:] if "coh-awgn" in cfg.detectors else None,
-        )
-        n_p, start, prev = 0, stop, int(frame.symbols[-1])
+        symbols = build_frame(params, n_p, data[start:stop]).symbols
+        normals = complex_noise((symbols.size, m), 2.0, rng).view(np.float64)
+        clean = dechirped_spectra(params, ch, symbols, prev)
+        for i, scale in enumerate(scales):
+            spectra = (normals * scale).view(np.complex128)
+            spectra += clean
+            if start == 0:
+                pilot_avg[i] = average_pilot_dft(spectra[:n_p]) if n_p else None
+                if cfg.csir == "perfect":
+                    gains[i] = dechirped_gain(params, ch)
+                elif cfg.csir == "forced":
+                    gains[i] = gains_at_delays(params, pilot_avg[i], cfg.forced_khat)
+                else:
+                    gains[i] = detect_paths(params, pilot_avg[i], cfg.rho_p, cfg.k_max,
+                                            ch.n_paths if cfg.known_k else None)
+            yield i, _TrialData(params, ch, cfg, symbols[n_p:], spectra[n_p:], pilot_avg[i],
+                                gains[i], normals[n_p:], scale)
+            del spectra  # the caller drops the block too: one point's at a time
+        n_p, start, prev = 0, stop, int(symbols[-1])
 
 
 def _coh_awgn_decisions(t: _TrialData) -> np.ndarray:
     # flat single-tap reference carrying the same energy under the same
     # noise: its noise-free spectrum is sqrt(E) * M at the sent bin alone
-    scores = t.noise.real.copy()
+    scores = t.normals[:, ::2] * t.scale  # the real part of the noise
     scores[np.arange(t.data.size), t.data] += math.sqrt(t.ch.energy()) * t.params.m
     return np.argmax(scores, axis=1)
 
@@ -422,55 +429,49 @@ _DETECTORS = {
 DETECTOR_IDS = tuple(_DETECTORS)
 
 
-def _op_sums(kind: str, params, n_paths: int, n_d: int, nc_total: float):
+def _trial_sums(spec: _Detector, params, n_paths: int, n_d: int, masked: int):
+    """(scored hypotheses, cmult, cadd) of a detector, each summed over one trial."""
+    nc_total = float(masked) if spec.candidates else float(n_d * params.m)
+    if spec.op_kind is None:
+        return nc_total, 0.0, 0.0
     # counts are affine in n_c (constant for the full-search kinds), so sums
     # follow from the base and unit slopes
-    base = op_count(kind, params, n_paths, 0)
-    unit = op_count(kind, params, n_paths, 1)
-    cmult = n_d * base.cmult + (unit.cmult - base.cmult) * nc_total
-    cadd = n_d * base.cadd + (unit.cadd - base.cadd) * nc_total
-    return cmult, cadd
+    base = op_count(spec.op_kind, params, n_paths, 0)
+    unit = op_count(spec.op_kind, params, n_paths, 1)
+    return (nc_total, n_d * base.cmult + (unit.cmult - base.cmult) * nc_total,
+            n_d * base.cadd + (unit.cadd - base.cadd) * nc_total)
 
 
-def _run_point_trial(params, ch, cfg, ebn0_db, trial) -> dict:
-    """One burst at one operating point.
-
-    Returns detector -> (errors, candidate_count_sum, cmult_sum, cadd_sum).
-    """
-    errors = dict.fromkeys(cfg.detectors, 0)
-    masked = 0  # candidate bins over the trial, when a candidate detector runs
+def _run_trial(params, ch, cfg, trial) -> list[dict]:
+    """One burst at every operating point: per point, detector -> (errors,
+    scored hypotheses, cmult, cadd), each summed over the trial."""
+    errors = [dict.fromkeys(cfg.detectors, 0) for _ in cfg.ebn0_db]
+    masked, k_hat = [0] * len(errors), [0] * len(errors)  # candidate bins; path count
     candidates = cfg.candidate_rule() is not None
-    for st in _trial_setup(params, ch, cfg, ebn0_db, trial):
+    for i, st in _trial_setup(params, ch, cfg, trial):
         for det in cfg.detectors:
-            errors[det] += int(np.sum(_DETECTORS[det].decide(st) != st.data))
+            errors[i][det] += int(np.sum(_DETECTORS[det].decide(st) != st.data))
         if candidates:
-            masked += int(st.mask.sum())
-    k_hat = st.gains.n_paths
-    out = {}
-    for det in cfg.detectors:
-        spec = _DETECTORS[det]
-        nc_sum = float(masked) if spec.candidates else float(cfg.n_d * params.m)
-        cmult = cadd = 0.0
-        if spec.op_kind is not None:
-            cmult, cadd = _op_sums(spec.op_kind, params, k_hat, cfg.n_d, nc_sum)
-        out[det] = (errors[det], nc_sum, cmult, cadd)
-    return out
+            masked[i] += int(st.mask.sum())
+        k_hat[i] = st.gains.n_paths
+        del st  # drop this point's block before the next point's is made
+    return [{det: (errs[det], *_trial_sums(_DETECTORS[det], params, k, cfg.n_d, bins))
+             for det in cfg.detectors} for errs, bins, k in zip(errors, masked, k_hat)]
 
 
-def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, list]]:
-    """(Eb/N0, [fn(params, ch, cfg, Eb/N0, trial, *extra) for each trial]) per
-    point of the axis, in axis order; across worker processes when
-    cfg.workers > 1."""
-    tasks = [(params, ch, cfg, float(ebn0), trial, *extra)
-             for ebn0 in cfg.ebn0_db for trial in range(cfg.n_trials)]
-    if cfg.workers > 1:
-        chunk = max(1, len(tasks) // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, tuple]]:
+    """(Eb/N0, each trial's result there) per point, in axis order, where
+    fn(params, ch, cfg, trial, *extra) returns a trial's results in axis order;
+    the trials run on at most min(cfg.workers, cfg.n_trials) worker processes."""
+    tasks = [(params, ch, cfg, trial, *extra) for trial in range(cfg.n_trials)]
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
     else:
         results = [fn(*t) for t in tasks]
-    n = cfg.n_trials
-    return [(ebn0, results[i * n:(i + 1) * n]) for i, ebn0 in enumerate(cfg.ebn0_db)]
+    return list(zip(cfg.ebn0_db, zip(*results)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +490,7 @@ def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     params, ch = cfg.resolve()
     symbols = cfg.n_trials * cfg.n_d
     points = []
-    for ebn0, block in _map_points(_run_point_trial, params, ch, cfg):
+    for ebn0, block in _map_points(_run_trial, params, ch, cfg):
         for det in cfg.detectors:
             errors, nc_sum, cmult, cadd = map(sum, zip(*(r[det] for r in block)))
             points.append(SerPoint.from_counts(det, ebn0, errors, symbols, nc_sum / symbols,
@@ -605,8 +606,10 @@ def run_estimation_study(cfg: SimConfig) -> list[StudyRow]:
     study run on the two-path benchmark channel; the forced-delay study
     runs on the three-path one, where misses, ghosts, and the single-path
     extreme all show distinct behavior. cfg supplies sf, the Eb/N0 axis,
-    trial counts, seed, and workers.
+    trial counts, seed, and workers, and may set no other field.
     """
+    cfg._reject_unused("estimation study", ("channel", "detectors", "csir", "known_k",
+                                            "forced_khat", "n_c", "rho_c", "rho_tdel"))
     base = replace(cfg, detectors=("rake",), csir="estimated",
                    known_k=False, forced_khat=None, channel="c2")
     c1 = replace(base, channel="c1")
@@ -646,9 +649,10 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     All grid values reuse the same symbols, noise, spectra, and scores, so
     the curves differ only through the candidate restriction; the full
     alphabet (nc_norm = 1) reproduces the unrestricted detector exactly.
-    The fixed-size rake candidates are the one detector scored, whatever
-    cfg.detectors holds.
+    The fixed-size rake candidates are the one detector scored, so cfg
+    may not set detectors, n_c, rho_c or rho_tdel.
     """
+    cfg._reject_unused("candidate sweep", ("detectors", "n_c", "rho_c", "rho_tdel"))
     cfg = replace(cfg, detectors=("cand-rake",))
     params, ch = cfg.resolve()
     m = params.m
@@ -667,11 +671,12 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     return rows
 
 
-def _cand_sweep_trial(params, ch, cfg, ebn0_db, trial, nc_list) -> list[int]:
-    """Errors of the fixed-size candidate combiner for each n_c on one burst."""
-    errors = [0] * len(nc_list)
-    for st in _trial_setup(params, ch, cfg, ebn0_db, trial):
+def _cand_sweep_trial(params, ch, cfg, trial, nc_list) -> list[list[int]]:
+    """Errors of the fixed-size candidate combiner per point, for each n_c, on one burst."""
+    errors = [[0] * len(nc_list) for _ in cfg.ebn0_db]
+    for i, st in _trial_setup(params, ch, cfg, trial):
         for j, n_c in enumerate(nc_list):
             dec = _masked_argmax(st.rake, _candidate_masks(st.mag, ("fixed", n_c)))
-            errors[j] += int(np.sum(dec != st.data))
+            errors[i][j] += int(np.sum(dec != st.data))
+        del st
     return errors

@@ -94,9 +94,9 @@ GOLDEN = {
 }
 
 
-def _assert_matches_committed_output(tmp_path, capsys, name):
+def _assert_matches_committed_output(tmp_path, capsys, name, *flags):
     out = tmp_path / name
-    assert main([*GOLDEN[name], "--out", str(out)]) == 0
+    assert main([*GOLDEN[name], *flags, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (_DATA / name).read_bytes(), name
 
@@ -137,6 +137,12 @@ def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch
     for name, argv in GOLDEN.items():
         if argv[0] in ("ser", "cand-sweep", "estimate-study"):
             _assert_matches_committed_output(tmp_path, capsys, name)
+
+
+def test_committed_output_holds_across_worker_processes(tmp_path, capsys):
+    # each of two processes runs one trial over every point; the sweep puts
+    # the trials' rows back per point
+    _assert_matches_committed_output(tmp_path, capsys, "ser_estimated_sf8.csv", "--workers", "2")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -210,6 +216,19 @@ def test_bad_config_exits_two(tmp_path, capsys):
         rc8, out8, err8 = _run(capsys, argv)
         assert rc8 == 2 and out8 == "", argv
         assert err8.startswith("error: channel:"), argv
+    # a config field the command overrides or never reads
+    sweep = ["--sf", "7", "--ebn0", "0", "--n-trials", "1", "--n-d", "10"]
+    for cmd, values, field in (
+            ("cand-sweep", {"n_c": 5}, "n_c"),
+            ("cand-sweep", {"n_c": 5, "rho_c": 0.3}, "n_c"),
+            ("cand-sweep", {"detectors": ["cand-rake"]}, "detectors"),
+            ("estimate-study", {"channel": "c1", "csir": "estimated", "detectors": ["rake"]},
+             "channel"),
+            ("estimate-study", {"rho_tdel": 0.5}, "rho_tdel")):
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        rc10, out10, err10 = _run(capsys, [cmd, "--config", str(cfg), *sweep])
+        assert rc10 == 2 and out10 == "", values
+        assert err10.startswith(f"error: {field}: "), values
     # an empty list flag
     for argv, field in (
             (["cand-sweep", "--n-trials", "1", "--n-d", "10", "--nc-grid", ","], "nc_grid"),

@@ -5,7 +5,8 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ def _small(**kw) -> SimConfig:
                 n_trials=2, n_d=200, master_seed=9)
     base.update(kw)
     return SimConfig.from_dict(base)
+
+
+def _cand(cfg: SimConfig) -> SimConfig:
+    # the candidate sweep picks its detector itself and refuses a config that sets one
+    return replace(cfg, detectors=SimConfig.detectors)
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -134,6 +140,13 @@ def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
     _small(sf=14, detectors=("mf",)).resolve()
     _small(sf=13, detectors=("cand-mf",), workers=8).resolve()
     _small(sf=16, detectors=("rake", "cand-rake", "ideal-mf")).resolve()
+    # with estimated or forced gains a worker keeps one bank per Eb/N0 point
+    eight = tuple(float(e) for e in range(8))
+    for csir in (dict(csir="estimated"), dict(csir="forced", forced_khat=(0, 2))):
+        with pytest.raises(ConfigError, match="^detectors: mf at sf 13 "):
+            _small(sf=13, detectors=("mf",), ebn0_db=(*eight, 8.0), **csir).resolve()
+        _small(sf=13, detectors=("mf",), ebn0_db=eight, **csir).resolve()
+    _small(sf=13, detectors=("mf",), ebn0_db=(*eight, 8.0)).resolve()
     monkeypatch.setattr(simulate, "_physical_memory", lambda: None)
     _small(sf=15, detectors=("mf",)).resolve()
 
@@ -141,7 +154,7 @@ def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
 def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
     from lorarake.cli import main
 
-    def refuse(params, g):
+    def refuse(*args):
         raise AssertionError("built the bank the guard should refuse")
 
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
@@ -156,7 +169,7 @@ def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
 def test_mf_bank_build_peaks_at_the_bank_plus_one_slab(monkeypatch):
     # the (2M, M) bank is 256 MiB at sf 12; building the complex M x M bank
     # and then its real copy peaked at 640 MiB
-    monkeypatch.setattr(simulate, "_mf_bank_cache", (None, None))
+    monkeypatch.setattr(simulate, "_mf_bank_cache", {})
     p = LoRaParams(12)
     g = channel.dechirped_gain(p, channel.C1)
     tracemalloc.start()
@@ -176,12 +189,32 @@ def test_physical_memory_probe():
 
 def test_cand_sweep_scores_the_rake_candidates_whatever_the_detectors(monkeypatch):
     # with one byte of memory the guard refuses any mf bank; a candidate sweep
-    # scores cand-rake alone, so it must not be refused
+    # scores cand-rake alone, so it sizes no bank, and it refuses a detectors
+    # field it would ignore rather than guard it
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 1)
     with pytest.raises(ConfigError):
         _small(detectors=("mf",)).resolve()
-    rows = run_candidate_sweep(_small(detectors=("mf",), n_d=50), (0.05, 1.0))
-    assert rows == run_candidate_sweep(_small(detectors=("noncoh",), n_d=50), (0.05, 1.0))
+    with pytest.raises(ConfigError, match="^detectors: the candidate sweep does not use"):
+        run_candidate_sweep(_small(detectors=("mf",), n_d=50), (0.05, 1.0))
+    rows = run_candidate_sweep(_cand(_small(n_d=50)), (0.05, 1.0))
+    assert [r.n_c for r in rows] == [6, 128]
+
+
+@pytest.mark.parametrize("driver,field,value", [
+    *((run_candidate_sweep, f, v) for f, v in (
+        ("detectors", ("cand-rake",)), ("n_c", 5), ("rho_c", 0.3), ("rho_tdel", 0.3))),
+    *((run_estimation_study, f, v) for f, v in (
+        ("channel", "c1"), ("detectors", ("rake",)), ("csir", "estimated"), ("known_k", True),
+        ("forced_khat", (0, 2)), ("n_c", 5), ("rho_c", 0.3), ("rho_tdel", 0.3))),
+])
+def test_drivers_refuse_fields_they_ignore(driver, field, value):
+    # a field a driver overrides or never reads could only change the config
+    # hash, never the rows; at its default it passes
+    cfg = SimConfig(sf=6, ebn0_db=(0.0,), n_trials=1, n_d=10)
+    with pytest.raises(ConfigError) as err:
+        driver(replace(cfg, **{field: value}))
+    assert err.value.field_name == field
+    assert driver(replace(cfg, **{field: getattr(SimConfig, field)}))
 
 
 @settings(max_examples=24, deadline=None)
@@ -213,34 +246,76 @@ def test_workers_do_not_change_results():
     cfg1 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=4)
     cfg2 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=4, workers=2)
     assert run_ser_sweep(cfg1) == run_ser_sweep(cfg2)
-    assert run_candidate_sweep(cfg1, (0.05, 1.0)) == run_candidate_sweep(cfg2, (0.05, 1.0))
+    assert (run_candidate_sweep(_cand(cfg1), (0.05, 1.0))
+            == run_candidate_sweep(_cand(cfg2), (0.05, 1.0)))
 
 
-def test_points_pair_across_different_axes():
+def test_pool_starts_no_more_processes_than_trials(monkeypatch):
+    # a fork pool starts all of its processes at the first task: 64 workers for
+    # 2 trials would fork 62 idle ones; a sweep maps one task per trial
+    pools = []
+
+    class RecordingPool:  # runs the tasks in this process
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns, chunksize=1):
+            pools.append((self.max_workers, len(columns[0])))
+            return map(fn, *columns)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    cfg = _small(detectors=("rake", "mf"), ebn0_db=(-2.0, 0.0, 2.0), n_trials=2, workers=64)
+    assert run_ser_sweep(cfg) == run_ser_sweep(replace(cfg, workers=1))
+    assert run_candidate_sweep(_cand(cfg), (0.05, 1.0)) == run_candidate_sweep(
+        _cand(replace(cfg, workers=1)), (0.05, 1.0))
+    run_ser_sweep(replace(cfg, n_trials=5, workers=3))
+    run_ser_sweep(replace(cfg, n_trials=1))  # one trial runs in this process
+    assert pools == [(2, 2), (2, 2), (3, 5)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(axis=st.lists(st.sampled_from([-4.0, -1.5, 0.0, 2.0, 5.0]), min_size=1, max_size=3,
+                     unique=True),
+       rows=st.integers(1, 40),
+       csir=st.sampled_from(["perfect", "estimated"]))
+def test_points_pair_across_different_axes(axis, rows, csir):
     # a point's rows depend on the seed, the trials and its Eb/N0, not on
-    # the other points of the axis
-    for sweep in (run_ser_sweep, lambda cfg: run_candidate_sweep(cfg, (0.05, 1.0))):
-        a = sweep(_small(ebn0_db=(0.0,)))
-        b = sweep(_small(ebn0_db=(-2.0, 0.0)))
-        at_zero = [p for p in b if p.ebn0_db == 0.0]
-        assert at_zero == [p for p in a if p.ebn0_db == 0.0] != []
+    # the other points of the axis, whatever the block size
+    cfg = _small(channel="c1", detectors=("noncoh", "coh-awgn", "mf", "rake", "cand-rake", "tdel"),
+                 ebn0_db=tuple(axis), csir=csir, n_p=2, n_d=60)
+    with mock.patch.object(channel, "BLOCK_BINS", rows * 128 + 5):
+        for sweep in (run_ser_sweep, lambda c: run_candidate_sweep(_cand(c), (0.05, 1.0))):
+            swept = sweep(cfg)
+            for e in axis:
+                alone = sweep(replace(cfg, ebn0_db=(e,)))
+                assert [p for p in swept if p.ebn0_db == e] == alone != []
 
 
 def test_every_point_scales_the_trials_standard_normals():
     # the trial's generator draws the data symbols, then the standard normals
     # of the first block (at sf 7 the whole burst); each point scales the
-    # same normals to its variance
+    # same normals to its variance and adds the same noise-free spectra
     cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), master_seed=4)
     params, ch = cfg.resolve()
-    blocks = {e: next(simulate._trial_setup(params, ch, cfg, e, 3)) for e in cfg.ebn0_db}
+    blocks = {cfg.ebn0_db[i]: block for i, block in simulate._trial_setup(params, ch, cfg, 3)}
+    assert len(blocks) == 2
     np.testing.assert_array_equal(blocks[-3.0].data, blocks[5.0].data)
     rng = np.random.default_rng([cfg.master_seed, 3])
-    rng.integers(0, params.m, size=cfg.n_d)
+    frame = channel.build_frame(params, cfg.n_p, rng.integers(0, params.m, size=cfg.n_d))
     z = rng.standard_normal((cfg.n_p + cfg.n_d, params.m, 2))[cfg.n_p:]
+    clean = channel.dechirped_spectra(params, ch, frame.symbols)[cfg.n_p:]
     for e, block in blocks.items():
         var = params.m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
         expect = (z * math.sqrt(var / 2.0)).view(np.complex128)[..., 0]
-        assert block.noise.tobytes() == expect.tobytes()
+        noise = (block.normals * block.scale).view(np.complex128)
+        assert noise.tobytes() == expect.tobytes()
+        assert block.data_spec.tobytes() == (clean + noise).tobytes()
 
 
 def test_mf_and_rake_agree_through_the_batch_paths():
@@ -273,7 +348,7 @@ def _count_mf_bank_builds(monkeypatch) -> list:
         return build(params, g)
 
     monkeypatch.setattr(simulate, "mf_filter_bank", counting)
-    monkeypatch.setattr(simulate, "_mf_bank_cache", (None, None))
+    monkeypatch.setattr(simulate, "_mf_bank_cache", {})
     return calls
 
 
@@ -291,14 +366,21 @@ def test_perfect_csir_builds_the_mf_bank_once_per_gain_set(monkeypatch):
     pytest.param(dict(csir="forced", forced_khat=(0, 2, 3)), id="forced"),
 ])
 def test_mf_equals_rake_when_the_gains_change_every_trial(monkeypatch, csir):
-    # a bank kept from another trial's gains would make mf differ from rake
-    calls = _count_mf_bank_builds(monkeypatch)
+    # a bank kept from another trial's gains would make mf differ from rake;
+    # each point of a trial has its own gains, and its bank serves all of its
+    # blocks: at 5 windows per block a one-bank cache would rebuild it for
+    # every block and point
     ebn0 = (-2.0, 0.0, 2.0)
     cfg = _small(channel="c1", detectors=("mf", "rake"), n_trials=3, ebn0_db=ebn0, **csir)
-    by = {(p.detector, p.ebn0_db): p.errors for p in run_ser_sweep(cfg)}
-    for e in ebn0:
-        assert by[("mf", e)] == by[("rake", e)]
-    assert len(set(calls)) == len(calls) == cfg.n_trials * len(ebn0)
+    calls = _count_mf_bank_builds(monkeypatch)
+    for bins in (channel.BLOCK_BINS, 5 * 128 + 3):
+        monkeypatch.setattr(channel, "BLOCK_BINS", bins)
+        calls.clear()
+        simulate._mf_bank_cache.clear()
+        by = {(p.detector, p.ebn0_db): p.errors for p in run_ser_sweep(cfg)}
+        for e in ebn0:
+            assert by[("mf", e)] == by[("rake", e)]
+        assert len(set(calls)) == len(calls) == cfg.n_trials * len(ebn0)
 
 
 @pytest.mark.parametrize("patch", [
@@ -440,7 +522,7 @@ def test_estimation_study_structure():
 
 def test_candidate_sweep_pairs_with_full_search():
     cfg = _small(detectors=("rake",), n_trials=3, n_d=300)
-    rows = run_candidate_sweep(cfg, (0.05, 0.25, 1.0))
+    rows = run_candidate_sweep(_cand(cfg), (0.05, 0.25, 1.0))
     assert [r.n_c for r in rows] == [6, 32, 128]
     full = run_ser_sweep(cfg)
     assert rows[-1].errors == full[0].errors
@@ -448,7 +530,7 @@ def test_candidate_sweep_pairs_with_full_search():
     for a, b in zip(rows, rows[1:]):
         se = math.sqrt(max(a.ser * (1 - a.ser), 1.0 / a.symbols) / a.symbols)
         assert b.ser <= a.ser + 3.0 * se
-    with pytest.raises(ConfigError):
-        run_candidate_sweep(cfg, (0.0, 0.5))
-    with pytest.raises(ConfigError):
-        run_candidate_sweep(cfg, ())
+    with pytest.raises(ConfigError, match="^nc_grid: "):
+        run_candidate_sweep(_cand(cfg), (0.0, 0.5))
+    with pytest.raises(ConfigError, match="^nc_grid: "):
+        run_candidate_sweep(_cand(cfg), ())

@@ -205,14 +205,23 @@ def apply_channel(params: LoRaParams, frame, ch: MultipathChannel) -> np.ndarray
     return out
 
 
-def complex_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian samples with total per-sample variance sigma2."""
+def complex_noise(shape, sigma2: float, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Circular complex Gaussian samples with total per-sample variance sigma2.
+
+    out, a C-contiguous complex array of the given shape, receives the same
+    draws a fresh array would.
+    """
     if not 0 <= sigma2 < math.inf:
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     # one block of interleaved (real, imaginary) pairs, scaled in place and
     # viewed as complex
-    draws = rng.standard_normal((*shape, 2))
+    if out is None:
+        draws = rng.standard_normal((*shape, 2))
+    else:
+        draws = out.view(np.float64).reshape(*shape, 2)
+        rng.standard_normal(out=draws)
     draws *= math.sqrt(sigma2 / 2.0)
     return draws.view(np.complex128).reshape(shape)
 
@@ -233,8 +242,8 @@ def dechirped_gain(params: LoRaParams, ch: MultipathChannel) -> DechirpedGains:
 
 # Bins (rows * M) of one block of windows that a trial or the fast simulator
 # holds at a time: 4 MiB per complex block array at any sf, so a trial's
-# memory does not grow with its length. The allocator still returns and
-# re-faults the freed block arrays (ROADMAP item 4).
+# memory does not grow with its length. A sweep writes its blocks into one
+# workspace of such arrays, made once per sweep (simulate._workspace).
 BLOCK_BINS = 1 << 18
 
 
@@ -244,7 +253,7 @@ def block_rows(m: int) -> int:
 
 
 def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
-                      prev: int | None = None) -> np.ndarray:
+                      prev: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Noise-free DFT of every dechirped window of a burst, in closed form.
 
     Row j equals fft(dechirp(...)) of window j of
@@ -256,7 +265,8 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     minus the window's own cyclic wrap. The first window follows prev, the
     symbol sent just before it, or silence when prev is None; chaining
     calls over consecutive parts of a burst, each with the last symbol of
-    the part before, gives the one-call spectra bit for bit.
+    the part before, gives the one-call spectra bit for bit. out is a
+    complex (len(symbols), M) array to write them in.
     """
     m = params.m
     if ch.k_max >= m:
@@ -267,7 +277,7 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     delta[1:] += heads[:-1]
     if prev is not None and s.size:
         delta[0] += window_heads(params, ch.delays, ch.gains, [prev])[0]
-    spec = np.fft.fft(delta, n=m, axis=1)
+    spec = np.fft.fft(delta, n=m, axis=1, out=out)
     add_lines(params, dechirped_gain(params, ch), s, spec)
     return spec
 

@@ -21,7 +21,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from .channel import MultipathChannel, parse_channel
 from .simulate import (
@@ -180,10 +180,10 @@ def _summary(cmd: str, seed, payload: dict, rows: int, t0: float) -> None:
     )
 
 
-def _config_payload(cfg: SimConfig) -> dict:
+def _config_payload(cfg: SimConfig, **extra) -> dict:
     payload = asdict(cfg)
     payload["channel"] = _channel_text(cfg.channel)
-    return payload
+    return {**payload, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,9 @@ def _cmd_cand_sweep(args) -> int:
              for r in rows]
     header = ["sf", "ebn0_db", "n_c", "nc_norm", "errors", "symbols", "ser", "ci95"]
     n = _write_csv(args.out, header, table)
-    _summary("cand-sweep", cfg.master_seed, _config_payload(cfg), n, t0)
+    # the sweep scores cand-rake alone, at every fraction of the grid
+    payload = _config_payload(replace(cfg, detectors=("cand-rake",)), nc_grid=args.nc_grid)
+    _summary("cand-sweep", cfg.master_seed, payload, n, t0)
     return 0
 
 

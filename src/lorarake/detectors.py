@@ -11,9 +11,10 @@ and a pilot-correlation baseline (tdel) that needs no gain estimates.
 
 Detection runs on batches: the *_scores kernels score every bin of a
 (symbols, M) block, candidate_masks picks the bins a candidate detector
-may choose, and masked_argmax decides. mf_statistic and rake_statistic
-evaluate one hypothesis of one window by direct sums; they are the
-reference forms the kernels are checked against.
+may choose, and masked_argmax decides. Each batch kernel takes an optional
+out array (and, where it needs scratch, a work array of the same shape) and
+returns a fresh array without one. mf_statistic, rake_statistic and
+rake_combine are the reference forms the kernels are checked against.
 """
 
 from __future__ import annotations
@@ -110,6 +111,42 @@ def rake_statistic(params: LoRaParams, spectrum, g: DechirpedGains, b: int) -> c
     return complex(np.sum(np.conj(gb.gains) * spec[bins]))
 
 
+def _tap_coefficients(params: LoRaParams, g: DechirpedGains) -> list[np.ndarray]:
+    # per tap, conj(gain) times its b-rotation exp(2j*pi*d*b/M) over the
+    # hypotheses b, gathered from the roots table
+    m = params.m
+    bgrid = np.arange(m)
+    roots = _chirp_tables(params.sf)[1]
+    return [np.conj(gain) * roots[(d * bgrid) & (m - 1)] for d, gain in zip(g.delays, g.gains)]
+
+
+def _shifted_product(coef: np.ndarray, spec: np.ndarray, d: int, out: np.ndarray) -> None:
+    # out = coef times the rows of spec cyclically shifted right by d
+    m = coef.size
+    np.multiply(coef[d:], spec[:, : m - d], out=out[:, d:])
+    np.multiply(coef[:d], spec[:, m - d :], out=out[:, :d])
+
+
+def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
+    """Complex tap-combining statistics for a batch of spectra: rows are symbols, columns tested bins.
+
+    Entry (i, b) is rake_statistic of spectrum row i at hypothesis b; each
+    tap adds its conjugated, b-rotated gain times the spectrum shifted by
+    the tap delay. Linear in the spectrum, so it also maps white spectral
+    noise to the statistic noise (see fastsim). The detectors decide on
+    rake_scores, its real part.
+    """
+    coefs = _tap_coefficients(params, g)
+    # delays[0] == 0, so the first tap needs no shift and starts the sum
+    z = coefs[0] * data_spec
+    if len(coefs) > 1:
+        term = np.empty_like(z)
+        for d, coef in zip(g.delays[1:], coefs[1:]):
+            _shifted_product(coef, data_spec, d, term)
+            z += term
+    return z
+
+
 def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
     """The matched-filter bank in the form mf_scores takes: a real (2 * cols, M) array.
 
@@ -145,38 +182,31 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     return bank
 
 
-def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
-    """Complex tap-combining statistics for a batch of spectra: rows are symbols, columns tested bins.
+def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains,
+                out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Tap-combining scores: the real part of rake_combine, the part every detector decides on.
 
-    Entry (i, b) is the hypothesis-b statistic of spectrum row i; each tap
-    adds its conjugated, b-rotated gain times the spectrum shifted by the
-    tap delay. Linear in the spectrum, so it also maps white spectral
-    noise to the statistic noise (see fastsim).
+    No complex sum is kept: each tap's complex product goes to work, a
+    complex array of data_spec's shape, and only its real part is added to
+    out, a real one. The products are rake_combine's, and the real part of a
+    complex sum is the sum of the real parts, so the scores are that real
+    part bit for bit. (Two real products per tap over the spectrum's
+    strided real and imaginary views were slower: numpy runs strided loops
+    without SIMD.)
     """
-    m = params.m
-    bgrid = np.arange(m)
-    # the tap's b-rotation exp(2j*pi*d*b/M), gathered from the roots table
-    roots = _chirp_tables(params.sf)[1]
-    coefs = [np.conj(gain) * roots[(d * bgrid) & (m - 1)]
-             for d, gain in zip(g.delays, g.gains)]
+    z = np.empty(data_spec.shape) if out is None else out
+    term = np.empty(data_spec.shape, dtype=np.complex128) if work is None else work
     # delays[0] == 0, so the first tap needs no shift and starts the sum
-    z = coefs[0] * data_spec
-    if len(coefs) > 1:
-        term = np.empty_like(z)
-        for d, coef in zip(g.delays[1:], coefs[1:]):
-            # coef times the spectrum cyclically shifted right by d
-            np.multiply(coef[d:], data_spec[:, : m - d], out=term[:, d:])
-            np.multiply(coef[:d], data_spec[:, m - d :], out=term[:, :d])
-            z += term
+    for i, (d, coef) in enumerate(zip(g.delays, _tap_coefficients(params, g))):
+        _shifted_product(coef, data_spec, d, term)
+        if i:
+            z += term.real
+        else:
+            np.copyto(z, term.real)
     return z
 
 
-def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
-    """Tap-combining scores: the real part of rake_combine, the part every detector decides on."""
-    return rake_combine(params, data_spec, g).real
-
-
-def mf_scores(data_dech: np.ndarray, bank: np.ndarray) -> np.ndarray:
+def mf_scores(data_dech: np.ndarray, bank: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matched-filter scores for a batch of dechirped windows through the filter bank.
 
     bank is mf_filter_bank(...), or its first cols samples for (n, cols)
@@ -186,40 +216,53 @@ def mf_scores(data_dech: np.ndarray, bank: np.ndarray) -> np.ndarray:
     view, half the flops of the complex one and no copies. Its sums run in
     another order, so scores may differ from the complex product's real part
     by a few ulp. Independent of the rake construction, so the two
-    cross-check each other.
+    cross-check each other. out is a real (n, M) array.
     """
-    return np.ascontiguousarray(data_dech).view(np.float64) @ bank
+    return np.matmul(np.ascontiguousarray(data_dech).view(np.float64), bank, out=out)
 
 
 def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains,
-                    true_symbols: np.ndarray) -> np.ndarray:
+                    true_symbols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Genie-aided bound: each window filtered with its true symbol's coefficient, then a DFT.
 
     Row i holds the real part of the spectrum of conj(C_a) * window i, with
-    a = true_symbols[i]; its argmax is the ideal detector's decision.
+    a = true_symbols[i]; its argmax is the ideal detector's decision. The
+    spectra are made in out, a complex (n, M) array, and the real view of
+    it is returned.
     """
     m = params.m
     hc = np.conj(channel_coefficient(params, g, 0))
     # window a of the doubled row is conj(C_a)[k] = conj(C_0)[(a + k) % M]
-    rows = sliding_window_view(np.concatenate((hc, hc)), m)[true_symbols]
+    heads = sliding_window_view(np.concatenate((hc, hc)), m)
+    rows = np.empty(np.shape(data_dech), dtype=np.complex128) if out is None else out
+    # row by row: a gather by index would make an (n, M) index or copy
+    for i, a in enumerate(true_symbols):
+        rows[i] = heads[a]
     np.multiply(rows, data_dech, out=rows)
-    return np.fft.fft(rows, axis=1).real
+    return np.fft.fft(rows, axis=1, out=rows).real
 
 
-def candidate_masks(mag: np.ndarray, rule: tuple[str, float]) -> np.ndarray:
+def candidate_masks(mag: np.ndarray, rule: tuple[str, float], out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Boolean (symbols, M) mask of the bins each candidate detector scores.
 
     rule ("fixed", n_c) keeps the n_c highest-magnitude bins of each row,
     ties to the lower index. rule ("threshold", rho_c) keeps the bins whose
     magnitude strictly exceeds rho_c times the row peak; a row with no such
-    bin (all zero) keeps its argmax bin, which is bin 0.
+    bin (all zero) keeps its argmax bin, which is bin 0. out is a boolean
+    array of mag's shape; work, a real one, holds the fixed rule's
+    partitioned copy of mag.
     """
     kind, val = rule
+    mask = np.empty(mag.shape, dtype=bool) if out is None else out
     if kind == "fixed":
         n_c = int(val)
         # keep every bin at or above the n_c-th largest magnitude of its row
-        thr = np.partition(mag, mag.shape[1] - n_c, axis=1)[:, -n_c, None]
-        mask = mag >= thr
+        part = np.empty_like(mag) if work is None else work
+        np.copyto(part, mag)
+        part.partition(mag.shape[1] - n_c, axis=1)
+        thr = part[:, -n_c, None]
+        np.greater_equal(mag, thr, out=mask)
         over = np.flatnonzero(np.count_nonzero(mask, axis=1) > n_c)
         if over.size:
             # more bins tie at the threshold than fit: the lowest-index ones fill up
@@ -228,16 +271,41 @@ def candidate_masks(mag: np.ndarray, rule: tuple[str, float]) -> np.ndarray:
             room = n_c - np.count_nonzero(sub > t, axis=1)
             mask[over] = (sub > t) | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
         return mask
-    mask = mag > val * mag.max(axis=1, keepdims=True)
+    np.greater(mag, val * mag.max(axis=1, keepdims=True), out=mask)
     dead = np.flatnonzero(~mask.any(axis=1))
     if dead.size:
         mask[dead, np.argmax(mag[dead], axis=1)] = True
     return mask
 
 
-def masked_argmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row argmax over the masked bins only; ties resolve to the lowest bin."""
-    return np.argmax(np.where(mask, scores, -np.inf), axis=1)
+def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-row argmax over the masked bins only; ties resolve to the lowest bin.
+
+    The masked scores, -inf elsewhere, are written to out, a real array of
+    scores' shape.
+    """
+    filled = np.empty(scores.shape) if out is None else out
+    filled.fill(-np.inf)
+    np.copyto(filled, scores, where=mask)
+    return np.argmax(filled, axis=1)
+
+
+# bins of a strided array _argmax_rows copies at a time (256 KiB of floats)
+_ARGMAX_BINS = 1 << 15
+
+
+def _argmax_rows(a: np.ndarray) -> np.ndarray:
+    """np.argmax(a, axis=-1) for a strided (..., M) array, such as a complex array's real part.
+
+    np.argmax copies a strided array whole into a contiguous one; this
+    copies it a few rows at a time.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    step = max(1, _ARGMAX_BINS // a.shape[-1])
+    dec = np.empty(rows.shape[0], dtype=np.intp)
+    for r in range(0, rows.shape[0], step):
+        np.argmax(rows[r : r + step], axis=1, out=dec[r : r + step])
+    return dec.reshape(a.shape[:-1])
 
 
 _DELTA_VARIANTS = ("coh", "noncoh", "ideal_mf", "mf")
@@ -283,7 +351,7 @@ def delta_indicator(params: LoRaParams, ch, a: int, variant: str) -> float:
     return best / denom
 
 
-def tdel_detect(avg_pilot_spectrum, data_spectrum, rho_tdel: float):
+def tdel_detect(avg_pilot_spectrum, data_spectrum, rho_tdel: float, out: np.ndarray | None = None):
     """Threshold-and-correlate detector on magnitude spectra.
 
     The averaged pilot magnitude profile is thresholded at rho_tdel times
@@ -291,7 +359,8 @@ def tdel_detect(avg_pilot_spectrum, data_spectrum, rho_tdel: float):
     zero every bin, the single peak bin is kept). The profile is then
     cyclically cross-correlated with the data magnitude spectrum and the
     argmax shift is the symbol estimate. Magnitude-only, so global phase
-    never matters. Accepts (..., M) batches of data spectra.
+    never matters. Accepts (..., M) batches of data spectra; the
+    correlation is made in out, a complex array of their shape.
     """
     if rho_tdel <= 0:
         raise ValueError(f"rho_tdel must be > 0, got {rho_tdel}")
@@ -301,7 +370,13 @@ def tdel_detect(avg_pilot_spectrum, data_spectrum, rho_tdel: float):
         # threshold above the peak: fall back to the peak bin alone
         kept = np.zeros_like(p)
         kept[int(np.argmax(p))] = float(p.max())
-    q = np.abs(np.asarray(data_spectrum))
-    corr = np.fft.ifft(np.conj(np.fft.fft(kept)) * np.fft.fft(q, axis=-1), axis=-1).real
-    dec = np.argmax(corr, axis=-1)
+    spec = np.asarray(data_spectrum)
+    corr = np.empty(spec.shape, dtype=np.complex128) if out is None else out
+    # the magnitudes as complex values, the input the FFT casts them to
+    np.abs(spec, out=corr.real)
+    corr.imag = 0.0
+    np.fft.fft(corr, axis=-1, out=corr)
+    np.multiply(np.conj(np.fft.fft(kept)), corr, out=corr)
+    np.fft.ifft(corr, axis=-1, out=corr)
+    dec = _argmax_rows(corr.real)
     return int(dec) if np.ndim(dec) == 0 else dec

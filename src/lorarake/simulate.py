@@ -11,6 +11,8 @@ Monte Carlo unit with one RNG stream keyed by (master_seed, trial), so
 results do not depend on the worker count. It makes each block's standard
 normals and noise-free spectra once, and every Eb/N0 point scales the normals
 to its own noise variance, so the points of one run are common random numbers.
+Every block array is written into one workspace per process, made once per
+sweep, so the blocks of a sweep allocate no block memory.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +42,7 @@ from .complexity import OpCount, complexity_ratio, op_count
 # The kernels keep their former private names here because perfbench traces
 # them by wrapping these attributes of this module; calls resolve through it.
 from .detectors import (
+    _argmax_rows,
     candidate_masks as _candidate_masks,
     ideal_mf_scores as _ideal_scores,
     masked_argmax as _masked_argmax,
@@ -295,6 +298,56 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial])
 
 
+# Bytes per bin of each workspace region, in layout order. normals, clean and
+# spectra hold a block's standard normals, noise-free spectra and one point's
+# noisy spectra; dech, mag, rake, mf and mask hold a point's data rows through
+# one stage each. work is complex-size scratch that a stage uses only while it
+# runs: the rake's tap products, the partition behind a candidate mask, the
+# masked scores, the coh, coh-awgn, ideal-mf and tdel scores.
+_REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "dech": 16, "work": 16,
+                 "mag": 8, "rake": 8, "mf": 8, "mask": 1}
+
+
+class _Workspace:
+    """A process's block arrays for one sweep, carved from one allocation.
+
+    Each region holds rows windows of M bins: block_rows(M) rows (n_p + 1
+    when a first block of pilots needs more), or the n_p + n_d windows of a
+    shorter burst. A block writes its leading rows. One allocation keeps a
+    sweep independent of the allocator's history: no block array is freed,
+    handed back to the system and faulted in again between blocks.
+    """
+
+    def __init__(self, m: int, rows: int, names: frozenset):
+        self.m = m
+        sizes = {name: rows * m * size for name, size in _REGION_BYTES.items() if name in names}
+        self._buf = np.empty(sum(sizes.values()), dtype=np.uint8)
+        self._regions, start = {}, 0
+        for name, size in sizes.items():
+            self._regions[name] = self._buf[start : start + size]
+            start += size
+
+    @property
+    def nbytes(self) -> int:
+        return self._buf.nbytes
+
+    def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        """The first n rows of a region, an (n, M) array of dtype."""
+        size = n * self.m * np.dtype(dtype).itemsize
+        return self._regions[name][:size].view(dtype).reshape(n, self.m)
+
+
+@lru_cache(maxsize=1)
+def _workspace(params: LoRaParams, cfg: SimConfig) -> _Workspace:
+    """This process's one workspace, for cfg's sweep: the regions its detectors
+    write, at the rows of a trial's largest block. _map_points clears it when
+    the sweep ends."""
+    names = frozenset({"normals", "clean", "spectra"}).union(
+        *(_DETECTORS[det].buffers for det in cfg.detectors))
+    rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
+    return _Workspace(params.m, rows, names)
+
+
 @dataclass
 class _TrialData:
     """One block of a trial at one point: its data symbols and noisy window
@@ -303,12 +356,14 @@ class _TrialData:
     The dechirped samples, magnitudes, scores and candidate mask are
     computed on first use, so the detectors that share them (mf and
     ideal-mf, noncoh and the candidate mask, mf and cand-mf, rake and
-    cand-rake) pay for each once per block.
+    cand-rake) pay for each once per block. Each is written into its region
+    of the workspace, valid until the next block or point is made.
     """
 
     params: LoRaParams
     ch: MultipathChannel
     cfg: SimConfig
+    ws: _Workspace
     data: np.ndarray
     data_spec: np.ndarray
     pilot_avg: np.ndarray | None
@@ -316,25 +371,36 @@ class _TrialData:
     normals: np.ndarray  # the data rows' standard normals, an (re, im) pair per bin
     scale: float  # the point's spectral noise alone is normals * scale, read by coh-awgn
 
+    def region(self, name: str, dtype=np.float64) -> np.ndarray:
+        """The workspace region name as an (n, M) array over this block's data rows."""
+        return self.ws.take(name, self.data.size, dtype)
+
     @cached_property
     def data_dech(self) -> np.ndarray:
-        return np.fft.ifft(self.data_spec, axis=1)
+        return np.fft.ifft(self.data_spec, axis=1, out=self.region("dech", np.complex128))
 
     @cached_property
     def mag(self) -> np.ndarray:
-        return np.abs(self.data_spec)
+        return np.abs(self.data_spec, out=self.region("mag"))
 
     @cached_property
     def rake(self) -> np.ndarray:
-        return _rake_scores(self.params, self.data_spec, self.gains)
+        return _rake_scores(self.params, self.data_spec, self.gains, out=self.region("rake"),
+                            work=self.region("work", np.complex128))
 
     @cached_property
     def mf(self) -> np.ndarray:
-        return _mf_scores(self.data_dech, _mf_bank(self.params, self.gains, self.cfg._mf_banks()))
+        bank = _mf_bank(self.params, self.gains, self.cfg._mf_banks())
+        return _mf_scores(self.data_dech, bank, out=self.region("mf"))
 
     @cached_property
     def mask(self) -> np.ndarray:
-        return _candidate_masks(self.mag, self.cfg.candidate_rule())
+        return self.candidates(self.cfg.candidate_rule())
+
+    def candidates(self, rule: tuple[str, float]) -> np.ndarray:
+        """The block's candidate mask under rule, written into the mask region."""
+        return _candidate_masks(self.mag, rule, out=self.region("mask", bool),
+                                work=self.region("work"))
 
 
 # Gain set -> mf bank in the form _mf_scores takes, oldest first. With perfect
@@ -362,8 +428,11 @@ def _trial_setup(params, ch, cfg, trial) -> Iterator[tuple[int, _TrialData]]:
     and its noise-free spectra continue the previous block's last symbol. Each
     point in axis order scales the normals to its variance and adds the
     spectra; the first block fixes its gains, from its pilots if estimated.
+    Every array of a yielded block is a view of the process's workspace, so
+    a block is valid until the next yield.
     """
     m = params.m
+    ws = _workspace(params, cfg)
     rng = _trial_rng(cfg.master_seed, trial)
     data = rng.integers(0, m, size=cfg.n_d)
     # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
@@ -371,15 +440,23 @@ def _trial_setup(params, ch, cfg, trial) -> Iterator[tuple[int, _TrialData]]:
     scales = [math.sqrt(m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr")) / 2.0)
               for e in cfg.ebn0_db]
     pilot_avg, gains = [None] * len(scales), [None] * len(scales)
+    if cfg.csir == "perfect" and {"mf", "cand-mf"} & set(cfg.detectors):
+        # the one bank is built before any block array is written, so the
+        # build's temporaries never sit on top of the block memory
+        _mf_bank(params, dechirped_gain(params, ch))
     rows = block_rows(m)
     n_p, start, prev = cfg.n_p, 0, None
     while start < cfg.n_d:
         stop = min(cfg.n_d, start + max(1, rows - n_p))
         symbols = build_frame(params, n_p, data[start:stop]).symbols
-        normals = complex_noise((symbols.size, m), 2.0, rng).view(np.float64)
-        clean = dechirped_spectra(params, ch, symbols, prev)
+        n = symbols.size
+        normals = complex_noise((n, m), 2.0, rng,
+                                out=ws.take("normals", n, np.complex128)).view(np.float64)
+        clean = dechirped_spectra(params, ch, symbols, prev,
+                                  out=ws.take("clean", n, np.complex128))
+        spectra = ws.take("spectra", n, np.complex128)
         for i, scale in enumerate(scales):
-            spectra = (normals * scale).view(np.complex128)
+            np.multiply(normals, scale, out=spectra.view(np.float64))
             spectra += clean
             if start == 0:
                 pilot_avg[i] = average_pilot_dft(spectra[:n_p]) if n_p else None
@@ -390,40 +467,52 @@ def _trial_setup(params, ch, cfg, trial) -> Iterator[tuple[int, _TrialData]]:
                 else:
                     gains[i] = detect_paths(params, pilot_avg[i], cfg.rho_p, cfg.k_max,
                                             ch.n_paths if cfg.known_k else None)
-            yield i, _TrialData(params, ch, cfg, symbols[n_p:], spectra[n_p:], pilot_avg[i],
+            yield i, _TrialData(params, ch, cfg, ws, symbols[n_p:], spectra[n_p:], pilot_avg[i],
                                 gains[i], normals[n_p:], scale)
-            del spectra  # the caller drops the block too: one point's at a time
         n_p, start, prev = 0, stop, int(symbols[-1])
 
 
 def _coh_awgn_decisions(t: _TrialData) -> np.ndarray:
     # flat single-tap reference carrying the same energy under the same
     # noise: its noise-free spectrum is sqrt(E) * M at the sent bin alone
-    scores = t.normals[:, ::2] * t.scale  # the real part of the noise
+    # the real part of the noise
+    scores = np.multiply(t.normals[:, ::2], t.scale, out=t.region("work"))
     scores[np.arange(t.data.size), t.data] += math.sqrt(t.ch.energy()) * t.params.m
     return np.argmax(scores, axis=1)
+
+
+def _coh_decisions(t: _TrialData) -> np.ndarray:
+    work = t.region("work", np.complex128)
+    return _argmax_rows(np.multiply(np.conj(t.gains.gains[0]), t.data_spec, out=work).real)
 
 
 class _Detector(NamedTuple):
     decide: Callable[[_TrialData], np.ndarray]
     op_kind: str | None = None  # op_count kind; None reports zero cost
     candidates: bool = False  # decides among the trial's candidate mask only
+    buffers: tuple[str, ...] = ()  # the workspace regions its rule writes (_REGION_BYTES)
 
 
 # Every detector id with its decision rule. The rules are small functions
 # rather than the kernels themselves, so each call looks its kernel up in
 # this module's globals, where perfbench's tracer wraps it.
 _DETECTORS = {
-    "noncoh": _Detector(lambda t: np.argmax(t.mag, axis=1)),
-    "coh": _Detector(lambda t: np.argmax((np.conj(t.gains.gains[0]) * t.data_spec).real, axis=1)),
-    "coh-awgn": _Detector(_coh_awgn_decisions),
+    "noncoh": _Detector(lambda t: np.argmax(t.mag, axis=1), buffers=("mag",)),
+    "coh": _Detector(_coh_decisions, buffers=("work",)),
+    "coh-awgn": _Detector(_coh_awgn_decisions, buffers=("work",)),
     "ideal-mf": _Detector(
-        lambda t: np.argmax(_ideal_scores(t.params, t.data_dech, t.gains, t.data), axis=1)),
-    "mf": _Detector(lambda t: np.argmax(t.mf, axis=1), "mf"),
-    "cand-mf": _Detector(lambda t: _masked_argmax(t.mf, t.mask), "cand_mf", candidates=True),
-    "rake": _Detector(lambda t: np.argmax(t.rake, axis=1), "rake"),
-    "cand-rake": _Detector(lambda t: _masked_argmax(t.rake, t.mask), "cand_rake", candidates=True),
-    "tdel": _Detector(lambda t: tdel_detect(t.pilot_avg, t.data_spec, t.cfg.rho_tdel)),
+        lambda t: _argmax_rows(_ideal_scores(t.params, t.data_dech, t.gains, t.data,
+                                             out=t.region("work", np.complex128))),
+        buffers=("dech", "work")),
+    "mf": _Detector(lambda t: np.argmax(t.mf, axis=1), "mf", buffers=("dech", "mf")),
+    "cand-mf": _Detector(lambda t: _masked_argmax(t.mf, t.mask, out=t.region("work")), "cand_mf",
+                         candidates=True, buffers=("dech", "mf", "mag", "mask", "work")),
+    "rake": _Detector(lambda t: np.argmax(t.rake, axis=1), "rake", buffers=("rake", "work")),
+    "cand-rake": _Detector(lambda t: _masked_argmax(t.rake, t.mask, out=t.region("work")),
+                           "cand_rake", candidates=True, buffers=("rake", "work", "mag", "mask")),
+    "tdel": _Detector(lambda t: tdel_detect(t.pilot_avg, t.data_spec, t.cfg.rho_tdel,
+                                            out=t.region("work", np.complex128)),
+                      buffers=("work",)),
 }
 
 DETECTOR_IDS = tuple(_DETECTORS)
@@ -454,7 +543,6 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
         if candidates:
             masked[i] += int(st.mask.sum())
         k_hat[i] = st.gains.n_paths
-        del st  # drop this point's block before the next point's is made
     return [{det: (errs[det], *_trial_sums(_DETECTORS[det], params, k, cfg.n_d, bins))
              for det in cfg.detectors} for errs, bins, k in zip(errors, masked, k_hat)]
 
@@ -465,12 +553,15 @@ def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, tup
     the trials run on at most min(cfg.workers, cfg.n_trials) worker processes."""
     tasks = [(params, ch, cfg, trial, *extra) for trial in range(cfg.n_trials)]
     workers = min(cfg.workers, len(tasks))
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
-    else:
-        results = [fn(*t) for t in tasks]
+    try:
+        if workers > 1:
+            chunk = max(1, len(tasks) // (workers * 4))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+        else:
+            results = [fn(*t) for t in tasks]
+    finally:
+        _workspace.cache_clear()  # a caller holds no block memory between sweeps
     return list(zip(cfg.ebn0_db, zip(*results)))
 
 
@@ -676,7 +767,6 @@ def _cand_sweep_trial(params, ch, cfg, trial, nc_list) -> list[list[int]]:
     errors = [[0] * len(nc_list) for _ in cfg.ebn0_db]
     for i, st in _trial_setup(params, ch, cfg, trial):
         for j, n_c in enumerate(nc_list):
-            dec = _masked_argmax(st.rake, _candidate_masks(st.mag, ("fixed", n_c)))
+            dec = _masked_argmax(st.rake, st.candidates(("fixed", n_c)), out=st.region("work"))
             errors[i][j] += int(np.sum(dec != st.data))
-        del st
     return errors

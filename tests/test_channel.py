@@ -343,6 +343,10 @@ def test_complex_noise_is_bitwise_the_one_block_formula(shape, sigma2, seed):
     ref.imag = scale * draws[..., 1]
     out = complex_noise(shape, sigma2, np.random.default_rng(seed))
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    # the same draws into a used array, as a sweep's workspace hands it
+    used = np.full(ref.shape, np.nan + 1j)
+    got = complex_noise(shape, sigma2, np.random.default_rng(seed), out=used)
+    assert got.tobytes() == used.tobytes() == ref.tobytes()
 
 
 @st.composite
@@ -393,3 +397,9 @@ def test_chained_spectra_are_bitwise_the_one_call_spectra(case, cuts):
     parts = [dechirped_spectra(p, ch, s[a:b], int(s[a - 1]) if a else None)
              for a, b in zip(edges, edges[1:])]
     assert np.concatenate(parts).tobytes() == dechirped_spectra(p, ch, s).tobytes()
+    # each part written into the leading rows of one used array, as a sweep's
+    # blocks are
+    used = np.full((max(1, s.size), p.m), np.nan + 1j)
+    for (a, b), part in zip(zip(edges, edges[1:]), parts):
+        got = dechirped_spectra(p, ch, s[a:b], int(s[a - 1]) if a else None, out=used[: b - a])
+        assert got.tobytes() == part.tobytes()

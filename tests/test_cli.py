@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import lorarake
+from lorarake import cli
 from lorarake.cli import main, parse_ebn0_axis
+from lorarake.simulate import SimConfig
 
 
 def _run(capsys, argv):
@@ -309,6 +311,21 @@ def test_cand_sweep_csv(capsys):
     assert len(lines) == 3
     assert lines[1].split(",")[2] == "6"
     assert lines[2].split(",")[2] == "128"
+
+
+def test_cand_sweep_hash_covers_the_grid_and_the_one_detector(capsys):
+    # two grids print two CSVs, so they hash to two configs; a detectors field
+    # the sweep does not score is not in the hash
+    argv = ["cand-sweep", "--sf", "7", "--ebn0", "0", "--n-trials", "1", "--n-d", "10"]
+    hashes = []
+    for grid in ("0.5", "0.25,1.0"):
+        rc, _, err = _run(capsys, [*argv, "--nc-grid", grid])
+        assert rc == 0
+        hashes.append(err.split("config=")[1].split()[0])
+    assert hashes[0] != hashes[1]
+    cfg = SimConfig(sf=7, ebn0_db=(0.0,), n_trials=1, n_d=10, detectors=("cand-rake",))
+    payload = cli._config_payload(cfg, nc_grid=(0.5,))
+    assert hashes[0] == cli._config_hash(payload)
 
 
 def test_demo_runs_clean(capsys):

@@ -29,6 +29,7 @@ from lorarake.detectors import (
     mf_filter_bank,
     mf_scores,
     mf_statistic,
+    rake_combine,
     rake_scores,
     rake_statistic,
     tdel_detect,
@@ -460,6 +461,56 @@ def test_rake_scores_are_bitwise_the_roll_sum(case):
         phase = np.exp(2j * np.pi * ((d * bgrid) % m) / m)
         z += (np.conj(gain) * phase) * np.roll(spec, d, axis=1)
     assert rake_scores(p, spec, g).tobytes() == z.real.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_channel_case(min_sf=2, anywhere=True, max_sf=12))
+@example((LoRaParams(12), MultipathChannel((0, 1, 2048, 4095), (3.0, 0.7j, -1.0, 0.2)), 4))
+def test_rake_scores_are_bitwise_the_real_part_of_rake_combine(case):
+    # the kernel keeps no complex sum, only the real parts of rake_combine's
+    # tap products, added in the same order: the same floats, so the same
+    # decisions
+    p, ch, seed = case
+    g = dechirped_gain(p, ch)
+    spec = np.fft.fft(_windows(p, np.random.default_rng(seed)), axis=1)
+    assert rake_scores(p, spec, g).tobytes() == rake_combine(p, spec, g).real.tobytes()
+
+
+def _used(shape, dtype, rng):
+    # a buffer left over from other work: random floats, infinities and nans
+    junk = rng.standard_normal(int(np.prod(shape)) * np.dtype(dtype).itemsize // 8)
+    junk[::7], junk[::11] = np.nan, -np.inf
+    return junk.view(dtype).reshape(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_channel_case(min_sf=2, anywhere=True))
+def test_kernels_write_the_same_bytes_into_used_buffers(case):
+    # a sweep hands each kernel arrays that hold an earlier block's values;
+    # every kernel overwrites them and returns what it returns without them
+    p, ch, seed = case
+    rng = np.random.default_rng(seed)
+    g = dechirped_gain(p, ch)
+    rd = _windows(p, rng, n=9)
+    spec = np.fft.fft(rd, axis=1)
+    mag = np.abs(spec)
+    sent = rng.integers(0, p.m, size=rd.shape[0])
+    shape = rd.shape
+    real, cplx = (lambda: _used(shape, float, rng)), (lambda: _used(shape, complex, rng))
+    mask = candidate_masks(mag, ("fixed", 3))
+    cases = [
+        (rake_scores(p, spec, g), rake_scores(p, spec, g, out=real(), work=cplx())),
+        (mf_scores(rd, mf_filter_bank(p, g)), mf_scores(rd, mf_filter_bank(p, g), out=real())),
+        (ideal_mf_scores(p, rd, g, sent), ideal_mf_scores(p, rd, g, sent, out=cplx())),
+        (masked_argmax(rake_scores(p, spec, g), mask),
+         masked_argmax(rake_scores(p, spec, g), mask, out=real())),
+        (tdel_detect(spec[0], spec, 0.3), tdel_detect(spec[0], spec, 0.3, out=cplx())),
+    ]
+    for rule in (("fixed", 1), ("fixed", 3), ("fixed", p.m), ("threshold", 0.5)):
+        cases.append((candidate_masks(mag, rule),
+                      candidate_masks(mag, rule, out=rng.random(shape) < 0.5, work=real())))
+    for fresh, reused in cases:
+        assert reused.tobytes() == fresh.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

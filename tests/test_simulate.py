@@ -300,10 +300,14 @@ def test_points_pair_across_different_axes(axis, rows, csir):
 def test_every_point_scales_the_trials_standard_normals():
     # the trial's generator draws the data symbols, then the standard normals
     # of the first block (at sf 7 the whole burst); each point scales the
-    # same normals to its variance and adds the same noise-free spectra
+    # same normals to its variance and adds the same noise-free spectra. A
+    # block's arrays live in the workspace until the next yield, so each kept
+    # block keeps copies
     cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), master_seed=4)
     params, ch = cfg.resolve()
-    blocks = {cfg.ebn0_db[i]: block for i, block in simulate._trial_setup(params, ch, cfg, 3)}
+    blocks = {cfg.ebn0_db[i]: replace(block, data_spec=block.data_spec.copy(),
+                                      normals=block.normals.copy())
+              for i, block in simulate._trial_setup(params, ch, cfg, 3)}
     assert len(blocks) == 2
     np.testing.assert_array_equal(blocks[-3.0].data, blocks[5.0].data)
     rng = np.random.default_rng([cfg.master_seed, 3])
@@ -416,6 +420,68 @@ def test_trial_memory_is_one_block_whatever_n_d():
     peak = _trial_peak_bytes(1000)
     assert peak < 48 * 2**20
     assert _trial_peak_bytes(4000) <= 1.1 * peak
+
+
+def _traced_sweep(cfg: SimConfig, grid=None) -> tuple[int, int]:
+    """(tracemalloc peak of one ser sweep, or candidate sweep over grid, bytes of its workspace)."""
+    swept = cfg if grid is None else replace(cfg, detectors=("cand-rake",))
+    params, _ = swept.resolve()
+    ws_bytes = simulate._workspace(params, swept).nbytes
+    simulate._workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        if grid is None:
+            run_ser_sweep(cfg)
+        else:
+            run_candidate_sweep(_cand(cfg), grid)
+        return tracemalloc.get_traced_memory()[1], ws_bytes
+    finally:
+        tracemalloc.stop()
+
+
+# at sf 7 a block holds 2048 windows: two blocks, the first one full
+_FULL_BLOCKS = dict(sf=7, channel="c1", ebn0_db=(-2.0, 2.0), n_trials=1, n_d=2100, n_p=3)
+
+
+@pytest.mark.parametrize("csir", ["perfect", "estimated"])
+def test_ser_sweep_peaks_within_one_block_array_of_its_workspace(monkeypatch, csir):
+    # every block array is a view of the workspace; what else a sweep holds
+    # (symbols, pilots, the sf 7 mf banks, per-row results) stays below one
+    # real block array
+    monkeypatch.setattr(simulate, "_mf_bank_cache", {})
+    peak, ws_bytes = _traced_sweep(_small(detectors=simulate.DETECTOR_IDS, csir=csir, n_c=9,
+                                          **_FULL_BLOCKS))
+    assert ws_bytes >= 2048 * 128 * 16 * 4
+    assert peak - ws_bytes < channel.BLOCK_BINS * 8
+
+
+def test_candidate_sweep_peaks_within_one_block_array_of_its_workspace():
+    peak, ws_bytes = _traced_sweep(_small(**_FULL_BLOCKS), (0.05, 0.5, 1.0))
+    assert peak - ws_bytes < channel.BLOCK_BINS * 8
+
+
+@pytest.mark.parametrize("cfg, before", [
+    # the benchmark's sf10-mf-perfect and sf12-cand-est detector sets, and the
+    # tracemalloc peak of their sweeps when each block allocated its own arrays
+    pytest.param(dict(sf=10, channel="c2", detectors=("ideal-mf", "mf", "cand-mf", "rake"),
+                      rho_c=0.3, n_d=260), 28.7, id="sf10-mf"),
+    pytest.param(dict(sf=12, channel="c1", detectors=("noncoh", "rake", "cand-rake"),
+                      csir="estimated", n_p=6, n_c=32, n_d=70), 22.4, id="sf12-cand"),
+])
+def test_workspace_is_smaller_than_the_per_block_arrays_it_replaced(cfg, before):
+    # two blocks of each (the first full); a first sweep builds the kept sf 10
+    # bank, which the per-block peaks did not count either
+    cfg = _small(**cfg, ebn0_db=(-4.0, -2.0, 0.0), n_trials=1)
+    run_ser_sweep(cfg)
+    peak, ws_bytes = _traced_sweep(cfg)
+    assert ws_bytes <= peak <= before * 2**20
+    assert peak - ws_bytes < channel.BLOCK_BINS * 8
+
+
+def test_a_sweep_leaves_no_workspace_behind():
+    run_ser_sweep(_small(detectors=("rake", "cand-rake"), n_c=5))
+    run_candidate_sweep(_cand(_small()), (0.5,))
+    assert simulate._workspace.cache_info().currsize == 0
 
 
 def test_full_candidate_set_reproduces_full_search():

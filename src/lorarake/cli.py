@@ -26,6 +26,7 @@ from dataclasses import asdict, fields, replace
 from .channel import MultipathChannel, parse_channel
 from .simulate import (
     DEFAULT_NC_GRID,
+    MAX_EBN0_POINTS,
     ConfigError,
     SimConfig,
     run_candidate_sweep,
@@ -47,22 +48,29 @@ def parse_ebn0_axis(text: str) -> tuple[float, ...]:
     """Parse "start:step:stop" (inclusive stop) or a comma list of dB values.
 
     Use the --ebn0=-4:1:4 form when the range starts negative, so the
-    shell and argparse do not mistake the value for an option.
+    shell and argparse do not mistake the value for an option. A range is
+    counted before it is built, so one of more than MAX_EBN0_POINTS points
+    fails at once.
     """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"expected start:step:stop, got {text!r}")
+            raise ConfigError("ebn0_db", f"expected start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ConfigError("ebn0_db", f"start, step and stop must be finite, got {text!r}")
         if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            raise ConfigError("ebn0_db", f"step must be positive, got {step}")
+        span = (stop - start) / step + 1e-9  # points after the first; inf when step is tiny
+        if span >= MAX_EBN0_POINTS:
+            raise ConfigError("ebn0_db", f"{text!r} has more than {MAX_EBN0_POINTS} points")
+        count = int(math.floor(span)) + 1
         if count < 1:
-            raise ValueError(f"empty Eb/N0 range {text!r}")
+            raise ConfigError("ebn0_db", f"empty Eb/N0 range {text!r}")
         return tuple(round(start + i * step, 12) for i in range(count))
     values = tuple(float(p) for p in text.split(",") if p.strip())
     if not values:
-        raise ValueError(f"no Eb/N0 values in {text!r}")
+        raise ConfigError("ebn0_db", f"no Eb/N0 values in {text!r}")
     return values
 
 

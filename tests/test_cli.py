@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,20 @@ def test_committed_output_holds_across_worker_processes(tmp_path, capsys):
     # each of two processes runs one trial over every point; the sweep puts
     # the trials' rows back per point
     _assert_matches_committed_output(tmp_path, capsys, "ser_estimated_sf8.csv", "--workers", "2")
+    # the study's 20 sweeps share one pool of two processes
+    _assert_matches_committed_output(tmp_path, capsys, "estimate_study_sf6.csv", "--workers", "2")
+
+
+def test_an_axis_of_too_many_points_fails_before_it_is_built(capsys):
+    # 0:1e-20:1 is 1e20 points: the count is checked from start, step and
+    # stop, so the command fails at once instead of building the tuple
+    t0 = time.perf_counter()
+    for axis in ("0:1e-20:1", "0:1e-320:1", "0:0.001:1", "0:1:inf", "nan:1:2"):
+        rc, out, err = _run(capsys, ["ser", "--sf", "7", f"--ebn0={axis}"])
+        assert rc == 2 and out == "", axis
+        assert err.startswith("error: ebn0_db: "), axis
+    assert time.perf_counter() - t0 < 10
+    assert len(parse_ebn0_axis("0:0.001:0.999")) == 1000
 
 
 def test_python_dash_m_runs_the_cli():

@@ -359,8 +359,14 @@ def tdel_detect(avg_pilot_spectrum, data_spectrum, rho_tdel: float, out: np.ndar
     zero every bin, the single peak bin is kept). The profile is then
     cyclically cross-correlated with the data magnitude spectrum and the
     argmax shift is the symbol estimate. Magnitude-only, so global phase
-    never matters. Accepts (..., M) batches of data spectra; the
-    correlation is made in out, a complex array of their shape.
+    never matters. Accepts (..., M) batches of complex data spectra or of
+    their real magnitudes; the absolute values of either are correlated.
+
+    Both correlations of a row pair are real, so one complex transform
+    makes two: row 2i's magnitudes are packed into the real part and row
+    2i+1's into the imaginary part, and each comes back in its own part.
+    out, a complex array of at least ceil(n/2) rows of M bins for n data
+    rows, holds the packed rows; only its first ceil(n/2) rows are written.
     """
     if rho_tdel <= 0:
         raise ValueError(f"rho_tdel must be > 0, got {rho_tdel}")
@@ -371,12 +377,18 @@ def tdel_detect(avg_pilot_spectrum, data_spectrum, rho_tdel: float, out: np.ndar
         kept = np.zeros_like(p)
         kept[int(np.argmax(p))] = float(p.max())
     spec = np.asarray(data_spectrum)
-    corr = np.empty(spec.shape, dtype=np.complex128) if out is None else out
-    # the magnitudes as complex values, the input the FFT casts them to
-    np.abs(spec, out=corr.real)
-    corr.imag = 0.0
-    np.fft.fft(corr, axis=-1, out=corr)
-    np.multiply(np.conj(np.fft.fft(kept)), corr, out=corr)
-    np.fft.ifft(corr, axis=-1, out=corr)
-    dec = _argmax_rows(corr.real)
-    return int(dec) if np.ndim(dec) == 0 else dec
+    rows = spec.reshape(-1, p.size)
+    n = rows.shape[0]
+    half = n // 2
+    z = (np.empty((n - half, p.size), dtype=np.complex128) if out is None
+         else out.reshape(-1, p.size)[: n - half])
+    np.abs(rows[0::2], out=z.real)
+    np.abs(rows[1::2], out=z.imag[:half])
+    z.imag[half:] = 0.0
+    np.fft.fft(z, axis=-1, out=z)
+    np.multiply(np.conj(np.fft.fft(kept)), z, out=z)
+    np.fft.ifft(z, axis=-1, out=z)
+    dec = np.empty(n, dtype=np.intp)
+    dec[0::2] = _argmax_rows(z.real)
+    dec[1::2] = _argmax_rows(z.imag[:half])
+    return int(dec[0]) if spec.ndim == 1 else dec.reshape(spec.shape[:-1])

@@ -84,7 +84,8 @@ __all__ = [
 _DEFAULT_RHO_C = 0.3
 
 # The most Eb/N0 points one sweep takes. A trial keeps every point's results,
-# and with perfect CSIR a block keeps every point's candidate mask (a byte a bin).
+# and with perfect CSIR a ser sweep's block keeps every point's candidate mask
+# (a byte a bin).
 MAX_EBN0_POINTS = 1000
 
 
@@ -314,12 +315,13 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 # point's noisy spectra, and mag and mask a point's magnitudes and candidate
 # mask. With shared gains the linear kernels then score the normals and the
 # noise-free spectra into the two real halves of spectra, taking the inverse
-# FFT of both in place for mf and ideal-mf, and mask keeps every point's mask;
-# without, scores holds a kernel's scores of one point's spectra. work is
-# complex-size scratch that a stage uses only while it runs: the rake's tap
-# products, the partition behind a candidate mask, the coh, coh-awgn, ideal-mf
-# and tdel products, and a point's masked and combined linear scores, one real
-# half each.
+# FFT of both in place for mf and ideal-mf, and a ser sweep's mask keeps every
+# point's mask; without, scores holds a kernel's scores of one point's spectra.
+# work is complex-size scratch that a stage uses only while it runs: the rake's
+# tap products, the partition behind a candidate mask, the coh, coh-awgn and
+# ideal-mf products, tdel's magnitude rows packed two to a complex row (its
+# first half), and a point's masked and combined linear scores, one real half
+# each.
 _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
                  "mag": 8, "scores": 8, "mask": 1}
 
@@ -367,13 +369,13 @@ def _shares_gains(cfg: SimConfig) -> bool:
 _workspace_cache: dict = {}
 
 
-def _workspace(params: LoRaParams, cfg: SimConfig) -> _Workspace:
+def _workspace(params: LoRaParams, cfg: SimConfig, point_masks: bool = False) -> _Workspace:
     """This process's one workspace, for cfg's sweep: the regions its detectors
-    write, at the rows of a trial's largest block; with shared gains the mask
-    region holds every point's mask. A new sweep's workspace replaces the last
-    one, which is freed first (a worker of a shared pool runs several sweeps);
-    _map_points clears it when the sweep ends."""
-    key = (params, cfg)
+    write, at the rows of a trial's largest block; with point_masks the mask
+    region holds every point's mask, else one. A new sweep's workspace replaces
+    the last one, which is freed first (a worker of a shared pool runs several
+    sweeps); _map_points clears it when the sweep ends."""
+    key = (params, cfg, point_masks)
     if key not in _workspace_cache:
         _workspace_cache.clear()
         names = {"normals", "clean", "spectra"}.union(
@@ -381,6 +383,7 @@ def _workspace(params: LoRaParams, cfg: SimConfig) -> _Workspace:
         slots = {}
         if _shares_gains(cfg):  # the kernels' scores fill spectra
             names.discard("scores")
+        if point_masks:
             slots["mask"] = len(cfg.ebn0_db)
         rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
         _workspace_cache[key] = _Workspace(params.m, rows,
@@ -418,7 +421,7 @@ class _Block:
         return self.ws.take(name, self.data.size, dtype, slot)
 
     def mask(self, i: int) -> np.ndarray:
-        """Point i's candidate mask, made by its _TrialData."""
+        """Point i's candidate mask in a ser sweep, made by its _TrialData."""
         return self.region("mask", bool, i if _shares_gains(self.cfg) else 0)
 
     def points(self, region: str = "spectra") -> Iterator[_TrialData]:
@@ -532,7 +535,7 @@ def _mf_bank(params: LoRaParams, g: DechirpedGains, keep: int = 1) -> np.ndarray
     return _mf_bank_cache[key]
 
 
-def _trial_setup(params, ch, cfg, trial) -> Iterator[_Block]:
+def _trial_setup(params, ch, cfg, trial, point_masks: bool = False) -> Iterator[_Block]:
     """Draw one burst; yield its blocks in burst order.
 
     A block is at most block_rows(M) consecutive windows (the first also
@@ -546,10 +549,11 @@ def _trial_setup(params, ch, cfg, trial) -> Iterator[_Block]:
     That is twice even for a one-point axis, one run more than scoring its
     spectra, so that a point's scores never depend on the rest of the axis.
     Every array of a yielded block is a view of the process's workspace, so
-    a block is valid until the next yield.
+    a block is valid until the next yield; with point_masks its mask region
+    keeps every point's mask.
     """
     m = params.m
-    ws = _workspace(params, cfg)
+    ws = _workspace(params, cfg, point_masks)
     rng = _trial_rng(cfg.master_seed, trial)
     data = rng.integers(0, m, size=cfg.n_d)
     # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
@@ -588,7 +592,8 @@ def _coh_awgn_decisions(t: _TrialData) -> np.ndarray:
 
 
 def _tdel_decisions(t: _TrialData) -> np.ndarray:
-    return tdel_detect(t.block.pilot_avg[t.i], t.data_spec, t.block.cfg.rho_tdel,
+    # the point's magnitudes, which noncoh and the candidate masks share
+    return tdel_detect(t.block.pilot_avg[t.i], t.mag, t.block.cfg.rho_tdel,
                        out=t.block.region("work", np.complex128))
 
 
@@ -642,7 +647,7 @@ _DETECTORS = {
     "rake": _Detector(op_kind="rake", kernel=_RAKE, buffers=_LINEAR),
     "cand-rake": _Detector(op_kind="cand_rake", candidates=True, kernel=_RAKE,
                            buffers=(*_LINEAR, "mag", "mask")),
-    "tdel": _Detector(_tdel_decisions, buffers=("work",)),
+    "tdel": _Detector(_tdel_decisions, buffers=("mag", "work")),
 }
 
 DETECTOR_IDS = tuple(_DETECTORS)
@@ -687,7 +692,8 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
                 dec = np.argmax(scores, axis=1)
             errors[i][det] += int(np.sum(dec != block.data))
 
-    for block in _trial_setup(params, ch, cfg, trial):
+    # with shared gains the masks are read after the points loop, so each point keeps its own
+    for block in _trial_setup(params, ch, cfg, trial, point_masks=shared):
         for t in block.points():
             for det in rules:
                 errors[t.i][det] += int(np.sum(_DETECTORS[det].decide(t) != block.data))
@@ -947,7 +953,7 @@ def _cand_sweep_trial(params, ch, cfg, trial, nc_list) -> list[list[int]]:
             mag = t.mag
             scores = block.combined(t.i) if shared else next(t.scores((_RAKE,)))[1]
             for j, n_c in enumerate(nc_list):
-                mask = _candidate_masks(mag, ("fixed", n_c), out=block.mask(t.i),
+                mask = _candidate_masks(mag, ("fixed", n_c), out=block.region("mask", bool),
                                         work=block.region("work"))
                 dec = _masked_argmax(scores, mask, out=block.region("work"))
                 errors[t.i][j] += int(np.sum(dec != block.data))

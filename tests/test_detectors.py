@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lorarake.channel import (
     C1,
@@ -324,6 +325,70 @@ def test_tdel_phase_invariance():
     base = tdel_detect(pilot, data, 0.3)
     spun = tdel_detect(pilot * np.exp(1j * 0.7), data * np.exp(-1j * 1.1), 0.3)
     np.testing.assert_array_equal(base, spun)
+
+
+def _tdel_one_transform_per_row(pilot, spec, rho):
+    # the form the packed kernel replaced: each row's magnitudes as complex
+    # values, one forward and one inverse transform per row
+    p = np.abs(pilot)
+    kept = np.where(p >= rho * p.max(), p, 0.0)
+    corr = np.abs(spec).astype(np.complex128)
+    np.fft.fft(corr, axis=-1, out=corr)
+    np.multiply(np.conj(np.fft.fft(kept)), corr, out=corr)
+    np.fft.ifft(corr, axis=-1, out=corr)
+    return np.argmax(corr.real, axis=-1)
+
+
+def _tdel_case(sf, n, seed):
+    rng = np.random.default_rng(seed)
+    m = 2**sf
+    pilot = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return rng, pilot, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 10), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.05, 0.3, 0.7]))
+def test_tdel_packed_rows_decide_as_one_transform_per_row(sf, n, seed, rho):
+    # odd and even row counts: an odd count leaves the last packed row's
+    # imaginary part zero
+    _, pilot, spec = _tdel_case(sf, n, seed)
+    m = 2**sf
+    dec = tdel_detect(pilot, spec, rho)
+    np.testing.assert_array_equal(dec, _tdel_one_transform_per_row(pilot, spec, rho))
+    p = np.abs(pilot)
+    kept = np.where(p >= rho * p.max(), p, 0.0)
+    for row, d in zip(np.abs(spec), dec):
+        # corr[s] = sum_k kept[k] * row[(k + s) mod M], summed directly
+        corr = sliding_window_view(np.concatenate((row, row)), m)[:m] @ kept
+        top = np.sort(corr)[-2:]
+        if top[1] - top[0] > 1e-9 * top[1]:  # a unique maximum
+            assert d == np.argmax(corr)
+
+
+def test_tdel_returns_an_int_for_one_spectrum():
+    _, pilot, spec = _tdel_case(6, 3, 34)
+    dec = tdel_detect(pilot, spec[1], 0.3)
+    assert type(dec) is int
+    assert dec == tdel_detect(pilot, spec, 0.3)[1]
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_tdel_writes_only_the_packed_rows_of_a_used_buffer(n):
+    # out holds ceil(n/2) packed rows; the rows beyond them keep their garbage
+    rng, pilot, spec = _tdel_case(7, n, 35 + n)
+    out = _used(spec.shape, complex, rng)
+    rest = out[(n + 1) // 2 :].tobytes()
+    np.testing.assert_array_equal(tdel_detect(pilot, spec, 0.3, out=out),
+                                  tdel_detect(pilot, spec, 0.3))
+    assert out[(n + 1) // 2 :].tobytes() == rest
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_tdel_takes_magnitudes_or_spectra(n):
+    _, pilot, spec = _tdel_case(6, n, 36 + n)
+    np.testing.assert_array_equal(tdel_detect(pilot, np.abs(spec), 0.3),
+                                  tdel_detect(pilot, spec, 0.3))
 
 
 def test_detectors_on_noisy_frame_recover_symbols():

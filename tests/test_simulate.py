@@ -560,20 +560,27 @@ def test_trial_memory_is_one_block_whatever_n_d():
 
 
 def _traced_sweep(cfg: SimConfig, grid=None) -> tuple[int, int]:
-    """(tracemalloc peak of one ser sweep, or candidate sweep over grid, bytes of its workspace)."""
-    swept = cfg if grid is None else replace(cfg, detectors=("cand-rake",))
-    params, _ = swept.resolve()
-    ws_bytes = simulate._workspace(params, swept).nbytes
-    simulate._workspace_cache.clear()
-    tracemalloc.start()
-    try:
-        if grid is None:
-            run_ser_sweep(cfg)
-        else:
-            run_candidate_sweep(_cand(cfg), grid)
-        return tracemalloc.get_traced_memory()[1], ws_bytes
-    finally:
-        tracemalloc.stop()
+    """(tracemalloc peak of one ser sweep, or candidate sweep over grid, and
+    the bytes of the workspace that sweep made)."""
+    made, workspace = set(), simulate._workspace
+
+    def recorded(*args, **kwargs):
+        ws = workspace(*args, **kwargs)
+        made.add(ws.nbytes)
+        return ws
+
+    with mock.patch.object(simulate, "_workspace", recorded):
+        tracemalloc.start()
+        try:
+            if grid is None:
+                run_ser_sweep(cfg)
+            else:
+                run_candidate_sweep(_cand(cfg), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (ws_bytes,) = made
+    return peak, ws_bytes
 
 
 # at sf 7 a block holds 2048 windows: two blocks, the first one full
@@ -592,9 +599,27 @@ def test_ser_sweep_peaks_within_one_block_array_of_its_workspace(monkeypatch, cs
     assert peak - ws_bytes < channel.BLOCK_BINS * 8
 
 
+def test_tdel_sweep_peaks_within_one_block_array_of_its_workspace():
+    # without noncoh, tdel makes the magnitudes itself; it packs two of their
+    # rows into each complex row of the work region and transforms them there
+    peak, ws_bytes = _traced_sweep(_small(detectors=("tdel",), **_FULL_BLOCKS))
+    assert peak - ws_bytes < channel.BLOCK_BINS * 8
+
+
 def test_candidate_sweep_peaks_within_one_block_array_of_its_workspace():
     peak, ws_bytes = _traced_sweep(_small(**_FULL_BLOCKS), (0.05, 0.5, 1.0))
     assert peak - ws_bytes < channel.BLOCK_BINS * 8
+
+
+def test_only_a_ser_sweep_keeps_a_mask_per_point():
+    # with perfect CSIR a ser sweep reads each point's mask after the points
+    # run; a candidate sweep uses a point's masks before the next point
+    one = _small(n_trials=1, n_p=0, n_d=20, ebn0_db=(0.0,))
+    many = replace(one, ebn0_db=tuple(float(e) for e in range(-8, 8)))
+    cand = [_traced_sweep(cfg, (0.5,))[1] for cfg in (one, many)]
+    assert cand[0] == cand[1]
+    ser = [_traced_sweep(replace(cfg, detectors=("cand-rake",), n_c=5))[1] for cfg in (one, many)]
+    assert ser[1] - ser[0] == 15 * 20 * 128  # a byte a bin for each point past the first
 
 
 @pytest.mark.parametrize("cfg, before", [

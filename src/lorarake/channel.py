@@ -35,7 +35,9 @@ __all__ = [
     "complex_noise",
     "dechirped_gain",
     "dechirped_spectra",
+    "head_deltas",
     "add_lines",
+    "line_amplitudes",
     "window_heads",
     "BLOCK_BINS",
     "block_rows",
@@ -222,7 +224,9 @@ def complex_noise(shape, sigma2: float, rng: np.random.Generator,
     else:
         draws = out.view(np.float64).reshape(*shape, 2)
         rng.standard_normal(out=draws)
-    draws *= math.sqrt(sigma2 / 2.0)
+    scale = math.sqrt(sigma2 / 2.0)
+    if scale != 1.0:  # a sweep draws standard normals (sigma2 = 2), and x * 1.0 is x
+        draws *= scale
     return draws.view(np.complex128).reshape(shape)
 
 
@@ -253,7 +257,8 @@ def block_rows(m: int) -> int:
 
 
 def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
-                      prev: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                      prev: int | None = None, out: np.ndarray | None = None,
+                      delta: np.ndarray | None = None) -> np.ndarray:
     """Noise-free DFT of every dechirped window of a burst, in closed form.
 
     Row j equals fft(dechirp(...)) of window j of
@@ -261,25 +266,49 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     float rounding, without building a sample. Window j, carrying symbol
     s, holds one line M * G_i * exp(-2j*pi*d_i*s/M) per tap at bin
     (s - d_i) mod M, G_i being the dechirped gain, plus the DFT of its
-    head term: over the first k_max samples, the previous symbol's tail
-    minus the window's own cyclic wrap. The first window follows prev, the
-    symbol sent just before it, or silence when prev is None; chaining
-    calls over consecutive parts of a burst, each with the last symbol of
-    the part before, gives the one-call spectra bit for bit. out is a
-    complex (len(symbols), M) array to write them in.
+    head delta (head_deltas). The first window follows prev, the symbol
+    sent just before it, or silence when prev is None; chaining calls over
+    consecutive parts of a burst, each with the last symbol of the part
+    before, gives the one-call spectra bit for bit. out is a complex
+    (len(symbols), M) array to write them in; delta, head_deltas(params,
+    ch, symbols, prev) when the caller has made it (prev is then not read).
     """
     m = params.m
     if ch.k_max >= m:
         raise ValueError(f"max delay {ch.k_max} must be < M={m}")
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    if delta is None:
+        delta = head_deltas(params, ch, s, prev)
+    spec = np.fft.fft(delta, n=m, axis=1, out=out)
+    add_lines(params, dechirped_gain(params, ch), s, spec)
+    return spec
+
+
+def head_deltas(params: LoRaParams, ch: MultipathChannel, symbols,
+                prev: int | None = None) -> np.ndarray:
+    """Each window's head delta, a complex (len(symbols), k_max) array.
+
+    Over the first k_max samples, the dechirped tail of the symbol sent
+    before the window (prev for the first, silence when prev is None)
+    minus the window's own cyclic wrap (window_heads): what a burst
+    window adds to its cyclic spectrum, through an M-point DFT.
+    """
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
     heads = window_heads(params, ch.delays, ch.gains, s)
     delta = np.negative(heads)
     delta[1:] += heads[:-1]
     if prev is not None and s.size:
         delta[0] += window_heads(params, ch.delays, ch.gains, [prev])[0]
-    spec = np.fft.fft(delta, n=m, axis=1, out=out)
-    add_lines(params, dechirped_gain(params, ch), s, spec)
-    return spec
+    return delta
+
+
+def line_amplitudes(params: LoRaParams, g: DechirpedGains, symbols) -> list[np.ndarray]:
+    """Per tap i, the line M * G_i * exp(-2j*pi*d_i*s/M) that each window,
+    carrying symbol s, holds at bin (s - d_i) mod M, over the windows."""
+    m = params.m
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    roots = _chirp_tables(params.sf)[1]
+    return [(m * gain) * np.conj(roots[(s * d) & (m - 1)]) for d, gain in zip(g.delays, g.gains)]
 
 
 def add_lines(params: LoRaParams, g: DechirpedGains, symbols, spec: np.ndarray) -> None:
@@ -291,10 +320,9 @@ def add_lines(params: LoRaParams, g: DechirpedGains, symbols, spec: np.ndarray) 
     """
     m = params.m
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    roots = _chirp_tables(params.sf)[1]
     rows = np.arange(s.size)
-    for d, gain in zip(g.delays, g.gains):
-        spec[rows, (s - d) & (m - 1)] += (m * gain) * np.conj(roots[(s * d) & (m - 1)])
+    for d, line in zip(g.delays, line_amplitudes(params, g, s)):
+        spec[rows, (s - d) & (m - 1)] += line
 
 
 def window_heads(params: LoRaParams, delays, gains, symbols) -> np.ndarray:

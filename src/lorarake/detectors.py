@@ -15,11 +15,15 @@ may choose, and masked_argmax decides. Each batch kernel takes an optional
 out array (and, where it needs scratch, a work array of the same shape) and
 returns a fresh array without one. mf_statistic, rake_statistic and
 rake_combine are the reference forms the kernels are checked against.
+The clean_*_scores forms give the linear kernels' scores of noise-free
+window spectra (channel.dechirped_spectra) from the windows' symbols and
+head deltas, without forming a spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +34,7 @@ from .channel import (
     block_rows,
     channel_coefficient,
     dechirped_gain,
+    line_amplitudes,
     rotate_gains,
 )
 from .waveform import LoRaParams
@@ -44,6 +49,9 @@ __all__ = [
     "rake_scores",
     "mf_scores",
     "ideal_mf_scores",
+    "clean_rake_scores",
+    "clean_ideal_mf_scores",
+    "clean_coh_scores",
     "candidate_masks",
     "masked_argmax",
     "delta_indicator",
@@ -147,6 +155,13 @@ def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -
     return z
 
 
+def _conj_coefficients(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
+    # (M, M) windows of conj(C_0) taken twice: window a is conj(C_a)[k] =
+    # conj(C_0)[(a + k) mod M] over the samples k
+    hc = np.conj(channel_coefficient(params, g, 0))
+    return sliding_window_view(np.concatenate((hc, hc)), params.m)
+
+
 def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
     """The matched-filter bank in the form mf_scores takes: a real (2 * cols, M) array.
 
@@ -161,9 +176,8 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     """
     m = params.m
     n = m if cols is None else cols
-    hc = np.conj(channel_coefficient(params, g, 0))
-    # window k of the doubled row holds conj(C_b)[k] = conj(C_0)[(b + k) mod M] over b
-    heads = sliding_window_view(np.concatenate((hc, hc)), m)
+    # window k holds conj(C_b)[k] = conj(C_0)[(b + k) mod M] over b
+    heads = _conj_coefficients(params, g)
     twiddles = np.conj(_chirp_tables(params.sf)[1])
     grid = np.arange(m)
     bank = np.empty((2 * n, m))
@@ -230,16 +244,104 @@ def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains
     spectra are made in out, a complex (n, M) array, and the real view of
     it is returned.
     """
-    m = params.m
-    hc = np.conj(channel_coefficient(params, g, 0))
-    # window a of the doubled row is conj(C_a)[k] = conj(C_0)[(a + k) % M]
-    heads = sliding_window_view(np.concatenate((hc, hc)), m)
+    heads = _conj_coefficients(params, g)
     rows = np.empty(np.shape(data_dech), dtype=np.complex128) if out is None else out
     # row by row: a gather by index would make an (n, M) index or copy
     for i, a in enumerate(true_symbols):
         rows[i] = heads[a]
     np.multiply(rows, data_dech, out=rows)
     return np.fft.fft(rows, axis=1, out=rows).real
+
+
+# one unit tap: its filter bank is the real part of a DFT
+_UNIT = DechirpedGains((0,), (1.0,))
+
+
+@lru_cache(maxsize=8)
+def _head_bank(params: LoRaParams, delays: tuple, gain_bytes: bytes, cols: int) -> np.ndarray:
+    # mf_filter_bank(cols=cols) of a gain set, kept read-only for every block
+    bank = mf_filter_bank(params, DechirpedGains(delays, np.frombuffer(gain_bytes, np.complex128)),
+                          cols=cols)
+    bank.setflags(write=False)
+    return bank
+
+
+def _head_scores(params: LoRaParams, g: DechirpedGains, y: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
+    # the mf scores under gains g of (n, k) head samples y, zero-padded to M,
+    # through g's bank's first k samples. einsum sums each score on its own,
+    # so a row rounds alike in any block, and calls no BLAS: a matmul over
+    # the block rounds by its row count and runs on BLAS threads (in every
+    # pool worker at once), and even a matmul per row makes a pool worker
+    # that runs no mf fault in BLAS buffers it would not otherwise touch
+    bank = _head_bank(params, g.delays, g.gains.tobytes(), y.shape[1])
+    z = np.empty((y.shape[0], params.m)) if out is None else out
+    return np.einsum("nk,km->nm", np.ascontiguousarray(y).view(np.float64), bank, out=z)
+
+
+def clean_rake_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """rake_scores of noise-free window spectra, and mf_scores of their inverse FFT, in closed form.
+
+    The spectra are channel.dechirped_spectra's for the windows' symbols
+    and their (n, k_max) head deltas (channel.head_deltas), G being the
+    channel's dechirped gains. Each window's head delta passes through
+    the bank's first k_max samples, and tap k scores tap i's line at
+    hypothesis b = s - d_i + d_k: K^2 terms per window, with no spectrum
+    formed. Equal to either kernel up to rounding; out is a real (n, M)
+    array.
+    """
+    m = params.m
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    z = _head_scores(params, g, delta, out)
+    rows = np.arange(s.size)
+    coefs = _tap_coefficients(params, g)
+    for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
+        for d_k, coef in zip(g.delays, coefs):
+            b = (s - d_i + d_k) & (m - 1)
+            z[rows, b] += (coef[b] * line).real
+    return z
+
+
+def clean_ideal_mf_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """ideal_mf_scores of the inverse FFT of noise-free window spectra, in closed form.
+
+    As clean_rake_scores, with the true symbols s: window j's head delta
+    times conj(C_s)'s first k_max samples passes through the unit
+    channel's bank (a DFT), and lines i and k meet at bin s - d_i + d_k
+    with M * G_i * conj(G_k) * exp(-2j*pi*(d_i - d_k)*s/M).
+    """
+    m = params.m
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    # conj(C_s)'s first k_max samples, gathered as (n, k_max), never as (n, M) rows
+    heads = _conj_coefficients(params, g)[s, : g.k_max]
+    z = _head_scores(params, _UNIT, heads * delta, out)
+    rows = np.arange(s.size)
+    roots = _chirp_tables(params.sf)[1]
+    for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
+        for d_k, gain in zip(g.delays, g.gains):
+            turn = np.conj(gain) * roots[(d_k * s) & (m - 1)]
+            z[rows, (s - d_i + d_k) & (m - 1)] += (line * turn).real
+    return z
+
+
+def clean_coh_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The coherent scores Re(conj(G_0) * spectrum) of noise-free window spectra, in closed form.
+
+    As clean_rake_scores: each head delta passes through the bank of the
+    first tap alone (conj(G_0) times a DFT), and line i adds conj(G_0)
+    times its value at bin s - d_i.
+    """
+    m = params.m
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    z = _head_scores(params, DechirpedGains((0,), g.gains[:1]), delta, out)
+    rows = np.arange(s.size)
+    g0 = np.conj(g.gains[0])
+    for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
+        z[rows, (s - d_i) & (m - 1)] += (g0 * line).real
+    return z
 
 
 def candidate_masks(mag: np.ndarray, rule: tuple[str, float], out: np.ndarray | None = None,

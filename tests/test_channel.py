@@ -349,6 +349,18 @@ def test_complex_noise_is_bitwise_the_one_block_formula(shape, sigma2, seed):
     assert got.tobytes() == used.tobytes() == ref.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(0, 300), st.tuples(st.integers(0, 5), st.integers(1, 64))),
+       st.integers(0, 2**32 - 1))
+def test_standard_complex_noise_is_bitwise_the_standard_normals(shape, seed):
+    # at sigma2 = 2, as a sweep draws it, the unit scale is skipped: the draws
+    # are the generator's standard normals themselves
+    ref = np.random.default_rng(seed).standard_normal((*np.atleast_1d(shape), 2))
+    used = np.full(ref.shape[:-1], np.nan + 1j)
+    got = complex_noise(shape, 2.0, np.random.default_rng(seed), out=used)
+    assert got.tobytes() == used.tobytes() == ref.tobytes()
+
+
 @st.composite
 def _synthesis_case(draw):
     """A random sf in 2..12, 1-4 taps anywhere in [0, M), pilots and a symbol chain."""

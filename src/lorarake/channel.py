@@ -270,8 +270,9 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     sent just before it, or silence when prev is None; chaining calls over
     consecutive parts of a burst, each with the last symbol of the part
     before, gives the one-call spectra bit for bit. out is a complex
-    (len(symbols), M) array to write them in; delta, head_deltas(params,
-    ch, symbols, prev) when the caller has made it (prev is then not read).
+    (len(symbols), M) array to write them in. A caller that keeps the
+    windows' head deltas passes them as delta, head_deltas(params, ch,
+    symbols, prev), and not prev.
     """
     m = params.m
     if ch.k_max >= m:
@@ -279,6 +280,8 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
     if delta is None:
         delta = head_deltas(params, ch, s, prev)
+    elif prev is not None:
+        raise ValueError("pass prev or the head deltas made with it, not both")
     spec = np.fft.fft(delta, n=m, axis=1, out=out)
     add_lines(params, dechirped_gain(params, ch), s, spec)
     return spec

@@ -23,7 +23,6 @@ head deltas, without forming a spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -253,47 +252,46 @@ def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains
     return np.fft.fft(rows, axis=1, out=rows).real
 
 
-# one unit tap: its filter bank is the real part of a DFT
-_UNIT = DechirpedGains((0,), (1.0,))
-
-
-@lru_cache(maxsize=8)
-def _head_bank(params: LoRaParams, delays: tuple, gain_bytes: bytes, cols: int) -> np.ndarray:
-    # mf_filter_bank(cols=cols) of a gain set, kept read-only for every block
-    bank = mf_filter_bank(params, DechirpedGains(delays, np.frombuffer(gain_bytes, np.complex128)),
-                          cols=cols)
-    bank.setflags(write=False)
-    return bank
-
-
-def _head_scores(params: LoRaParams, g: DechirpedGains, y: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-    # the mf scores under gains g of (n, k) head samples y, zero-padded to M,
-    # through g's bank's first k samples. einsum sums each score on its own,
-    # so a row rounds alike in any block, and calls no BLAS: a matmul over
-    # the block rounds by its row count and runs on BLAS threads (in every
-    # pool worker at once), and even a matmul per row makes a pool worker
-    # that runs no mf fault in BLAS buffers it would not otherwise touch
-    bank = _head_bank(params, g.delays, g.gains.tobytes(), y.shape[1])
-    z = np.empty((y.shape[0], params.m)) if out is None else out
+def _head_scores(y: np.ndarray, bank: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    # mf_scores of (n, k) head samples y, zero-padded to M, through a bank's
+    # first k samples: the same products, each score summed on its own by an
+    # einsum, so a row rounds alike in any block and no BLAS thread runs. A
+    # 2-D matmul over the block rounds by its row count and runs on BLAS
+    # threads in every pool worker at once (fastsim's edge_statistics keeps
+    # it: it runs in one process, and there it is faster)
+    z = np.empty((y.shape[0], bank.shape[1])) if out is None else out
     return np.einsum("nk,km->nm", np.ascontiguousarray(y).view(np.float64), bank, out=z)
 
 
+def _dft_bank(params: LoRaParams, cols: int) -> np.ndarray:
+    # mf_filter_bank(cols=cols) of one unit tap, whose coefficients are all 1:
+    # rows 2k and 2k+1 hold the real and negated imaginary parts of
+    # exp(-2j*pi*b*k/M) over b, a DFT's first cols samples
+    m = params.m
+    idx = np.multiply.outer(np.arange(cols), np.arange(m))
+    idx &= m - 1
+    t = np.conj(_chirp_tables(params.sf)[1])[idx]
+    bank = np.empty((2 * cols, m))
+    bank[0::2] = t.real
+    np.negative(t.imag, out=bank[1::2])
+    return bank
+
+
 def clean_rake_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      bank: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rake_scores of noise-free window spectra, and mf_scores of their inverse FFT, in closed form.
 
     The spectra are channel.dechirped_spectra's for the windows' symbols
     and their (n, k_max) head deltas (channel.head_deltas), G being the
     channel's dechirped gains. Each window's head delta passes through
-    the bank's first k_max samples, and tap k scores tap i's line at
-    hypothesis b = s - d_i + d_k: K^2 terms per window, with no spectrum
-    formed. Equal to either kernel up to rounding; out is a real (n, M)
-    array.
+    bank, mf_filter_bank(params, g, cols=g.k_max), and tap k scores tap i's
+    line at hypothesis b = s - d_i + d_k: K^2 terms per window, with no
+    spectrum formed. Equal to either kernel up to rounding; out is a real
+    (n, M) array.
     """
     m = params.m
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    z = _head_scores(params, g, delta, out)
+    z = _head_scores(delta, bank, out)
     rows = np.arange(s.size)
     coefs = _tap_coefficients(params, g)
     for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
@@ -308,15 +306,15 @@ def clean_ideal_mf_scores(params: LoRaParams, g: DechirpedGains, symbols, delta:
     """ideal_mf_scores of the inverse FFT of noise-free window spectra, in closed form.
 
     As clean_rake_scores, with the true symbols s: window j's head delta
-    times conj(C_s)'s first k_max samples passes through the unit
-    channel's bank (a DFT), and lines i and k meet at bin s - d_i + d_k
-    with M * G_i * conj(G_k) * exp(-2j*pi*(d_i - d_k)*s/M).
+    times conj(C_s)'s first k_max samples passes through a DFT, and lines
+    i and k meet at bin s - d_i + d_k with
+    M * G_i * conj(G_k) * exp(-2j*pi*(d_i - d_k)*s/M).
     """
     m = params.m
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
     # conj(C_s)'s first k_max samples, gathered as (n, k_max), never as (n, M) rows
     heads = _conj_coefficients(params, g)[s, : g.k_max]
-    z = _head_scores(params, _UNIT, heads * delta, out)
+    z = _head_scores(heads * delta, _dft_bank(params, g.k_max), out)
     rows = np.arange(s.size)
     roots = _chirp_tables(params.sf)[1]
     for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
@@ -330,15 +328,14 @@ def clean_coh_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.n
                      out: np.ndarray | None = None) -> np.ndarray:
     """The coherent scores Re(conj(G_0) * spectrum) of noise-free window spectra, in closed form.
 
-    As clean_rake_scores: each head delta passes through the bank of the
-    first tap alone (conj(G_0) times a DFT), and line i adds conj(G_0)
-    times its value at bin s - d_i.
+    As clean_rake_scores: each head delta times conj(G_0) passes through a
+    DFT, and line i adds conj(G_0) times its value at bin s - d_i.
     """
     m = params.m
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    z = _head_scores(params, DechirpedGains((0,), g.gains[:1]), delta, out)
-    rows = np.arange(s.size)
     g0 = np.conj(g.gains[0])
+    z = _head_scores(g0 * delta, _dft_bank(params, g.k_max), out)
+    rows = np.arange(s.size)
     for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
         z[rows, (s - d_i) & (m - 1)] += (g0 * line).real
     return z

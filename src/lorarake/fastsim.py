@@ -75,6 +75,10 @@ def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
     delays = model.gains.delays
     delta = window_heads(model.params, delays, model.raw, prev)
     delta -= window_heads(model.params, delays, model.raw, sent)
+    # the reference head term: a sweep's closed-form scores
+    # (detectors.clean_rake_scores) take the same deltas through the same
+    # bank with an einsum summed per row, which runs no BLAS threads in pool
+    # workers; here one process runs, and the 2-D product is faster
     return mf_scores(delta, model.head)
 
 

@@ -191,7 +191,8 @@ class SimConfig:
         return ("threshold", self.rho_c if self.rho_c is not None else _DEFAULT_RHO_C)
 
     def _mf_banks(self) -> int:
-        """mf banks a process keeps: one per point of a trial unless CSIR is perfect."""
+        """Gain sets whose mf banks a process keeps: one per point of a trial
+        unless CSIR is perfect."""
         return 1 if self.csir == "perfect" else len(self.ebn0_db)
 
     def _reject_unused(self, driver: str, names: tuple[str, ...]) -> None:
@@ -460,17 +461,10 @@ class _Block:
         their noise-free spectra with its closed form, into the two halves of
         the spectra region, and yield it; combined(i) then reads its scores at
         point i. The kernels that read dechirped samples take the inverse FFT
-        of the normals in place. For a channel whose heads are not thin
-        (_thin_heads) each kernel scores the noise-free spectra too, after
-        their inverse FFT where it reads dechirped samples."""
+        of the normals in place."""
         g, (s_w, s_c) = self.gains[0], self._pair()
-        clean = (None if _thin_heads(self.params, self.ch)
-                 else _run_kernels(self, g, kernels, self.clean[self.n_p:], s_c))
         for kernel in _run_kernels(self, g, kernels, self.normals[self.n_p:], s_w):
-            if clean is None:
-                kernel.clean(self.params, g, self.data, self.delta, out=s_c)
-            else:
-                next(clean)
+            kernel.clean(self, g, s_c)
             yield kernel
 
     def combined(self, i: int) -> np.ndarray:
@@ -521,14 +515,6 @@ class _TrialData:
             yield kernel, out
 
 
-def _thin_heads(params: LoRaParams, ch: MultipathChannel) -> bool:
-    """Whether the closed forms score a block's noise-free spectra. Their head
-    product costs 2 k_max real multiply-adds per bin and their tables hold
-    32 k_max M bytes, so past k_max = sf it outgrows a kernel pass (the rake
-    makes K complex products per bin, coh one)."""
-    return ch.k_max <= params.sf
-
-
 def _run_kernels(block: _Block, g: DechirpedGains, kernels, x: np.ndarray,
                  out: np.ndarray) -> Iterator[_Kernel]:
     """Run each kernel on x, writing its scores to out; yield it once they
@@ -543,20 +529,28 @@ def _run_kernels(block: _Block, g: DechirpedGains, kernels, x: np.ndarray,
         yield kernel
 
 
-# Gain set -> mf bank in the form _mf_scores takes, oldest first. With perfect
-# CSIR a process builds one bank; with estimated or forced gains each point of
-# a trial has its own, kept for all its blocks. Results never depend on the cache.
+# Gain set -> {cols: its mf bank in the form _mf_scores takes, or the bank's
+# first cols samples}, oldest gain set first. With perfect CSIR a process keeps
+# one gain set's banks: the whole bank for mf and the first k_max samples for
+# the closed forms of rake and mf; with estimated or forced gains each point of
+# a trial has its own whole bank, kept for all its blocks. Results never depend
+# on the cache.
 _mf_bank_cache: dict = {}
 
 
-def _mf_bank(params: LoRaParams, g: DechirpedGains, keep: int = 1) -> np.ndarray:
-    """The mf filter bank of a gain set; the cache keeps the last `keep` built."""
+def _mf_bank(params: LoRaParams, g: DechirpedGains, keep: int = 1,
+             cols: int | None = None) -> np.ndarray:
+    """The mf filter bank of a gain set, or its first cols samples; the cache
+    keeps the banks of the last `keep` gain sets."""
     key = (params.sf, g.delays, g.gains.tobytes())
     if key not in _mf_bank_cache:
         while len(_mf_bank_cache) >= keep:  # free the oldest before building a new one
             del _mf_bank_cache[next(iter(_mf_bank_cache))]
-        _mf_bank_cache[key] = mf_filter_bank(params, g)
-    return _mf_bank_cache[key]
+        _mf_bank_cache[key] = {}
+    banks = _mf_bank_cache[key]
+    if cols not in banks:
+        banks[cols] = mf_filter_bank(params, g, cols=cols)
+    return banks[cols]
 
 
 def _trial_setup(params, ch, cfg, trial, point_masks: bool = False) -> Iterator[_Block]:
@@ -626,12 +620,12 @@ def _tdel_decisions(t: _TrialData) -> np.ndarray:
 class _Kernel(NamedTuple):
     """A detector statistic linear in the spectrum. score(block, gains, x, out)
     writes the real scores of x, (n, M) data-row spectra or, if dechirped, their
-    inverse FFT, to out, a real (n, M) array. clean(params, gains, symbols,
-    delta, out=) writes its scores of the noise-free spectra of windows with
-    those symbols and head deltas in closed form (detectors.clean_*_scores)."""
+    inverse FFT, to out, a real (n, M) array. clean(block, gains, out) writes
+    its scores of the block's noise-free data-row spectra, in closed form from
+    their symbols and head deltas (detectors.clean_*_scores)."""
 
     score: Callable[[_Block, DechirpedGains, np.ndarray, np.ndarray], object]
-    clean: Callable[..., np.ndarray]
+    clean: Callable[[_Block, DechirpedGains, np.ndarray], object]
     dechirped: bool = False
 
 
@@ -643,17 +637,25 @@ def _ideal_mf_scores(b: _Block, g: DechirpedGains, x: np.ndarray, out: np.ndarra
     np.copyto(out, _ideal_scores(b.params, x, g, b.data, out=b.region("work", np.complex128)))
 
 
+def _clean_rake_scores(b: _Block, g: DechirpedGains, out: np.ndarray) -> None:
+    bank = _mf_bank(b.params, g, b.cfg._mf_banks(), cols=g.k_max)
+    clean_rake_scores(b.params, g, b.data, b.delta, bank, out=out)
+
+
 # The kernels are small functions rather than the detectors' kernels
 # themselves, so each call looks its kernel up in this module's globals,
 # where perfbench's tracer wraps it. rake and mf share one closed form, so
 # their scores of the noise-free spectra are bitwise equal.
-_COH = _Kernel(_coh_scores, clean_coh_scores)
+_COH = _Kernel(_coh_scores,
+               lambda b, g, out: clean_coh_scores(b.params, g, b.data, b.delta, out=out))
 _RAKE = _Kernel(lambda b, g, x, out: _rake_scores(b.params, x, g, out=out,
                                                   work=b.region("work", np.complex128)),
-                clean_rake_scores)
+                _clean_rake_scores)
 _MF = _Kernel(lambda b, g, x, out: _mf_scores(x, _mf_bank(b.params, g, b.cfg._mf_banks()),
-                                              out=out), clean_rake_scores, dechirped=True)
-_IDEAL_MF = _Kernel(_ideal_mf_scores, clean_ideal_mf_scores, dechirped=True)
+                                              out=out), _clean_rake_scores, dechirped=True)
+_IDEAL_MF = _Kernel(_ideal_mf_scores,
+                    lambda b, g, out: clean_ideal_mf_scores(b.params, g, b.data, b.delta, out=out),
+                    dechirped=True)
 
 
 class _Detector(NamedTuple):

@@ -21,6 +21,7 @@ from lorarake.channel import (
     complex_noise,
     dechirped_gain,
     dechirped_spectra,
+    head_deltas,
     load_channel_file,
     parse_channel,
     rotate_gains,
@@ -415,3 +416,15 @@ def test_chained_spectra_are_bitwise_the_one_call_spectra(case, cuts):
     for (a, b), part in zip(zip(edges, edges[1:]), parts):
         got = dechirped_spectra(p, ch, s[a:b], int(s[a - 1]) if a else None, out=used[: b - a])
         assert got.tobytes() == part.tobytes()
+
+
+def test_dechirped_spectra_take_the_head_deltas_or_prev():
+    # a caller that keeps the head deltas passes them instead of prev, and
+    # gets the same spectra; passing both could disagree, so it is refused
+    p = LoRaParams(7)
+    s = [3, 100, 127]
+    delta = head_deltas(p, C1, s, 9)
+    assert (dechirped_spectra(p, C1, s, delta=delta).tobytes()
+            == dechirped_spectra(p, C1, s, 9).tobytes())
+    with pytest.raises(ValueError, match="not both"):
+        dechirped_spectra(p, C1, s, 9, delta=delta)

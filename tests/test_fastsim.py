@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorarake import detectors
 from lorarake.channel import (
     C1,
     C2,
@@ -25,6 +26,7 @@ from lorarake.channel import (
     build_frame,
     complex_noise,
     dechirped_gain,
+    head_deltas,
     parse_channel,
 )
 from lorarake.detectors import mf_filter_bank, mf_statistic, rake_combine
@@ -180,6 +182,22 @@ def test_edge_statistics_single_tap_is_zero():
     np.testing.assert_array_equal(out, 0.0)
     with pytest.raises(ValueError):
         edge_statistics(model, [1], [2, 3])
+
+
+def test_edge_statistics_are_the_closed_forms_head_term():
+    # a sweep's closed-form scores take a chain's head deltas through the same
+    # bank, each score summed on its own; edge_statistics, the reference, is
+    # the 2-D product over the chain. The two deltas come from the channel's
+    # and the model's raw gains, so they agree to rounding too
+    p = LoRaParams(8)
+    g = dechirped_gain(p, C1)
+    model = build_fast_sim(p, g)
+    sent = np.random.default_rng(61).integers(0, p.m, size=40)
+    ref = edge_statistics(model, np.concatenate([[7], sent[:-1]]), sent)
+    delta = head_deltas(p, C1, sent, 7)
+    closed = detectors._head_scores(delta, model.head, None)
+    terms = np.abs(delta.view(np.float64)) @ np.abs(model.head)
+    assert np.all(np.abs(closed - ref) <= 64 * np.finfo(float).eps * terms.max())
 
 
 class _ChainRng:

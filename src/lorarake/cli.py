@@ -21,13 +21,15 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 from .channel import MultipathChannel, parse_channel
 from .simulate import (
     DEFAULT_NC_GRID,
     MAX_EBN0_POINTS,
+    CandSweepRow,
     ConfigError,
+    SerPoint,
     SimConfig,
     run_candidate_sweep,
     run_complexity_report,
@@ -198,20 +200,14 @@ def _config_payload(cfg: SimConfig, **extra) -> dict:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-SER_HEADER = ["detector", "ebn0_db", "errors", "symbols", "ser", "ci95",
-              "nc_avg", "cmult", "cadd"]
-
-
-def _ser_row(p) -> list:
-    return [p.detector, p.ebn0_db, p.errors, p.symbols, p.ser, p.ci95,
-            p.nc_avg, p.cmult, p.cadd]
+SER_HEADER = [f.name for f in fields(SerPoint)]
 
 
 def _cmd_ser(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
     points = run_ser_sweep(cfg)
-    n = _write_csv(args.out, SER_HEADER, [_ser_row(p) for p in points])
+    n = _write_csv(args.out, SER_HEADER, [astuple(p) for p in points])
     _summary("ser", cfg.master_seed, _config_payload(cfg), n, t0)
     return 0
 
@@ -255,7 +251,7 @@ def _cmd_estimate_study(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
     rows = run_estimation_study(cfg)
-    table = [[r.study, r.param] + _ser_row(r.point) for r in rows]
+    table = [[r.study, r.param, *astuple(r.point)] for r in rows]
     n = _write_csv(args.out, ["study", "param"] + SER_HEADER, table)
     _summary("estimate-study", cfg.master_seed, _config_payload(cfg), n, t0)
     return 0
@@ -265,10 +261,7 @@ def _cmd_cand_sweep(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
     rows = run_candidate_sweep(cfg, args.nc_grid)
-    table = [[r.sf, r.ebn0_db, r.n_c, r.nc_norm, r.errors, r.symbols, r.ser, r.ci95]
-             for r in rows]
-    header = ["sf", "ebn0_db", "n_c", "nc_norm", "errors", "symbols", "ser", "ci95"]
-    n = _write_csv(args.out, header, table)
+    n = _write_csv(args.out, [f.name for f in fields(CandSweepRow)], [astuple(r) for r in rows])
     # the sweep scores cand-rake alone, at every fraction of the grid
     payload = _config_payload(replace(cfg, detectors=("cand-rake",)), nc_grid=args.nc_grid)
     _summary("cand-sweep", cfg.master_seed, payload, n, t0)

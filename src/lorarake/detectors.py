@@ -15,9 +15,9 @@ may choose, and masked_argmax decides. Each batch kernel takes an optional
 out array (and, where it needs scratch, a work array of the same shape) and
 returns a fresh array without one. mf_statistic, rake_statistic and
 rake_combine are the reference forms the kernels are checked against.
-The clean_*_scores forms give the linear kernels' scores of noise-free
-window spectra (channel.dechirped_spectra) from the windows' symbols and
-head deltas, without forming a spectrum.
+The clean_*_scores forms give the rake/mf and ideal-mf scores of
+noise-free window spectra (channel.dechirped_spectra) from the windows'
+symbols and head deltas, without forming a spectrum.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "ideal_mf_scores",
     "clean_rake_scores",
     "clean_ideal_mf_scores",
-    "clean_coh_scores",
     "candidate_masks",
     "masked_argmax",
     "delta_indicator",
@@ -263,20 +262,6 @@ def _head_scores(y: np.ndarray, bank: np.ndarray, out: np.ndarray | None) -> np.
     return np.einsum("nk,km->nm", np.ascontiguousarray(y).view(np.float64), bank, out=z)
 
 
-def _dft_bank(params: LoRaParams, cols: int) -> np.ndarray:
-    # mf_filter_bank(cols=cols) of one unit tap, whose coefficients are all 1:
-    # rows 2k and 2k+1 hold the real and negated imaginary parts of
-    # exp(-2j*pi*b*k/M) over b, a DFT's first cols samples
-    m = params.m
-    idx = np.multiply.outer(np.arange(cols), np.arange(m))
-    idx &= m - 1
-    t = np.conj(_chirp_tables(params.sf)[1])[idx]
-    bank = np.empty((2 * cols, m))
-    bank[0::2] = t.real
-    np.negative(t.imag, out=bank[1::2])
-    return bank
-
-
 def clean_rake_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
                       bank: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rake_scores of noise-free window spectra, and mf_scores of their inverse FFT, in closed form.
@@ -312,32 +297,17 @@ def clean_ideal_mf_scores(params: LoRaParams, g: DechirpedGains, symbols, delta:
     """
     m = params.m
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    # conj(C_s)'s first k_max samples, gathered as (n, k_max), never as (n, M) rows
+    # conj(C_s)'s first k_max samples, gathered as (n, k_max), never as (n, M)
+    # rows, pass through the DFT's first k_max samples: one unit tap's bank
     heads = _conj_coefficients(params, g)[s, : g.k_max]
-    z = _head_scores(heads * delta, _dft_bank(params, g.k_max), out)
+    dft = mf_filter_bank(params, DechirpedGains((0,), (1.0,)), cols=g.k_max)
+    z = _head_scores(heads * delta, dft, out)
     rows = np.arange(s.size)
     roots = _chirp_tables(params.sf)[1]
     for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
         for d_k, gain in zip(g.delays, g.gains):
             turn = np.conj(gain) * roots[(d_k * s) & (m - 1)]
             z[rows, (s - d_i + d_k) & (m - 1)] += (line * turn).real
-    return z
-
-
-def clean_coh_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """The coherent scores Re(conj(G_0) * spectrum) of noise-free window spectra, in closed form.
-
-    As clean_rake_scores: each head delta times conj(G_0) passes through a
-    DFT, and line i adds conj(G_0) times its value at bin s - d_i.
-    """
-    m = params.m
-    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    g0 = np.conj(g.gains[0])
-    z = _head_scores(g0 * delta, _dft_bank(params, g.k_max), out)
-    rows = np.arange(s.size)
-    for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
-        z[rows, (s - d_i) & (m - 1)] += (g0 * line).real
     return z
 
 

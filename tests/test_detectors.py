@@ -10,11 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lorarake import detectors
 from lorarake.channel import (
     C1,
     C2,
-    DechirpedGains,
     MultipathChannel,
     apply_channel,
     build_frame,
@@ -164,17 +162,6 @@ def test_mf_filter_bank_rows_reproduce_statistics():
     scores = bank @ rd
     for b in (0, 9, 63):
         assert scores[b] == pytest.approx(mf_statistic(p, rd, g, b), abs=1e-9)
-
-
-@pytest.mark.parametrize("sf", [4, 7, 10, 12])
-def test_dft_bank_is_the_unit_taps_filter_bank(sf):
-    # the closed forms of coh and ideal-mf take their head term through the
-    # bank of one unit tap, built from the roots alone
-    p = LoRaParams(sf)
-    unit = DechirpedGains((0,), (1.0,))
-    for cols in (0, 1, 5, min(p.m - 1, 40)):
-        np.testing.assert_array_equal(detectors._dft_bank(p, cols),
-                                      mf_filter_bank(p, unit, cols=cols))
 
 
 @pytest.mark.parametrize("sf", [4, 7, 10, 12])

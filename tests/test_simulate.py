@@ -360,6 +360,7 @@ def test_every_point_scales_the_trials_standard_normals():
 
 
 _KERNEL_NAMES = ("_rake_scores", "_mf_scores", "_ideal_scores")
+_CLOSED_FORM_NAMES = ("clean_rake_scores", "clean_ideal_mf_scores")
 
 
 @pytest.mark.parametrize("points", [1, 3, 5])
@@ -370,10 +371,11 @@ _KERNEL_NAMES = ("_rake_scores", "_mf_scores", "_ideal_scores")
 ])
 def test_linear_kernels_run_once_per_block_with_shared_gains(monkeypatch, csir, points):
     # with perfect CSIR each kernel scores a block's normals, whatever the
-    # number of points, and only they are inverse-transformed (the closed
-    # forms score the noise-free spectra); with estimated or forced gains it
-    # scores each point's spectra. 5 windows per block at sf 7, 2 pilots and 20
-    # data symbols: blocks of 3, 5, 5, 5 and 2 data symbols
+    # number of points, and only they are inverse-transformed: the closed
+    # forms score the noise-free spectra, once per block, rake and mf (or
+    # cand-mf) sharing one; with estimated or forced gains each kernel scores
+    # each point's spectra and no closed form runs. 5 windows per block at sf
+    # 7, 2 pilots and 20 data symbols: blocks of 3, 5, 5, 5 and 2 data symbols
     calls = Counter()
 
     def count(owner, name):
@@ -384,19 +386,22 @@ def test_linear_kernels_run_once_per_block_with_shared_gains(monkeypatch, csir, 
             return kernel(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
 
-    for name in (*_KERNEL_NAMES, "build_frame"):
+    for name in (*_KERNEL_NAMES, *_CLOSED_FORM_NAMES, "build_frame"):
         count(simulate, name)
     count(np.fft, "ifft")
     monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
     cfg = _small(channel="c1", detectors=("coh", "ideal-mf", "mf", "cand-mf", "rake", "cand-rake"),
                  ebn0_db=tuple(float(e) for e in range(points)), n_p=2, n_d=20, **csir)
-    per_block = 1 if cfg.csir == "perfect" else points
+    blocks = cfg.n_trials * 5
+    per_block, closed = (1, blocks) if cfg.csir == "perfect" else (points, 0)
     run_ser_sweep(cfg)
-    assert calls.pop("build_frame") == cfg.n_trials * 5
-    assert calls == dict.fromkeys((*_KERNEL_NAMES, "ifft"), per_block * cfg.n_trials * 5)
+    assert calls.pop("build_frame") == blocks
+    assert calls == Counter({**dict.fromkeys((*_KERNEL_NAMES, "ifft"), per_block * blocks),
+                             **dict.fromkeys(_CLOSED_FORM_NAMES, closed)})
     calls.clear()
     run_candidate_sweep(_cand(replace(cfg, detectors=SimConfig.detectors)), (0.05, 1.0))
-    assert calls == {"build_frame": cfg.n_trials * 5, "_rake_scores": per_block * cfg.n_trials * 5}
+    assert calls == Counter({"build_frame": blocks, "_rake_scores": per_block * blocks,
+                             "clean_rake_scores": closed})
 
 
 def _abs_terms(kernel, p, g, sent, x, floor=0.0) -> tuple[np.ndarray, int]:
@@ -439,10 +444,13 @@ def _block_case(draw):
     return p, MultipathChannel((0, *sorted(echoes)), tuple(gains)), n_p, data, prev
 
 
-def _clean_floor(block, kernel) -> np.ndarray:
+def _clean_floor(block, kernel) -> np.ndarray | float:
     """Per data row, what a bin of its noise-free spectra, or a sample of their
-    inverse FFT, sums beyond its own magnitude: the DFT of the head delta, and
-    for the samples the inverse DFT of the lines."""
+    inverse FFT, sums beyond its own magnitude in a closed form: the DFT of
+    the head delta, and for the samples the inverse DFT of the lines. 0 for
+    coh, which scores the spectra themselves."""
+    if kernel is simulate._COH:
+        return 0.0
     floor = np.abs(block.delta).sum(axis=1, keepdims=True)
     return floor + np.abs(block.gains[0].gains).sum() if kernel.dechirped else floor
 

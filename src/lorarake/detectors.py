@@ -13,11 +13,13 @@ Detection runs on batches: the *_scores kernels score every bin of a
 (symbols, M) block, candidate_masks picks the bins a candidate detector
 may choose, and masked_argmax decides. Each batch kernel takes an optional
 out array (and, where it needs scratch, a work array of the same shape) and
-returns a fresh array without one. mf_statistic, rake_statistic and
+returns a fresh array without one. The rake and the ideal detector, the
+rake with every tap's rotation taken at the true symbol, share one
+tap-accumulate loop on the spectra. mf_statistic, rake_statistic and
 rake_combine are the reference forms the kernels are checked against.
-The clean_*_scores forms give the rake/mf and ideal-mf scores of
-noise-free window spectra (channel.dechirped_spectra) from the windows'
-symbols and head deltas, without forming a spectrum.
+clean_rake_scores gives the rake/mf scores of noise-free window spectra
+(channel.dechirped_spectra) from the windows' symbols and head deltas,
+without forming a spectrum.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "mf_scores",
     "ideal_mf_scores",
     "clean_rake_scores",
-    "clean_ideal_mf_scores",
     "candidate_masks",
     "masked_argmax",
     "delta_indicator",
@@ -126,11 +127,27 @@ def _tap_coefficients(params: LoRaParams, g: DechirpedGains) -> list[np.ndarray]
     return [np.conj(gain) * roots[(d * bgrid) & (m - 1)] for d, gain in zip(g.delays, g.gains)]
 
 
-def _shifted_product(coef: np.ndarray, spec: np.ndarray, d: int, out: np.ndarray) -> None:
-    # out = coef times the rows of spec cyclically shifted right by d
-    m = coef.size
-    np.multiply(coef[d:], spec[:, : m - d], out=out[:, d:])
-    np.multiply(coef[:d], spec[:, m - d :], out=out[:, :d])
+def _shifted_product(hi: np.ndarray, lo: np.ndarray, spec: np.ndarray, d: int,
+                     out: np.ndarray) -> None:
+    # out = the rows of spec cyclically shifted right by d, times hi in columns
+    # d.. and lo in the first d: the coefficients stay the left operand
+    m = spec.shape[1]
+    np.multiply(hi, spec[:, : m - d], out=out[:, d:])
+    np.multiply(lo, spec[:, m - d :], out=out[:, :d])
+
+
+def _tap_sum(spec: np.ndarray, taps, out: np.ndarray | None, work: np.ndarray | None) -> np.ndarray:
+    # the real part of the sum over taps (d, hi, lo) of _shifted_product, in
+    # tap order, each product made in work and only its real part added to out
+    z = np.empty(spec.shape) if out is None else out
+    term = np.empty(spec.shape, dtype=np.complex128) if work is None else work
+    for i, (d, hi, lo) in enumerate(taps):
+        _shifted_product(hi, lo, spec, d, term)
+        if i:
+            z += term.real
+        else:
+            np.copyto(z, term.real)
+    return z
 
 
 def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -> np.ndarray:
@@ -148,16 +165,9 @@ def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -
     if len(coefs) > 1:
         term = np.empty_like(z)
         for d, coef in zip(g.delays[1:], coefs[1:]):
-            _shifted_product(coef, data_spec, d, term)
+            _shifted_product(coef[d:], coef[:d], data_spec, d, term)
             z += term
     return z
-
-
-def _conj_coefficients(params: LoRaParams, g: DechirpedGains) -> np.ndarray:
-    # (M, M) windows of conj(C_0) taken twice: window a is conj(C_a)[k] =
-    # conj(C_0)[(a + k) mod M] over the samples k
-    hc = np.conj(channel_coefficient(params, g, 0))
-    return sliding_window_view(np.concatenate((hc, hc)), params.m)
 
 
 def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
@@ -174,8 +184,9 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     """
     m = params.m
     n = m if cols is None else cols
-    # window k holds conj(C_b)[k] = conj(C_0)[(b + k) mod M] over b
-    heads = _conj_coefficients(params, g)
+    # window k of conj(C_0) taken twice holds conj(C_b)[k] = conj(C_0)[(b + k) mod M] over b
+    hc = np.conj(channel_coefficient(params, g, 0))
+    heads = sliding_window_view(np.concatenate((hc, hc)), m)
     twiddles = np.conj(_chirp_tables(params.sf)[1])
     grid = np.arange(m)
     bank = np.empty((2 * n, m))
@@ -206,16 +217,8 @@ def rake_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains,
     strided real and imaginary views were slower: numpy runs strided loops
     without SIMD.)
     """
-    z = np.empty(data_spec.shape) if out is None else out
-    term = np.empty(data_spec.shape, dtype=np.complex128) if work is None else work
-    # delays[0] == 0, so the first tap needs no shift and starts the sum
-    for i, (d, coef) in enumerate(zip(g.delays, _tap_coefficients(params, g))):
-        _shifted_product(coef, data_spec, d, term)
-        if i:
-            z += term.real
-        else:
-            np.copyto(z, term.real)
-    return z
+    taps = ((d, coef[d:], coef[:d]) for d, coef in zip(g.delays, _tap_coefficients(params, g)))
+    return _tap_sum(data_spec, taps, out, work)
 
 
 def mf_scores(data_dech: np.ndarray, bank: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -233,22 +236,21 @@ def mf_scores(data_dech: np.ndarray, bank: np.ndarray, out: np.ndarray | None = 
     return np.matmul(np.ascontiguousarray(data_dech).view(np.float64), bank, out=out)
 
 
-def ideal_mf_scores(params: LoRaParams, data_dech: np.ndarray, g: DechirpedGains,
-                    true_symbols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Genie-aided bound: each window filtered with its true symbol's coefficient, then a DFT.
+def ideal_mf_scores(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains,
+                    true_symbols: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """Genie-aided bound: each window matched to its true symbol's coefficient, over every bin.
 
-    Row i holds the real part of the spectrum of conj(C_a) * window i, with
-    a = true_symbols[i]; its argmax is the ideal detector's decision. The
-    spectra are made in out, a complex (n, M) array, and the real view of
-    it is returned.
+    Row i at bin b is the real part of sum_l conj(G_l) exp(2j*pi*d_l*a/M)
+    X[b - d_l], X being row i of data_spec and a = true_symbols[i]: the DFT
+    at b of conj(C_a) times X's dechirped window, or the rake with each
+    tap's rotation taken at a rather than at b, so it matches rake_scores
+    bit for bit at b = a. Its argmax is the ideal detector's decision. out
+    and work are as rake_scores'.
     """
-    heads = _conj_coefficients(params, g)
-    rows = np.empty(np.shape(data_dech), dtype=np.complex128) if out is None else out
-    # row by row: a gather by index would make an (n, M) index or copy
-    for i, a in enumerate(true_symbols):
-        rows[i] = heads[a]
-    np.multiply(rows, data_dech, out=rows)
-    return np.fft.fft(rows, axis=1, out=rows).real
+    a = np.asarray(true_symbols)
+    cols = [coef[a][:, None] for coef in _tap_coefficients(params, g)]
+    return _tap_sum(data_spec, ((d, c, c) for d, c in zip(g.delays, cols)), out, work)
 
 
 def _head_scores(y: np.ndarray, bank: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -283,31 +285,6 @@ def clean_rake_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.
         for d_k, coef in zip(g.delays, coefs):
             b = (s - d_i + d_k) & (m - 1)
             z[rows, b] += (coef[b] * line).real
-    return z
-
-
-def clean_ideal_mf_scores(params: LoRaParams, g: DechirpedGains, symbols, delta: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """ideal_mf_scores of the inverse FFT of noise-free window spectra, in closed form.
-
-    As clean_rake_scores, with the true symbols s: window j's head delta
-    times conj(C_s)'s first k_max samples passes through a DFT, and lines
-    i and k meet at bin s - d_i + d_k with
-    M * G_i * conj(G_k) * exp(-2j*pi*(d_i - d_k)*s/M).
-    """
-    m = params.m
-    s = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    # conj(C_s)'s first k_max samples, gathered as (n, k_max), never as (n, M)
-    # rows, pass through the DFT's first k_max samples: one unit tap's bank
-    heads = _conj_coefficients(params, g)[s, : g.k_max]
-    dft = mf_filter_bank(params, DechirpedGains((0,), (1.0,)), cols=g.k_max)
-    z = _head_scores(heads * delta, dft, out)
-    rows = np.arange(s.size)
-    roots = _chirp_tables(params.sf)[1]
-    for d_i, line in zip(g.delays, line_amplitudes(params, g, s)):
-        for d_k, gain in zip(g.delays, g.gains):
-            turn = np.conj(gain) * roots[(d_k * s) & (m - 1)]
-            z[rows, (s - d_i + d_k) & (m - 1)] += (line * turn).real
     return z
 
 

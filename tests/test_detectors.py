@@ -187,7 +187,7 @@ def test_ideal_mf_parasitic_peaks():
     for lag in range(-3, 4):
         n = (a - lag) % p.m
         assert spec[n] == pytest.approx(p.m * table.at(lag), abs=1e-7)
-    assert np.argmax(ideal_mf_scores(p, rd[None, :], g, np.array([a])), axis=1)[0] == a
+    assert np.argmax(ideal_mf_scores(p, dft(rd)[None, :], g, np.array([a])), axis=1)[0] == a
 
 
 def _kept(mag, rule):
@@ -468,19 +468,31 @@ def test_mf_scores_are_the_real_part_of_the_complex_product(case):
 @settings(max_examples=60, deadline=None)
 @given(_channel_case(min_sf=2, anywhere=True))
 @example((LoRaParams(5), MultipathChannel((0, 31), (3.0, 0.7j)), 3))
-def test_ideal_mf_scores_are_bitwise_the_modulo_gather(case):
-    # the kernel against the (a + k) % M row gather it replaced, written out here
+def test_ideal_mf_scores_are_the_transform_of_the_true_symbols_product(case):
+    # the tap loop on spectra X against the definition written out here: the
+    # DFT of conj(C_a) times the dechirped window ifft(X), a = the row's true
+    # symbol. The kernel sums 2K real products and the transform 2M, each in
+    # some order, so each is within gamma_2M * sum|terms| of the exact value
+    # (any order, with or without FMA); and the same decisions. At b = a the
+    # kernel is the rake's sum, bit for bit
     p, ch, seed = case
     m = p.m
     g = dechirped_gain(p, ch)
     rng = np.random.default_rng(seed)
-    rd = _windows(p, rng, n=40)
-    sent = rng.integers(0, m, size=rd.shape[0])
+    spec = _windows(p, rng, n=40)
+    sent = rng.integers(0, m, size=spec.shape[0])
     sent[:2] = (0, m - 1)
     h = channel_coefficient(p, g, 0)
     crows = h[(sent[:, None] + np.arange(m)[None, :]) % m]
+    rd = np.fft.ifft(spec, axis=1)
     ref = np.fft.fft(np.conj(crows) * rd, axis=1).real
-    assert ideal_mf_scores(p, rd, g, sent).tobytes() == ref.tobytes()
+    got = ideal_mf_scores(p, spec, g, sent)
+    taps = sum(abs(gain) * np.roll(np.abs(spec), d, axis=1) for d, gain in zip(g.delays, g.gains))
+    terms = np.sum(np.abs(crows) * np.abs(rd), axis=1, keepdims=True) + taps
+    assert np.all(np.abs(got - ref) <= 2 * m * np.finfo(float).eps * terms)
+    np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
+    rows = np.arange(sent.size)
+    assert got[rows, sent].tobytes() == rake_scores(p, spec, g)[rows, sent].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -566,7 +578,8 @@ def test_kernels_write_the_same_bytes_into_used_buffers(case):
     cases = [
         (rake_scores(p, spec, g), rake_scores(p, spec, g, out=real(), work=cplx())),
         (mf_scores(rd, mf_filter_bank(p, g)), mf_scores(rd, mf_filter_bank(p, g), out=real())),
-        (ideal_mf_scores(p, rd, g, sent), ideal_mf_scores(p, rd, g, sent, out=cplx())),
+        (ideal_mf_scores(p, spec, g, sent), ideal_mf_scores(p, spec, g, sent, out=real(),
+                                                            work=cplx())),
         (masked_argmax(rake_scores(p, spec, g), mask),
          masked_argmax(rake_scores(p, spec, g), mask, out=real())),
         (tdel_detect(spec[0], spec, 0.3), tdel_detect(spec[0], spec, 0.3, out=cplx())),

@@ -360,7 +360,7 @@ def test_every_point_scales_the_trials_standard_normals():
 
 
 _KERNEL_NAMES = ("_rake_scores", "_mf_scores", "_ideal_scores")
-_CLOSED_FORM_NAMES = ("clean_rake_scores", "clean_ideal_mf_scores")
+_CLOSED_FORM_NAMES = ("clean_rake_scores",)
 
 
 @pytest.mark.parametrize("points", [1, 3, 5])
@@ -371,11 +371,12 @@ _CLOSED_FORM_NAMES = ("clean_rake_scores", "clean_ideal_mf_scores")
 ])
 def test_linear_kernels_run_once_per_block_with_shared_gains(monkeypatch, csir, points):
     # with perfect CSIR each kernel scores a block's normals, whatever the
-    # number of points, and only they are inverse-transformed: the closed
-    # forms score the noise-free spectra, once per block, rake and mf (or
-    # cand-mf) sharing one; with estimated or forced gains each kernel scores
-    # each point's spectra and no closed form runs. 5 windows per block at sf
-    # 7, 2 pilots and 20 data symbols: blocks of 3, 5, 5, 5 and 2 data symbols
+    # number of points, and only they are inverse-transformed, for mf alone:
+    # ideal-mf (as coh) scores the noise-free spectra with its own kernel, and
+    # rake and mf (or cand-mf) share one closed form, each once per block;
+    # with estimated or forced gains each kernel scores each point's spectra
+    # and no closed form runs. 5 windows per block at sf 7, 2 pilots and 20
+    # data symbols: blocks of 3, 5, 5, 5 and 2 data symbols
     calls = Counter()
 
     def count(owner, name):
@@ -397,30 +398,34 @@ def test_linear_kernels_run_once_per_block_with_shared_gains(monkeypatch, csir, 
     run_ser_sweep(cfg)
     assert calls.pop("build_frame") == blocks
     assert calls == Counter({**dict.fromkeys((*_KERNEL_NAMES, "ifft"), per_block * blocks),
-                             **dict.fromkeys(_CLOSED_FORM_NAMES, closed)})
+                             **dict.fromkeys(_CLOSED_FORM_NAMES, closed),
+                             "_ideal_scores": per_block * blocks + closed})
+    calls.clear()
+    # without mf nothing is inverse-transformed: ideal-mf reads the spectra
+    run_ser_sweep(replace(cfg, detectors=("ideal-mf", "rake")))
+    assert calls.pop("ifft", 0) == 0
     calls.clear()
     run_candidate_sweep(_cand(replace(cfg, detectors=SimConfig.detectors)), (0.05, 1.0))
     assert calls == Counter({"build_frame": blocks, "_rake_scores": per_block * blocks,
                              "clean_rake_scores": closed})
 
 
-def _abs_terms(kernel, p, g, sent, x, floor=0.0) -> tuple[np.ndarray, int]:
+def _abs_terms(kernel, p, g, x, floor=0.0) -> tuple[np.ndarray, int]:
     """(per score, the sum of the magnitudes of the real products a kernel adds
     up for input x, whose entries are sums of terms of magnitude up to
     |x| + floor, how many it adds). |Re(a b)| terms sum to at most |a| |b|."""
     m, ax = p.m, np.abs(x) + floor
     if kernel is simulate._COH:
         return abs(g.gains[0]) * ax, 2
-    if kernel is simulate._RAKE:  # score b adds tap d's gain times bin b - d
+    if kernel in (simulate._RAKE, simulate._IDEAL_MF):
+        # score b adds tap d's gain, rotated at b for the rake and at the
+        # row's true symbol for ideal-mf, times bin b - d
         return sum(abs(gain) * np.roll(ax, d, axis=1) for d, gain in zip(g.delays, g.gains)), \
             2 * g.n_paths
     h = np.abs(channel_coefficient(p, g, 0))
     grid = np.arange(m)
-    if kernel is simulate._MF:  # score b adds |C_b[k]| |r_k| over k, C_b[k] = C_0[(b + k) % M]
-        return ax @ h[(grid[:, None] + grid) % m].T, 2 * m
-    # ideal-mf: every bin of row i transforms conj(C_a) r with a = sent[i]
-    row = np.sum(h[(sent[:, None] + grid) % m] * ax, axis=1, keepdims=True)
-    return np.broadcast_to(row, x.shape), 2 * m
+    # mf: score b adds |C_b[k]| |r_k| over k, C_b[k] = C_0[(b + k) % M]
+    return ax @ h[(grid[:, None] + grid) % m].T, 2 * m
 
 
 _LINEAR_KERNELS = (simulate._COH, simulate._RAKE, simulate._MF, simulate._IDEAL_MF)
@@ -448,8 +453,8 @@ def _clean_floor(block, kernel) -> np.ndarray | float:
     """Per data row, what a bin of its noise-free spectra, or a sample of their
     inverse FFT, sums beyond its own magnitude in a closed form: the DFT of
     the head delta, and for the samples the inverse DFT of the lines. 0 for
-    coh, which scores the spectra themselves."""
-    if kernel is simulate._COH:
+    coh and ideal-mf, which score the spectra themselves."""
+    if kernel in (simulate._COH, simulate._IDEAL_MF):
         return 0.0
     floor = np.abs(block.delta).sum(axis=1, keepdims=True)
     return floor + np.abs(block.gains[0].gains).sum() if kernel.dechirped else floor
@@ -477,12 +482,12 @@ def _case_block(case, normals=None, scales=(0.0,)) -> simulate._Block:
 @example((LoRaParams(4), MultipathChannel((0,), (3.0 - 1.0j,)), 2, [15, 0, 3], None))
 @example((LoRaParams(10), MultipathChannel((0, 1, 256), (3.0, 2.0j, -2.0)), 0, [1023, 5], 1023))
 def test_closed_forms_are_the_kernels_on_the_noise_free_spectra(case):
-    # each kernel's closed form against the kernel run on the block's
-    # dechirped_spectra (their inverse FFT for mf and ideal-mf), within the
-    # bound the split scores keep: (2n + 8) eps times the products'
-    # magnitudes, a bin's magnitude counting the head terms the DFT summed
-    # into it, and n the larger of the two sums' counts: a closed form adds
-    # 2 k_max head products and at most K^2 line terms of 2 per score
+    # each kernel's clean scores against the kernel run on the block's
+    # dechirped_spectra (their inverse FFT for mf), within the bound the
+    # split scores keep: (2n + 8) eps times the products' magnitudes, a bin's
+    # magnitude counting the head terms the DFT summed into it, and n the
+    # larger of the two sums' counts: a closed form adds 2 k_max head
+    # products and at most K^2 line terms of 2 per score
     block = _case_block(case)
     p, g = block.params, block.gains[0]
     closed_count = 2 * g.k_max + 2 * g.n_paths**2
@@ -495,7 +500,7 @@ def test_closed_forms_are_the_kernels_on_the_noise_free_spectra(case):
             kernel.score(block, g, ins, direct)
             closed = np.empty(ins.shape)
             kernel.clean(block, g, closed)
-            t, count = _abs_terms(kernel, p, g, block.data, ins, _clean_floor(block, kernel))
+            t, count = _abs_terms(kernel, p, g, ins, _clean_floor(block, kernel))
             n = max(count, closed_count)
             assert np.all(np.abs(closed - direct) <= (2 * n + 8) * eps * t)
 
@@ -508,9 +513,9 @@ def test_closed_forms_are_the_kernels_on_the_noise_free_spectra(case):
          scale=0.5, seed=1)
 def test_shared_scores_are_the_kernels_on_each_points_spectra(case, scale, seed):
     # a point's scores, scale * S(W) + S(C), against the kernel run on its
-    # spectra scale * W + C (their inverse FFT for mf and ideal-mf), C being
-    # the block's noise-free spectra and S(C) their closed form. Rounding the
-    # spectra, each kernel's sums (any order, with or without FMA), the closed
+    # spectra scale * W + C (their inverse FFT for mf), C being the block's
+    # noise-free spectra and S(C) their clean scores. Rounding the spectra,
+    # each kernel's sums (any order, with or without FMA), the closed
     # form and the combination keeps each within (2n + 8) eps times the
     # products' magnitudes, a bin of C counting the head terms its DFT summed:
     # the closed form adds those terms one by one where the kernel reads
@@ -535,8 +540,8 @@ def test_shared_scores_are_the_kernels_on_each_points_spectra(case, scale, seed)
             direct = np.empty((len(data), m))
             kernel.score(block, g, ins[0], direct)
             assert at_zero.tobytes() == s_c.tobytes()
-            t_w, count = _abs_terms(kernel, p, g, block.data, ins[1])
-            t_c, _ = _abs_terms(kernel, p, g, block.data, ins[2], _clean_floor(block, kernel))
+            t_w, count = _abs_terms(kernel, p, g, ins[1])
+            t_c, _ = _abs_terms(kernel, p, g, ins[2], _clean_floor(block, kernel))
             bound = (2 * count + 8) * eps * (scale * t_w + t_c)
             assert np.all(np.abs(split - direct) <= bound)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lorarake
-from lorarake import cli
+from lorarake import cli, simulate
 from lorarake.cli import main, parse_ebn0_axis
 from lorarake.simulate import SimConfig
 
@@ -137,6 +137,20 @@ def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch
     # at sf 6: every committed sweep must come out byte for byte as from
     # whole-burst blocks
     monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", 11 * 128 + 37)
+    for name, argv in GOLDEN.items():
+        if argv[0] in ("ser", "cand-sweep", "estimate-study"):
+            _assert_matches_committed_output(tmp_path, capsys, name)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("bins", [None, 11 * 128 + 37], ids=["whole", "small-blocks"])
+def test_committed_output_holds_on_split_blocks(tmp_path, capsys, monkeypatch, threads, bins):
+    # each block's rows cut into 2 or 3 parts, run at once, mf and cand-mf too
+    # (a sweep keeps them on one thread): every committed sweep must come out
+    # byte for byte as from one thread
+    monkeypatch.setattr(simulate, "_threads", lambda params, cfg: threads)
+    if bins:
+        monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", bins)
     for name, argv in GOLDEN.items():
         if argv[0] in ("ser", "cand-sweep", "estimate-study"):
             _assert_matches_committed_output(tmp_path, capsys, name)

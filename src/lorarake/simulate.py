@@ -21,11 +21,13 @@ spectral lines and window heads that make C.
 Every block array is written into one workspace per process, made once per
 sweep, so the blocks of a sweep allocate no block memory.
 
-After a block's serial steps (its RNG draw, its head deltas and, in the
-first block, every point's pilot average and gains), its data rows are cut
-into one part per core the process has to itself (_threads: one part for a
-burst shorter than a block, with mf, or when no point's spectra are made),
-and the parts run at once on a thread pool that lives for one trial. Every
+After a block's serial steps (its RNG draw, its head deltas, and in the
+first block every point's pilot average, gains and mf banks), its data rows
+are cut into one part per core the process has to itself (_threads: one part
+for a burst shorter than a block, or when no point's spectra are made), and
+the parts run at once on a thread pool that lives for one trial, with
+OpenBLAS (mf's product) held at the cores left to each part (_blas_threads;
+where numpy's OpenBLAS cannot be found, a run with mf keeps one part). Every
 later stage works row by row, and numpy releases the GIL while it runs, so
 each part writes only its own rows of every workspace region, and the
 parts' counts add up to those of the whole block: output does not depend on
@@ -36,13 +38,15 @@ makes it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 import os
 import threading
 from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -634,6 +638,18 @@ def _mf_bank(params: LoRaParams, g: DechirpedGains, keep: int = 1,
     return banks[cols]
 
 
+def _build_banks(params: LoRaParams, cfg: SimConfig, gains: list) -> None:
+    """Build the mf banks a trial's detectors read at each point's gains
+    before any part of a block runs: the parts share the evicting cache,
+    and two that both missed it would both build a bank."""
+    if {"mf", "cand-mf"} & set(cfg.detectors):
+        for g in gains:
+            _mf_bank(params, g, cfg._mf_banks())
+    if _shares_gains(cfg) and any(_DETECTORS[det].kernel in (_RAKE, _MF)
+                                  for det in cfg.detectors):
+        _mf_bank(params, gains[0], cols=gains[0].k_max)  # the closed form's
+
+
 def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     """Draw one burst; yield the data rows of its blocks in burst order.
 
@@ -649,9 +665,10 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     spectra once too, whatever the number of points, so a point's
     scores never depend on the rest of the axis. Where the pilots are read,
     the first block's pilot rows fix each point's pilot average and gains
-    before it is yielded. Every array of a yielded block is a view of the
-    process's workspace, so a block is valid until the next yield; its mask
-    region holds masks masks.
+    before it is yielded, and every point's mf bank once they are fixed.
+    Every array of a yielded block is a view of the process's workspace, so
+    a block is valid until the next yield; its mask region holds masks
+    masks.
     """
     m = params.m
     ws = _workspace(params, cfg, masks)
@@ -664,13 +681,9 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     pilot_avg, gains = [None] * len(scales), [None] * len(scales)
     if _shares_gains(cfg):
         gains = [dechirped_gain(params, ch)] * len(scales)
-        # the banks are built before any block array is written, so a build's
-        # temporaries never sit on top of the block memory, and before any
-        # part of a block runs: the threads share the evicting cache
-        if {"mf", "cand-mf"} & set(cfg.detectors):
-            _mf_bank(params, gains[0])
-        if any(_DETECTORS[det].kernel in (_RAKE, _MF) for det in cfg.detectors):
-            _mf_bank(params, gains[0], cols=gains[0].k_max)
+        # before any block array is written, so a build's temporaries never
+        # sit on top of the block memory
+        _build_banks(params, cfg, gains)
     rows = block_rows(m)
     n_p, start, prev = cfg.n_p, 0, None
     while start < cfg.n_d:
@@ -689,6 +702,8 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
                 elif cfg.csir == "estimated":
                     gains[t.i] = detect_paths(params, pilot_avg[t.i], cfg.rho_p, cfg.k_max,
                                               ch.n_paths if cfg.known_k else None)
+            if not _shares_gains(cfg):
+                _build_banks(params, cfg, gains)
         yield _Block(params, ch, cfg, ws, n_p, symbols[n_p:], delta[n_p:], normals[n_p:],
                      scales, pilot_avg, gains)
         n_p, start, prev = 0, stop, int(symbols[-1])
@@ -702,22 +717,81 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+class _Blas(NamedTuple):
+    """OpenBLAS's process-wide thread count: get() reads it, set(n) sets it."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _openblas() -> _Blas | None:
+    """The thread count of the OpenBLAS numpy's PyPI wheels bundle
+    (libscipy_openblas64_), found among the libraries this process has
+    loaded on first use, never at import; None where it is not (another
+    BLAS build, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "openblas" in line.rpartition("/")[2]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _Blas(get, set_)
+    return None
+
+
+@contextmanager
+def _blas_threads(n: int) -> Iterator[None]:
+    """Hold OpenBLAS at max(1, n) threads, then give the caller's count back.
+
+    An OpenBLAS thread busy-waits for a while after each product, so a
+    product's threads beyond the cores left to its caller spin on cores
+    that other parts or processes are running on. The count is the
+    process's, so the forked workers of a pool made inside inherit it."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    before = blas.get()
+    blas.set(max(1, n))
+    try:
+        yield
+    finally:
+        blas.set(before)
+
+
+def _processes(cfg: SimConfig) -> int:
+    """The worker processes a sweep runs its trials on; 1 is none but this one."""
+    return min(cfg.workers, cfg.n_trials)
+
+
 def _threads(params: LoRaParams, cfg: SimConfig) -> int:
     """Threads a trial runs its blocks' parts on: the usable cores over the
     sweep's processes, at least 1. A run keeps 1 where a split was measured
     slower or no faster (in process, on 2 cores):
-    - with mf or cand-mf, whose bank product OpenBLAS already spreads over
-      every core;
     - with a burst shorter than one block (channel.BLOCK_BINS bins): on
       smaller blocks the parts' Python steps and hand-offs cost more than
       their rows save (2 threads ran 0.6-0.85 times as fast as 1 on sf 7-10
       blocks of 2**14 to 2**16 bins, and 0.6-1.2 times at 2**17);
     - when no point's spectra are made (shared gains and linear detectors
-      alone): a sf 10 rake sweep ran 0.94-0.96 times as fast on 2 threads."""
-    if ({"mf", "cand-mf"} & set(cfg.detectors) or cfg.n_d < block_rows(params.m)
-            or not cfg._reads_points()):
+      alone): a sf 10 rake sweep ran 0.94-0.96 times as fast on 2 threads;
+    - with mf or cand-mf where _openblas finds no thread count to set: the
+      parts' products would each spread over every core.
+    A split trial holds OpenBLAS at the cores left to each part
+    (_trial_counts)."""
+    if (cfg.n_d < block_rows(params.m) or not cfg._reads_points()
+            or ({"mf", "cand-mf"} & set(cfg.detectors) and _openblas() is None)):
         return 1
-    return max(1, _usable_cores() // min(cfg.workers, cfg.n_trials))
+    return max(1, _usable_cores() // _processes(cfg))
 
 
 def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
@@ -728,9 +802,10 @@ def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
     count at once, one per thread of a pool of the trial's own (the parts
     wait for each other), so no thread outlives the trial or crosses the
     fork of a pool worker; with one thread the block's one part counts
-    inline. Every stage works row by row and each mask is made of the whole
-    block, so the sums do not depend on the cut. The workspace holds masks
-    candidate masks."""
+    inline, on the caller's OpenBLAS thread count. A split trial holds that
+    count at the cores left to each part while they run. Every stage works
+    row by row and each mask is made of the whole block, so the sums do not
+    depend on the cut. The workspace's mask region holds masks masks."""
     threads = _threads(params, cfg)
     total = 0
 
@@ -743,7 +818,11 @@ def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
             part.sync.abort()  # release the parts waiting for this one at make_masks
             raise
 
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+    split = threads > 1
+    # the pool, and with it every part, ends before the caller's count is back
+    with (_blas_threads(_usable_cores() // (_processes(cfg) * threads)) if split
+          else nullcontext(),
+          ThreadPoolExecutor(threads) if split else nullcontext() as pool):
         run = pool.map if pool else map
         for block in _trial_setup(params, ch, cfg, trial, masks):
             total = sum(run(counted, block.parts(threads)), total)
@@ -909,13 +988,16 @@ def _map_points(fn, params, ch, cfg: SimConfig, *extra,
     """(Eb/N0, each trial's result there) per point, in axis order, where
     fn(params, ch, cfg, trial, *extra) returns a trial's results in axis order.
     The trials run on min(cfg.workers, cfg.n_trials) worker processes: those
-    of pool, shared by several sweeps, or else of a pool of the sweep's own."""
+    of pool, shared by several sweeps, or else of a pool of the sweep's own.
+    A pool's workers fork (Linux's default start method) while this process
+    holds OpenBLAS at the cores over the workers, and keep that count."""
     tasks = [(params, ch, cfg, trial, *extra) for trial in range(cfg.n_trials)]
-    workers = min(cfg.workers, len(tasks))
+    workers = _processes(cfg)
     try:
         if workers > 1:
             chunk = max(1, len(tasks) // (workers * 4))
-            with nullcontext(pool) if pool else ProcessPoolExecutor(max_workers=workers) as run:
+            with (_blas_threads(_usable_cores() // workers),
+                  nullcontext(pool) if pool else ProcessPoolExecutor(max_workers=workers) as run):
                 results = list(run.map(fn, *zip(*tasks), chunksize=chunk))
         else:
             results = [fn(*t) for t in tasks]
@@ -1079,7 +1161,7 @@ def run_estimation_study(cfg: SimConfig) -> list[StudyRow]:
           for khat in KHAT_STUDY),
     ]
     base.resolve()  # every field is checked before a worker starts
-    workers = min(base.workers, base.n_trials)
+    workers = _processes(base)
     # one pool serves every sweep of the study, and is shut down before it returns
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         return [StudyRow(study, param, p) for study, param, run in runs

@@ -427,10 +427,13 @@ def test_block_parts_are_even_row_ranges_on_disjoint_workspace_bytes():
 
 def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     # cores // processes threads a trial, processes being min(workers,
-    # n_trials); a pool of 1 is none. mf and cand-mf keep 1, since OpenBLAS
-    # spreads their product over the cores already, and so do a burst
-    # shorter than one block (here 5 windows at sf 7 and 10 at sf 6) and a
-    # sweep that makes no point's spectra (shared gains, linear detectors)
+    # n_trials); a pool of 1 is none. A burst shorter than one block (here
+    # 5 windows at sf 7 and 10 at sf 6) keeps 1, and so does a sweep that
+    # makes no point's spectra (shared gains, linear detectors: mf alone
+    # too); mf and cand-mf split like every detector where the library sets
+    # OpenBLAS's thread count, held at the cores left to each part
+    held = []  # the counts set, the caller's being 7
+    monkeypatch.setattr(simulate, "_openblas", lambda: simulate._Blas(lambda: 7, held.append))
     sizes = _thread_pools(monkeypatch)
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
@@ -447,12 +450,18 @@ def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     sizes.clear()
     for workers in (2, 3, 8):  # 1 thread each: 3 // 2, 3 // 3 and 3 // 3
         run_ser_sweep(replace(cfg, workers=workers))
-    for dets in (("mf",), ("cand-mf", "rake"), simulate.DETECTOR_IDS, ("rake",),
-                 ("coh", "ideal-mf", "rake")):
+    for dets in (("mf",), ("rake",), ("coh", "ideal-mf", "rake")):
         run_ser_sweep(replace(cfg, detectors=dets))
     assert sizes == []
-    run_ser_sweep(replace(cfg, detectors=("rake",), csir="estimated"))  # each point's own gains
-    assert sizes == [3] * 3
+    held.clear()
+    for dets in (("cand-mf", "rake"), simulate.DETECTOR_IDS):
+        run_ser_sweep(replace(cfg, detectors=dets))
+    assert sizes == [3] * 6
+    assert held == [1, 7] * 6  # 3 cores // 3 threads, then the caller's count
+    sizes.clear()
+    for dets in (("rake",), ("mf",)):  # each point's own gains
+        run_ser_sweep(replace(cfg, detectors=dets, csir="estimated"))
+    assert sizes == [3] * 6
     sizes.clear()
     run_ser_sweep(replace(cfg, workers=8, n_trials=1))  # one trial: one process
     run_ser_sweep(replace(cfg, workers=2, n_trials=5))
@@ -502,9 +511,8 @@ def test_split_blocks_make_each_mask_of_the_whole_blocks_rows(monkeypatch, csir)
         assert [rows for _, rows, _, _ in seen[0]][:2] == [2, 2]
 
 
-def test_a_failing_part_raises_its_own_error(monkeypatch):
-    # a part that fails before the masks releases the part waiting there for
-    # it, and the sweep raises the failure rather than waiting forever
+def _fail_the_second_part(monkeypatch) -> SimConfig:
+    """A config whose trials run 2 parts, the second failing in noncoh."""
     noncoh = simulate._DETECTORS["noncoh"]
 
     def failing(t):
@@ -514,7 +522,13 @@ def test_a_failing_part_raises_its_own_error(monkeypatch):
 
     monkeypatch.setitem(simulate._DETECTORS, "noncoh", noncoh._replace(decide=failing))
     monkeypatch.setattr(simulate, "_threads", lambda p, c: 2)
-    cfg = _small(detectors=("noncoh", "cand-rake"), n_c=5, n_trials=1, n_d=40)
+    return _small(detectors=("noncoh", "cand-rake"), n_c=5, n_trials=1, n_d=40)
+
+
+def test_a_failing_part_raises_its_own_error(monkeypatch):
+    # a part that fails before the masks releases the part waiting there for
+    # it, and the sweep raises the failure rather than waiting forever
+    cfg = _fail_the_second_part(monkeypatch)
     outcome = []
 
     def sweep():
@@ -528,6 +542,145 @@ def test_a_failing_part_raises_its_own_error(monkeypatch):
     runner.join(60)
     assert not runner.is_alive()
     assert [str(exc) for exc in outcome] == ["second part"]
+
+
+_real_blas = None  # the blas fixture's, read by _blas_count in a pool worker
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """numpy's OpenBLAS thread count, set back as it was after the test."""
+    real = simulate._openblas()
+    if real is None:
+        pytest.skip("numpy's BLAS exports no thread count the library sets")
+    monkeypatch.setitem(globals(), "_real_blas", real)
+    before = real.get()
+    yield real
+    real.set(before)
+
+
+def _blas_count(params, ch, cfg, trial):
+    # a trial's result at each point: the OpenBLAS count its process runs on
+    return [_real_blas.get()] * len(cfg.ebn0_db)
+
+
+def test_the_callers_blas_count_comes_back(monkeypatch, blas):
+    # a split trial holds OpenBLAS at the cores left to each part and a pool
+    # at the cores over its workers, whose forks run on that count; each
+    # gives the caller's count back, also when a part raises
+    held = []
+
+    def holding(n):
+        held.append(n)
+        blas.set(n)
+
+    monkeypatch.setattr(simulate, "_openblas", lambda: simulate._Blas(blas.get, holding))
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
+    blas.set(3)
+    cfg = _small(detectors=("noncoh", "mf", "cand-mf"), n_c=5, n_trials=1, n_d=40)
+    run_ser_sweep(cfg)  # 4 threads, 1 BLAS thread each
+    assert (held, blas.get()) == ([1, 3], 3)
+    held.clear()
+    pooled = replace(cfg, n_trials=2, workers=2)
+    assert simulate._map_points(_blas_count, *pooled.resolve(), pooled) == [(0.0, (2, 2))]
+    assert (held, blas.get()) == ([2, 3], 3)
+    held.clear()
+    assert run_ser_sweep(pooled) == run_ser_sweep(replace(pooled, workers=1))
+    assert blas.get() == 3
+    held.clear()
+    rows = run_estimation_study(SimConfig(sf=6, ebn0_db=(0.0,), n_trials=2, n_d=20, workers=2))
+    assert (held, blas.get()) == ([2, 3] * len(rows), 3)
+    held.clear()
+    with pytest.raises(ValueError, match="second part"):
+        run_ser_sweep(_fail_the_second_part(monkeypatch))
+    assert (held, blas.get()) == ([2, 3], 3)
+
+
+@pytest.mark.parametrize("csir", _CSIRS)
+def test_mf_rows_do_not_depend_on_the_parts_or_the_blas_threads(monkeypatch, blas, csir):
+    # a GEMM's rounding could depend on its row count or its thread count:
+    # mf and cand-mf give the same bytes on 1-3 parts, each product running
+    # on 1 or 2 OpenBLAS threads (a one-part trial on the caller's count).
+    # One block of 300 rows, then blocks of 5
+    seen = []
+    mf_scores = simulate._mf_scores
+
+    def recording(*args, **kwargs):
+        seen.append(blas.get())
+        return mf_scores(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_mf_scores", recording)
+    cfg = _small(channel="c1", detectors=("mf", "cand-mf", "rake"), ebn0_db=(-2.0, 0.0, 3.0),
+                 n_d=300, rho_c=0.3, **csir)
+    for bins in (channel.BLOCK_BINS, 5 * 128 + 3):
+        monkeypatch.setattr(channel, "BLOCK_BINS", bins)
+        rows = set()
+        for count in (1, 2):
+            with simulate._blas_threads(count):
+                for threads in (1, 2, 3):
+                    monkeypatch.setattr(simulate, "_threads", lambda p, c: threads)
+                    monkeypatch.setattr(simulate, "_usable_cores", lambda: count * threads)
+                    seen.clear()
+                    rows.add(tuple(run_ser_sweep(cfg)))
+                    assert seen and set(seen) == {count}
+        assert len(rows) == 1
+
+
+def test_without_an_openblas_thread_count_mf_keeps_one_thread(monkeypatch, blas):
+    # where numpy's BLAS exports no thread count (another build) a sweep with
+    # mf keeps one thread, and no sweep sets a count: its products and a
+    # pool's workers run on the caller's
+    sizes = _thread_pools(monkeypatch)
+    monkeypatch.setattr(simulate.ctypes, "CDLL", lambda path: SimpleNamespace())
+    simulate._openblas.cache_clear()
+    try:
+        assert simulate._openblas() is None
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
+        blas.set(3)
+        counts = []
+        for name in ("_mf_scores", "_rake_scores"):
+            kernel = getattr(simulate, name)
+            monkeypatch.setattr(simulate, name, lambda *a, kernel=kernel, **k: (
+                counts.append(blas.get()), kernel(*a, **k))[1])
+        cfg = _small(detectors=("noncoh", "cand-mf"), n_c=5, n_trials=1, n_d=40)
+        for dets in (("noncoh", "cand-mf"), ("mf",), simulate.DETECTOR_IDS):
+            run_ser_sweep(replace(cfg, detectors=dets, csir="estimated"))
+        run_ser_sweep(cfg)
+        assert sizes == []
+        run_ser_sweep(replace(cfg, detectors=("noncoh", "cand-rake")))  # splits, no set
+        assert sizes == [4]
+        pooled = replace(cfg, n_trials=2, workers=2)
+        assert simulate._map_points(_blas_count, *pooled.resolve(), pooled) == [(0.0, (3, 3))]
+        assert counts and set(counts) == {3}
+    finally:
+        simulate._openblas.cache_clear()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("csir", _CSIRS)
+@pytest.mark.parametrize("det", ["mf", "cand-mf"])
+def test_split_trials_build_each_mf_bank_once(monkeypatch, threads, csir, det):
+    # every point's banks are built before a block's parts run: two parts
+    # that both missed the shared cache would both build a bank. One block,
+    # its 37 data rows cut into parts
+    calls = _count_mf_bank_builds(monkeypatch)
+    cfg = _small(channel="c1", detectors=(det, "rake"), ebn0_db=(-2.0, 0.0, 3.0), n_p=3,
+                 n_d=37, rho_c=0.3, **csir)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (1, threads):
+            monkeypatch.setattr(simulate, "_threads", lambda p, c: count)
+            simulate._mf_bank_cache.clear()
+            calls.clear()
+            run_ser_sweep(cfg)
+            seen.append(list(calls))
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen[1] == seen[0]
 
 
 def test_usable_cores_are_the_affinity_mask(monkeypatch):

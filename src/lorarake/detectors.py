@@ -170,7 +170,8 @@ def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -
     return z
 
 
-def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
+def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The matched-filter bank in the form mf_scores takes: a real (2 * cols, M) array.
 
     Window sample k's coefficients over the hypotheses b are
@@ -179,8 +180,9 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     float view times the bank is the real part of every statistic. cols
     defaults to M; with cols given only the first cols samples are built:
     fastsim maps a window's k_max head samples to statistics through them.
-    Built in slabs of channel.block_rows(M) samples, so the build holds the
-    bank plus one slab of temporaries.
+    Built in slabs of channel.block_rows(M) samples in one reused slab of
+    temporaries, so a build's cost does not depend on the allocator's
+    history. out, a real (2 * cols, M) array, is overwritten with the bank.
     """
     m = params.m
     n = m if cols is None else cols
@@ -189,14 +191,16 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     heads = sliding_window_view(np.concatenate((hc, hc)), m)
     twiddles = np.conj(_chirp_tables(params.sf)[1])
     grid = np.arange(m)
-    bank = np.empty((2 * n, m))
-    step = block_rows(m)
+    bank = np.empty((2 * n, m)) if out is None else out
+    step = max(1, min(n, block_rows(m)))
+    idx_buf, slab_buf = np.empty((step, m), dtype=np.int64), np.empty((step, m), complex)
     for k0 in range(0, n, step):
         k1 = min(n, k0 + step)
+        idx, slab = idx_buf[: k1 - k0], slab_buf[: k1 - k0]
         # the twiddle is the conjugated root at (b * k) mod M (M a power of two)
-        idx = np.multiply.outer(grid[k0:k1], grid)
+        np.multiply.outer(grid[k0:k1], grid, out=idx)
         idx &= m - 1
-        slab = twiddles[idx]
+        np.take(twiddles, idx, out=slab, mode="clip")  # mode "raise" buffers out
         # the coefficients stay the left operand: the SIMD complex multiply
         # is not bitwise commutative
         np.multiply(heads[k0:k1], slab, out=slab)

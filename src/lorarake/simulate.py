@@ -18,8 +18,9 @@ and point i's scores are s_i * score(W) + score(C): each kernel runs on W, coh
 and ideal-mf run on C too, and rake and mf share one closed form of score(C)
 from the windows' symbols and head deltas (detectors.clean_rake_scores), the
 spectral lines and window heads that make C.
-Every block array is written into one workspace per process, made once per
-sweep, so the blocks of a sweep allocate no block memory.
+Every block array, and each point's mf bank when the points' gains differ,
+is written into one workspace per process, made once per sweep, so the
+blocks of a sweep allocate no block memory and those banks end with it.
 
 After a block's serial steps (its RNG draw, its head deltas, and in the
 first block every point's pilot average, gains and mf banks), its data rows
@@ -59,7 +60,6 @@ from .channel import (
     complex_noise,
     dechirped_gain,
     dechirped_spectra,
-    DechirpedGains,
     head_deltas,
     parse_channel,
 )
@@ -215,10 +215,9 @@ class SimConfig:
         return (not _shares_gains(self) or self.candidate_rule() is not None
                 or any(_DETECTORS[d].decide for d in self.detectors))
 
-    def _mf_banks(self) -> int:
-        """Gain sets whose mf banks a process keeps: one per point of a trial
-        unless CSIR is perfect."""
-        return 1 if self.csir == "perfect" else len(self.ebn0_db)
+    def _banked(self) -> list[str]:
+        """The detectors that read the mf filter bank."""
+        return [d for d in self.detectors if _DETECTORS[d].kernel is _MF]
 
     def _reject_unused(self, driver: str, names: tuple[str, ...]) -> None:
         """Reject a field of names, one the driver overrides or never reads, set off its default."""
@@ -291,17 +290,18 @@ class SimConfig:
             raise ConfigError("master_seed", f"must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers", f"must be >= 1, got {self.workers}")
-        banked = [d for d in self.detectors if d in ("mf", "cand-mf")]
+        banked = self._banked()
         phys = _physical_memory() if banked else None
         if phys is not None:
-            # every worker process holds its own (2M, M) float64 banks; the build
-            # adds one slab of temporaries (channel.block_rows)
-            need = self.workers * self._mf_banks() * 2 * m * m * 8
+            # each process running trials holds its (2M, M) float64 banks, the
+            # channel's or one per point, and a build adds one slab (block_rows)
+            procs = _processes(self)
+            need = procs * (1 if _shares_gains(self) else len(self.ebn0_db)) * 2 * m * m * 8
             if need > phys:
                 raise ConfigError(
                     "detectors",
                     f"{banked[0]} at sf {self.sf} holds {need / 2**30:.1f} GiB of (2M, M) filter "
-                    f"banks over {self.workers} worker(s), more than the {phys / 2**30:.1f} GiB "
+                    f"banks over {procs} worker(s), more than the {phys / 2**30:.1f} GiB "
                     "of physical memory; rake and cand-rake make the same decisions without one")
         return params, ch
 
@@ -359,21 +359,23 @@ _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
 
 
 class _Workspace:
-    """A process's block arrays for one sweep, carved from one allocation.
+    """A process's block arrays for one sweep, carved from one allocation, and mf banks.
 
     A region holds slots[name] arrays of rows windows of M bins: block_rows(M)
     rows (n_p + 1 when a first block of pilots needs more), or the n_p + n_d
     windows of a shorter burst. Window j of a block, pilots first, owns row j
     of every region. One allocation keeps a sweep independent of the
     allocator's history: no block array is freed, handed back to the system
-    and faulted in again between blocks.
+    and faulted in again between blocks. banks holds one (2M, M) mf bank per
+    point when the points' gains differ, rebuilt in place by each trial.
     """
 
-    def __init__(self, m: int, rows: int, slots: dict[str, int]):
+    def __init__(self, m: int, rows: int, slots: dict[str, int], banks: int = 0):
         self.m, self.rows = m, rows
         sizes = {name: rows * m * size * slots[name]
                  for name, size in _REGION_BYTES.items() if name in slots}
         self._buf = np.empty(sum(sizes.values()), dtype=np.uint8)
+        self.banks = [np.empty((2 * m, m)) for _ in range(banks)]
         self._regions, start = {}, 0
         for name, size in sizes.items():
             self._regions[name] = self._buf[start : start + size]
@@ -408,9 +410,10 @@ _workspace_cache: dict = {}
 def _workspace(params: LoRaParams, cfg: SimConfig, masks: int = 1) -> _Workspace:
     """This process's one workspace, for cfg's sweep: the regions its detectors
     write, at the rows of a trial's largest block, the mask region holding
-    masks masks. A new sweep's workspace replaces the last one, which is freed
-    first (a worker of a shared pool runs several sweeps); _map_points clears
-    it when the sweep ends."""
+    masks masks, and one mf bank per point if a detector reads the bank and
+    the points' gains differ. A new sweep's workspace replaces the last one,
+    which is freed first (a worker of a shared pool runs several sweeps);
+    _map_points clears it when the sweep ends."""
     key = (params, cfg, masks)
     if key not in _workspace_cache:
         _workspace_cache.clear()
@@ -420,8 +423,11 @@ def _workspace(params: LoRaParams, cfg: SimConfig, masks: int = 1) -> _Workspace
         if _shares_gains(cfg):  # the kernels' scores fill spectra
             names.discard("scores")
         rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
+        banks = len(cfg.ebn0_db) if cfg._banked() and not _shares_gains(cfg) else 0
+        if banks:  # this sweep's banks are its own: free the last channel's first
+            _channel_bank_memo.clear()
         _workspace_cache[key] = _Workspace(params.m, rows,
-                                           {name: slots.get(name, 1) for name in names})
+                                           {name: slots.get(name, 1) for name in names}, banks)
     return _workspace_cache[key]
 
 
@@ -454,10 +460,10 @@ class _Block:
     """Consecutive data windows of a trial, the workspace's rows [row, row +
     n): their symbols and head deltas (channel.head_deltas), and their
     standard normals, a complex (n, M) array. The first block's pilot rows
-    come before its data rows. The per-point scales, pilot averages and
-    gains are the trial's; the first block's pilots fix the last two before
-    its data rows run. rows(lo, hi) is a block of its own over a range of
-    the rows, and its stages write only those rows of every region; parts(k)
+    come before its data rows. The per-point scales, pilot averages, gains and
+    mf banks are the trial's; the first block's pilots fix all but the scales
+    before its data rows run. rows(lo, hi) is a block of its own over a range
+    of the rows, and its stages write only those rows of every region; parts(k)
     cuts the rows into such blocks, which know the block they are parts of
     (whole) and meet at one barrier (sync) to make their candidate masks.
     """
@@ -473,6 +479,7 @@ class _Block:
     scales: list
     pilot_avg: list
     gains: list
+    banks: list
     whole: _Block | None = None
     sync: threading.Barrier | None = None
 
@@ -542,10 +549,10 @@ class _Block:
         dechirped samples, takes the inverse FFT of the normals in place. A
         kernel whose clean is the last one's (mf after rake) reuses those
         scores of the noise-free spectra."""
-        g, (s_w, s_c), last = self.gains[0], self._pair(), None
-        for kernel in _run_kernels(self, g, kernels, self.normals, s_w):
+        (s_w, s_c), last = self._pair(), None
+        for kernel in _run_kernels(self, 0, kernels, self.normals, s_w):
             if kernel.clean is not last:
-                kernel.clean(self, g, s_c)
+                kernel.clean(self, s_c)
                 last = kernel.clean
             yield kernel
 
@@ -576,10 +583,6 @@ class _TrialData:
     i: int
     data_spec: np.ndarray
 
-    @property
-    def gains(self) -> DechirpedGains:
-        return self.block.gains[self.i]
-
     @_once
     def mag(self) -> np.ndarray:
         return np.abs(self.data_spec, out=self.block.region("mag"))
@@ -596,58 +599,38 @@ class _TrialData:
         it last: mf, which reads dechirped samples, takes the inverse FFT of
         the spectra in place."""
         out = self.block.region("scores")
-        for kernel in _run_kernels(self.block, self.gains, kernels, self.data_spec, out):
+        for kernel in _run_kernels(self.block, self.i, kernels, self.data_spec, out):
             yield kernel, out
 
 
-def _run_kernels(block: _Block, g: DechirpedGains, kernels, x: np.ndarray,
+def _run_kernels(block: _Block, i: int, kernels, x: np.ndarray,
                  out: np.ndarray) -> Iterator[_Kernel]:
-    """Run each of kernels on x in _KERNEL_ORDER, writing its scores to out;
-    yield it once they are written. Before the first kernel that reads
-    dechirped samples, x is replaced by its inverse FFT in place."""
+    """Run each of kernels at point i on x in _KERNEL_ORDER, writing its scores
+    to out; yield it once they are written. Before the first kernel that
+    reads dechirped samples, x is replaced by its inverse FFT in place."""
     dechirped = False
     for kernel in (k for k in _KERNEL_ORDER if k in kernels):
         if kernel.dechirped and not dechirped:
             np.fft.ifft(x, axis=1, out=x)
             dechirped = True
-        kernel.score(block, g, x, out)
+        kernel.score(block, i, x, out)
         yield kernel
 
 
-# Gain set -> {cols: its mf bank in the form _mf_scores takes, or the bank's
-# first cols samples}, oldest gain set first. With perfect CSIR a process keeps
-# one gain set's banks: the whole bank for mf and the first k_max samples for
-# the closed form of rake and mf; with estimated or forced gains each point of
-# a trial has its own whole bank, kept for all its blocks. Results never depend
-# on the cache.
-_mf_bank_cache: dict = {}
+_channel_bank_memo: dict = {}  # (params, ch, whole) -> the last channel's bank
 
 
-def _mf_bank(params: LoRaParams, g: DechirpedGains, keep: int = 1,
-             cols: int | None = None) -> np.ndarray:
-    """The mf filter bank of a gain set, or its first cols samples; the cache
-    keeps the banks of the last `keep` gain sets."""
-    key = (params.sf, g.delays, g.gains.tobytes())
-    if key not in _mf_bank_cache:
-        while len(_mf_bank_cache) >= keep:  # free the oldest before building a new one
-            del _mf_bank_cache[next(iter(_mf_bank_cache))]
-        _mf_bank_cache[key] = {}
-    banks = _mf_bank_cache[key]
-    if cols not in banks:
-        banks[cols] = mf_filter_bank(params, g, cols=cols)
-    return banks[cols]
-
-
-def _build_banks(params: LoRaParams, cfg: SimConfig, gains: list) -> None:
-    """Build the mf banks a trial's detectors read at each point's gains
-    before any part of a block runs: the parts share the evicting cache,
-    and two that both missed it would both build a bank."""
-    if {"mf", "cand-mf"} & set(cfg.detectors):
-        for g in gains:
-            _mf_bank(params, g, cfg._mf_banks())
-    if _shares_gains(cfg) and any(_DETECTORS[det].kernel in (_RAKE, _MF)
-                                  for det in cfg.detectors):
-        _mf_bank(params, gains[0], cols=gains[0].k_max)  # the closed form's
+def _channel_bank(params: LoRaParams, ch: MultipathChannel, whole: bool) -> np.ndarray:
+    """With shared gains, the channel's mf bank if whole, else its first k_max
+    samples, the rows the closed form reads. A process keeps the last one, so
+    its next trial or sweep on that channel builds none, and frees it before
+    building another."""
+    key = (params, ch, whole)
+    if key not in _channel_bank_memo:
+        _channel_bank_memo.clear()
+        g = dechirped_gain(params, ch)
+        _channel_bank_memo[key] = mf_filter_bank(params, g, cols=None if whole else g.k_max)
+    return _channel_bank_memo[key]
 
 
 def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
@@ -665,10 +648,10 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     spectra once too, whatever the number of points, so a point's
     scores never depend on the rest of the axis. Where the pilots are read,
     the first block's pilot rows fix each point's pilot average and gains
-    before it is yielded, and every point's mf bank once they are fixed.
-    Every array of a yielded block is a view of the process's workspace, so
-    a block is valid until the next yield; its mask region holds masks
-    masks.
+    before it is yielded, then each point's mf bank in the workspace (with
+    shared gains, _channel_bank's): no part of a block builds a bank. Every
+    array of a yielded block is a view of the process's workspace, so a
+    block is valid until the next yield; its mask region holds masks masks.
     """
     m = params.m
     ws = _workspace(params, cfg, masks)
@@ -678,12 +661,13 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     # over the bins, so the noise is drawn in the spectrum
     scales = [math.sqrt(m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr")) / 2.0)
               for e in cfg.ebn0_db]
-    pilot_avg, gains = [None] * len(scales), [None] * len(scales)
+    pilot_avg, gains, banks = [None] * len(scales), [None] * len(scales), ws.banks
     if _shares_gains(cfg):
         gains = [dechirped_gain(params, ch)] * len(scales)
         # before any block array is written, so a build's temporaries never
         # sit on top of the block memory
-        _build_banks(params, cfg, gains)
+        if any(_DETECTORS[det].kernel in (_RAKE, _MF) for det in cfg.detectors):
+            banks = [_channel_bank(params, ch, bool(cfg._banked()))] * len(scales)
     rows = block_rows(m)
     n_p, start, prev = cfg.n_p, 0, None
     while start < cfg.n_d:
@@ -694,7 +678,7 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
         delta = head_deltas(params, ch, symbols, prev)
         if n_p and cfg._needs_pilots():
             pilots = _Block(params, ch, cfg, ws, 0, symbols[:n_p], delta[:n_p], normals[:n_p],
-                            scales, pilot_avg, gains)
+                            scales, pilot_avg, gains, banks)
             for t in pilots.points():
                 pilot_avg[t.i] = average_pilot_dft(t.data_spec)
                 if cfg.csir == "forced":
@@ -702,10 +686,11 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
                 elif cfg.csir == "estimated":
                     gains[t.i] = detect_paths(params, pilot_avg[t.i], cfg.rho_p, cfg.k_max,
                                               ch.n_paths if cfg.known_k else None)
-            if not _shares_gains(cfg):
-                _build_banks(params, cfg, gains)
+            if not _shares_gains(cfg):  # the workspace has no bank unless one is read
+                for g, bank in zip(gains, banks):
+                    mf_filter_bank(params, g, out=bank)
         yield _Block(params, ch, cfg, ws, n_p, symbols[n_p:], delta[n_p:], normals[n_p:],
-                     scales, pilot_avg, gains)
+                     scales, pilot_avg, gains, banks)
         n_p, start, prev = 0, stop, int(symbols[-1])
 
 
@@ -789,7 +774,7 @@ def _threads(params: LoRaParams, cfg: SimConfig) -> int:
     A split trial holds OpenBLAS at the cores left to each part
     (_trial_counts)."""
     if (cfg.n_d < block_rows(params.m) or not cfg._reads_points()
-            or ({"mf", "cand-mf"} & set(cfg.detectors) and _openblas() is None)):
+            or (cfg._banked() and _openblas() is None)):
         return 1
     return max(1, _usable_cores() // _processes(cfg))
 
@@ -846,42 +831,39 @@ def _tdel_decisions(t: _TrialData) -> np.ndarray:
 
 
 class _Kernel(NamedTuple):
-    """A detector statistic linear in the spectrum. score(block, gains, x, out)
+    """A detector statistic linear in the spectrum. score(block, i, x, out)
     writes the real scores of x, (n, M) data-row spectra or, if dechirped (mf),
-    their inverse FFT, to out, a real (n, M) array. clean(block, gains, out)
-    writes its scores of the block's noise-free data-row spectra: coh's and
-    ideal-mf's own kernel on them, or rake's and mf's closed form from their
-    symbols and head deltas (detectors.clean_rake_scores)."""
+    their inverse FFT, to out, a real (n, M) array, reading point i's gains
+    (block.gains[i]) or mf bank (block.banks[i]). clean(block, out), run only
+    with shared gains, writes its scores of the block's noise-free data-row
+    spectra: coh's and ideal-mf's own kernel on them, or rake's and mf's
+    closed form, through the bank's first k_max samples (clean_rake_scores)."""
 
-    score: Callable[[_Block, DechirpedGains, np.ndarray, np.ndarray], object]
-    clean: Callable[[_Block, DechirpedGains, np.ndarray], object]
+    score: Callable[[_Block, int, np.ndarray, np.ndarray], object]
+    clean: Callable[[_Block, np.ndarray], object]
     dechirped: bool = False
 
 
-def _coh_scores(b: _Block, g: DechirpedGains, x: np.ndarray, out: np.ndarray) -> None:
-    np.copyto(out, np.multiply(np.conj(g.gains[0]), x, out=b.region("work", np.complex128)).real)
+def _coh_scores(b: _Block, i: int, x: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, np.multiply(np.conj(b.gains[i].gains[0]), x,
+                               out=b.region("work", np.complex128)).real)
 
 
-def _ideal_mf_scores(b: _Block, g: DechirpedGains, x: np.ndarray, out: np.ndarray) -> None:
-    _ideal_scores(b.params, x, g, b.data, out=out, work=b.region("work", np.complex128))
-
-
-def _clean_rake_scores(b: _Block, g: DechirpedGains, out: np.ndarray) -> None:
-    bank = _mf_bank(b.params, g, b.cfg._mf_banks(), cols=g.k_max)
-    clean_rake_scores(b.params, g, b.data, b.delta, bank, out=out)
+def _ideal_mf_scores(b: _Block, i: int, x: np.ndarray, out: np.ndarray) -> None:
+    _ideal_scores(b.params, x, b.gains[i], b.data, out=out, work=b.region("work", np.complex128))
 
 
 # The kernels are small functions rather than the detectors' kernels
 # themselves, so each call looks its kernel up in this module's globals,
 # where perfbench's tracer wraps it.
-_COH = _Kernel(_coh_scores, lambda b, g, out: _coh_scores(b, g, b.clean, out))
-_RAKE = _Kernel(lambda b, g, x, out: _rake_scores(b.params, x, g, out=out,
+_COH = _Kernel(_coh_scores, lambda b, out: _coh_scores(b, 0, b.clean, out))
+_RAKE = _Kernel(lambda b, i, x, out: _rake_scores(b.params, x, b.gains[i], out=out,
                                                   work=b.region("work", np.complex128)),
-                _clean_rake_scores)
-_MF = _Kernel(lambda b, g, x, out: _mf_scores(x, _mf_bank(b.params, g, b.cfg._mf_banks()),
-                                              out=out), _clean_rake_scores, dechirped=True)
-_IDEAL_MF = _Kernel(_ideal_mf_scores,
-                    lambda b, g, out: _ideal_mf_scores(b, g, b.clean, out))
+                lambda b, out: clean_rake_scores(b.params, b.gains[0], b.data, b.delta,
+                                                 b.banks[0][: 2 * b.gains[0].k_max], out=out))
+_MF = _Kernel(lambda b, i, x, out: _mf_scores(x, b.banks[i], out=out), _RAKE.clean,
+              dechirped=True)
+_IDEAL_MF = _Kernel(_ideal_mf_scores, lambda b, out: _ideal_mf_scores(b, 0, b.clean, out))
 # The order _run_kernels runs them in: mf, the one kernel behind the inverse
 # FFT, last and right after rake, so the two run their one closed form once.
 _KERNEL_ORDER = (_COH, _IDEAL_MF, _RAKE, _MF)

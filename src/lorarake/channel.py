@@ -48,6 +48,16 @@ __all__ = [
 ]
 
 
+def _checked_delays(delays, n_gains: int) -> tuple[int, ...]:
+    """delays as ints, one per gain and at least one, from 0 strictly increasing."""
+    delays = tuple(int(d) for d in delays)
+    if len(delays) == 0 or len(delays) != n_gains:
+        raise ValueError("need one gain per delay and at least one tap")
+    if delays[0] != 0 or any(b <= a for a, b in zip(delays, delays[1:])):
+        raise ValueError(f"delays must start at 0 and increase strictly, got {delays}")
+    return delays
+
+
 @dataclass(frozen=True)
 class MultipathChannel:
     """Static multipath profile: strictly increasing integer delays, delays[0] == 0."""
@@ -56,14 +66,8 @@ class MultipathChannel:
     gains: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        delays = tuple(int(d) for d in self.delays)
         gains = tuple(complex(g) for g in self.gains)
-        if len(delays) == 0 or len(delays) != len(gains):
-            raise ValueError("need one gain per delay and at least one tap")
-        if delays[0] != 0:
-            raise ValueError(f"first delay must be 0 (synchronized first path), got {delays[0]}")
-        if any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValueError(f"delays must be strictly increasing, got {delays}")
+        delays = _checked_delays(self.delays, len(gains))
         if not all(math.isfinite(g.real) and math.isfinite(g.imag) for g in gains):
             raise ValueError(f"tap gains must be finite, got {gains}")
         if gains[0] == 0:
@@ -110,14 +114,8 @@ class DechirpedGains:
     gains: np.ndarray
 
     def __post_init__(self) -> None:
-        delays = tuple(int(d) for d in self.delays)
         gains = np.array(self.gains, dtype=np.complex128).reshape(-1)
-        if len(delays) == 0 or len(delays) != gains.size:
-            raise ValueError("need one gain per delay and at least one tap")
-        if delays[0] != 0:
-            raise ValueError(f"first delay must be 0, got {delays[0]}")
-        if any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValueError(f"delays must be strictly increasing, got {delays}")
+        delays = _checked_delays(self.delays, gains.size)
         gains.setflags(write=False)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "gains", gains)
@@ -257,8 +255,7 @@ def block_rows(m: int) -> int:
 
 
 def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
-                      prev: int | None = None, out: np.ndarray | None = None,
-                      delta: np.ndarray | None = None) -> np.ndarray:
+                      delta: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Noise-free DFT of every dechirped window of a burst, in closed form.
 
     Row j equals fft(dechirp(...)) of window j of
@@ -266,22 +263,19 @@ def dechirped_spectra(params: LoRaParams, ch: MultipathChannel, symbols,
     float rounding, without building a sample. Window j, carrying symbol
     s, holds one line M * G_i * exp(-2j*pi*d_i*s/M) per tap at bin
     (s - d_i) mod M, G_i being the dechirped gain, plus the DFT of its
-    head delta (head_deltas). The first window follows prev, the symbol
-    sent just before it, or silence when prev is None; chaining calls over
-    consecutive parts of a burst, each with the last symbol of the part
-    before, gives the one-call spectra bit for bit. out is a complex
-    (len(symbols), M) array to write them in. A caller that keeps the
-    windows' head deltas passes them as delta, head_deltas(params, ch,
-    symbols, prev), and not prev.
+    head delta, delta's row j. delta defaults to head_deltas(params, ch,
+    symbols): the first window follows silence. A caller that continues a
+    burst passes head_deltas(params, ch, symbols, prev), prev being the
+    symbol sent just before; chaining calls over consecutive parts of a
+    burst that way gives the one-call spectra bit for bit. out is a complex
+    (len(symbols), M) array to write them in.
     """
     m = params.m
     if ch.k_max >= m:
         raise ValueError(f"max delay {ch.k_max} must be < M={m}")
     s = np.asarray(symbols, dtype=np.int64).reshape(-1)
     if delta is None:
-        delta = head_deltas(params, ch, s, prev)
-    elif prev is not None:
-        raise ValueError("pass prev or the head deltas made with it, not both")
+        delta = head_deltas(params, ch, s)
     spec = np.fft.fft(delta, n=m, axis=1, out=out)
     add_lines(params, dechirped_gain(params, ch), s, spec)
     return spec

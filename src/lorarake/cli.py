@@ -23,7 +23,7 @@ import time
 import traceback
 from dataclasses import asdict, astuple, fields, replace
 
-from .channel import MultipathChannel, parse_channel
+from .channel import parse_channel
 from .simulate import (
     DEFAULT_NC_GRID,
     MAX_EBN0_POINTS,
@@ -173,7 +173,7 @@ def _write_csv(out_path: str, header: list[str], rows: list[list]) -> int:
 
 
 def _channel_text(ch) -> str:
-    ch = parse_channel(ch) if not isinstance(ch, MultipathChannel) else ch
+    ch = parse_channel(ch)
     return ",".join(f"{d}:{complex(g)}" for d, g in zip(ch.delays, ch.gains))
 
 

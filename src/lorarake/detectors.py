@@ -389,9 +389,9 @@ def delta_indicator(params: LoRaParams, ch, a: int, variant: str) -> float:
     lags = sorted({di - dj for di in delays for dj in delays} - {0})
     if not lags:
         return 0.0
-    denom = auto_cross_correlation(params, g, a, a).at(0).real
+    table = auto_cross_correlation(params, g, a, a)
+    denom = table.at(0).real
     if variant == "ideal_mf":
-        table = auto_cross_correlation(params, g, a, a)
         return max(table.at(l).real for l in lags) / denom
     # mf: each parasitic peak is scored by the hypothesis b = a - l at its own bin
     best = -np.inf

@@ -69,6 +69,7 @@ from .complexity import OpCount, complexity_ratio, op_count
 from .detectors import (
     candidate_masks as _candidate_masks,
     clean_rake_scores,
+    delta_indicator,
     ideal_mf_scores as _ideal_scores,
     masked_argmax as _masked_argmax,
     mf_filter_bank,
@@ -290,6 +291,10 @@ class SimConfig:
             raise ConfigError("master_seed", f"must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers", f"must be >= 1, got {self.workers}")
+        if self.candidate_rule() is None:
+            self._reject_unused("detector set", ("n_c", "rho_c"))
+        if "tdel" not in self.detectors:
+            self._reject_unused("detector set", ("rho_tdel",))
         banked = self._banked()
         phys = _physical_memory() if banked else None
         if phys is not None:
@@ -361,19 +366,21 @@ _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
 class _Workspace:
     """A process's block arrays for one sweep, carved from one allocation, and mf banks.
 
-    A region holds slots[name] arrays of rows windows of M bins: block_rows(M)
-    rows (n_p + 1 when a first block of pilots needs more), or the n_p + n_d
-    windows of a shorter burst. Window j of a block, pilots first, owns row j
-    of every region. One allocation keeps a sweep independent of the
-    allocator's history: no block array is freed, handed back to the system
-    and faulted in again between blocks. banks holds one (2M, M) mf bank per
-    point when the points' gains differ, rebuilt in place by each trial.
+    Every region holds one array (the mask region masks) of rows windows of
+    M bins: block_rows(M) rows (n_p + 1 when a first block of pilots needs
+    more), or the n_p + n_d windows of a shorter burst. Window j of a block,
+    pilots first, owns row j of every region. A region no stage writes is
+    never touched: it costs address space, not resident memory. One
+    allocation keeps a sweep independent of the allocator's history: no block
+    array is freed, handed back to the system and faulted in again between
+    blocks. banks holds one (2M, M) mf bank per point when the points' gains
+    differ, rebuilt in place by each trial.
     """
 
-    def __init__(self, m: int, rows: int, slots: dict[str, int], banks: int = 0):
+    def __init__(self, m: int, rows: int, masks: int = 1, banks: int = 0):
         self.m, self.rows = m, rows
-        sizes = {name: rows * m * size * slots[name]
-                 for name, size in _REGION_BYTES.items() if name in slots}
+        sizes = {name: rows * m * size * (masks if name == "mask" else 1)
+                 for name, size in _REGION_BYTES.items()}
         self._buf = np.empty(sum(sizes.values()), dtype=np.uint8)
         self.banks = [np.empty((2 * m, m)) for _ in range(banks)]
         self._regions, start = {}, 0
@@ -408,26 +415,20 @@ _workspace_cache: dict = {}
 
 
 def _workspace(params: LoRaParams, cfg: SimConfig, masks: int = 1) -> _Workspace:
-    """This process's one workspace, for cfg's sweep: the regions its detectors
-    write, at the rows of a trial's largest block, the mask region holding
-    masks masks, and one mf bank per point if a detector reads the bank and
-    the points' gains differ. A new sweep's workspace replaces the last one,
-    which is freed first (a worker of a shared pool runs several sweeps);
-    _map_points clears it when the sweep ends."""
+    """This process's one workspace, for cfg's sweep: every region at the rows
+    of a trial's largest block, the mask region holding masks masks, and one
+    mf bank per point if a detector reads the bank and the points' gains
+    differ. A new sweep's workspace replaces the last one, which is freed
+    first (a worker of a shared pool runs several sweeps); _map_points clears
+    it when the sweep ends."""
     key = (params, cfg, masks)
     if key not in _workspace_cache:
         _workspace_cache.clear()
-        names = {"normals", "clean", "spectra"}.union(
-            *(_DETECTORS[det].buffers for det in cfg.detectors))
-        slots = {"mask": masks}
-        if _shares_gains(cfg):  # the kernels' scores fill spectra
-            names.discard("scores")
         rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
         banks = len(cfg.ebn0_db) if cfg._banked() and not _shares_gains(cfg) else 0
         if banks:  # this sweep's banks are its own: free the last channel's first
             _channel_bank_memo.clear()
-        _workspace_cache[key] = _Workspace(params.m, rows,
-                                           {name: slots.get(name, 1) for name in names}, banks)
+        _workspace_cache[key] = _Workspace(params.m, rows, masks, banks)
     return _workspace_cache[key]
 
 
@@ -457,8 +458,8 @@ class _once:
 
 @dataclass
 class _Block:
-    """Consecutive data windows of a trial, the workspace's rows [row, row +
-    n): their symbols and head deltas (channel.head_deltas), and their
+    """Consecutive windows of a trial, the workspace's rows [row, row + n):
+    their symbols and head deltas (channel.head_deltas), and their
     standard normals, a complex (n, M) array. The first block's pilot rows
     come before its data rows. The per-point scales, pilot averages, gains and
     mf banks are the trial's; the first block's pilots fix all but the scales
@@ -636,8 +637,9 @@ def _channel_bank(params: LoRaParams, ch: MultipathChannel, whole: bool) -> np.n
 def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     """Draw one burst; yield the data rows of its blocks in burst order.
 
-    A block is at most block_rows(M) consecutive windows (the first also
-    carries every pilot and at least one data symbol). It draws its standard
+    A block is at most block_rows(M) consecutive windows, one _Block over
+    their symbols, head deltas and normals (the first also carries every
+    pilot, rows(0, n_p), before at least one data symbol). It draws its standard
     normals from the trial's generator in burst order (the whole-burst draws),
     and its noise-free spectra continue the previous block's last symbol.
     Both are made once per block, and so are the windows' head deltas,
@@ -675,11 +677,10 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
         symbols = build_frame(params, n_p, data[start:stop]).symbols
         n = symbols.size
         normals = complex_noise((n, m), 2.0, rng, out=ws.take("normals", n, np.complex128))
-        delta = head_deltas(params, ch, symbols, prev)
+        block = _Block(params, ch, cfg, ws, 0, symbols, head_deltas(params, ch, symbols, prev),
+                       normals, scales, pilot_avg, gains, banks)
         if n_p and cfg._needs_pilots():
-            pilots = _Block(params, ch, cfg, ws, 0, symbols[:n_p], delta[:n_p], normals[:n_p],
-                            scales, pilot_avg, gains, banks)
-            for t in pilots.points():
+            for t in block.rows(0, n_p).points():
                 pilot_avg[t.i] = average_pilot_dft(t.data_spec)
                 if cfg.csir == "forced":
                     gains[t.i] = gains_at_delays(params, pilot_avg[t.i], cfg.forced_khat)
@@ -689,8 +690,7 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
             if not _shares_gains(cfg):  # the workspace has no bank unless one is read
                 for g, bank in zip(gains, banks):
                     mf_filter_bank(params, g, out=bank)
-        yield _Block(params, ch, cfg, ws, n_p, symbols[n_p:], delta[n_p:], normals[n_p:],
-                     scales, pilot_avg, gains, banks)
+        yield block.rows(n_p, n)
         n_p, start, prev = 0, stop, int(symbols[-1])
 
 
@@ -870,28 +870,26 @@ _KERNEL_ORDER = (_COH, _IDEAL_MF, _RAKE, _MF)
 
 
 class _Detector(NamedTuple):
+    """A detector's decision, by a rule or a linear kernel's argmax, and its cost kind."""
+
     decide: Callable[[_TrialData], np.ndarray] | None = None  # a rule on a point's spectra
     op_kind: str | None = None  # op_count kind; None reports zero cost
     candidates: bool = False  # decides among the trial's candidate mask only
-    buffers: tuple[str, ...] = ()  # the workspace regions its rule writes (_REGION_BYTES)
     kernel: _Kernel | None = None  # linear: decides on this kernel's scores instead of by a rule
 
 
-_LINEAR = ("scores", "work")
 # Every detector id with its decision rule, or the linear kernel whose scores
 # it takes the argmax of (over the candidate mask for a candidate detector).
 _DETECTORS = {
-    "noncoh": _Detector(lambda t: np.argmax(t.mag, axis=1), buffers=("mag",)),
-    "coh": _Detector(kernel=_COH, buffers=_LINEAR),
-    "coh-awgn": _Detector(_coh_awgn_decisions, buffers=("work",)),
-    "ideal-mf": _Detector(kernel=_IDEAL_MF, buffers=_LINEAR),
-    "mf": _Detector(op_kind="mf", kernel=_MF, buffers=_LINEAR),
-    "cand-mf": _Detector(op_kind="cand_mf", candidates=True, kernel=_MF,
-                         buffers=(*_LINEAR, "mag", "mask")),
-    "rake": _Detector(op_kind="rake", kernel=_RAKE, buffers=_LINEAR),
-    "cand-rake": _Detector(op_kind="cand_rake", candidates=True, kernel=_RAKE,
-                           buffers=(*_LINEAR, "mag", "mask")),
-    "tdel": _Detector(_tdel_decisions, buffers=("mag", "work")),
+    "noncoh": _Detector(lambda t: np.argmax(t.mag, axis=1)),
+    "coh": _Detector(kernel=_COH),
+    "coh-awgn": _Detector(_coh_awgn_decisions),
+    "ideal-mf": _Detector(kernel=_IDEAL_MF),
+    "mf": _Detector(op_kind="mf", kernel=_MF),
+    "cand-mf": _Detector(op_kind="cand_mf", candidates=True, kernel=_MF),
+    "rake": _Detector(op_kind="rake", kernel=_RAKE),
+    "cand-rake": _Detector(op_kind="cand_rake", candidates=True, kernel=_RAKE),
+    "tdel": _Detector(_tdel_decisions),
 }
 
 DETECTOR_IDS = tuple(_DETECTORS)
@@ -1036,19 +1034,10 @@ def run_delta_report(channel, sf: int) -> tuple[list[DeltaRow], float]:
     the legacy detector's margin; it is nan for a single-path channel
     (both maxima are 0).
     """
-    from .detectors import delta_indicator
-
     params, ch = _params_and_channel(sf, channel)
-    rows = [
-        DeltaRow(
-            a,
-            delta_indicator(params, ch, a, "coh"),
-            delta_indicator(params, ch, a, "noncoh"),
-            delta_indicator(params, ch, a, "ideal_mf"),
-            delta_indicator(params, ch, a, "mf"),
-        )
-        for a in range(params.m)
-    ]
+    variants = [f.name for f in fields(DeltaRow)][1:]
+    rows = [DeltaRow(a, *(delta_indicator(params, ch, a, v) for v in variants))
+            for a in range(params.m)]
     max_coh = max(r.coh for r in rows)
     max_ideal = max(r.ideal_mf for r in rows)
     ratio = max_coh / max_ideal if max_ideal != 0 else float("nan")

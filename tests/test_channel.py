@@ -407,24 +407,13 @@ def test_chained_spectra_are_bitwise_the_one_call_spectra(case, cuts):
     p, ch, pilots, data = case
     s = build_frame(p, pilots, data).symbols
     edges = [0, *sorted(min(c, s.size) for c in cuts), s.size]
-    parts = [dechirped_spectra(p, ch, s[a:b], int(s[a - 1]) if a else None)
-             for a, b in zip(edges, edges[1:])]
+    ranges = list(zip(edges, edges[1:]))
+    deltas = [head_deltas(p, ch, s[a:b], int(s[a - 1]) if a else None) for a, b in ranges]
+    parts = [dechirped_spectra(p, ch, s[a:b], d) for (a, b), d in zip(ranges, deltas)]
     assert np.concatenate(parts).tobytes() == dechirped_spectra(p, ch, s).tobytes()
     # each part written into the leading rows of one used array, as a sweep's
     # blocks are
     used = np.full((max(1, s.size), p.m), np.nan + 1j)
-    for (a, b), part in zip(zip(edges, edges[1:]), parts):
-        got = dechirped_spectra(p, ch, s[a:b], int(s[a - 1]) if a else None, out=used[: b - a])
+    for (a, b), d, part in zip(ranges, deltas, parts):
+        got = dechirped_spectra(p, ch, s[a:b], d, out=used[: b - a])
         assert got.tobytes() == part.tobytes()
-
-
-def test_dechirped_spectra_take_the_head_deltas_or_prev():
-    # a caller that keeps the head deltas passes them instead of prev, and
-    # gets the same spectra; passing both could disagree, so it is refused
-    p = LoRaParams(7)
-    s = [3, 100, 127]
-    delta = head_deltas(p, C1, s, 9)
-    assert (dechirped_spectra(p, C1, s, delta=delta).tobytes()
-            == dechirped_spectra(p, C1, s, 9).tobytes())
-    with pytest.raises(ValueError, match="not both"):
-        dechirped_spectra(p, C1, s, 9, delta=delta)

@@ -270,6 +270,21 @@ def test_bad_config_exits_two(tmp_path, capsys):
         assert err9.startswith(f"error: {field}:"), argv
 
 
+def test_ser_refuses_a_field_no_configured_detector_reads(capsys):
+    # without its detector a field changes the config hash and not one row
+    ser = ["ser", "--sf", "7", "--ebn0", "0", "--n-trials", "1", "--n-d", "10"]
+    for flags, field in ((["--detectors", "rake", "--n-c", "4"], "n_c"),
+                         (["--detectors", "rake", "--rho-c", "0.3"], "rho_c"),
+                         (["--detectors", "noncoh,rake", "--rho-tdel", "0.5"], "rho_tdel")):
+        rc, out, err = _run(capsys, ser + flags)
+        assert rc == 2 and out == "", flags
+        assert err.startswith(f"error: {field}: "), flags
+    for flags in (["--detectors", "cand-rake", "--n-c", "4"],
+                  ["--detectors", "cand-mf", "--rho-c", "0.3"],
+                  ["--detectors", "tdel", "--rho-tdel", "0.5"]):
+        assert _run(capsys, ser + flags)[0] == 0, flags
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["ser", "--warp-speed", "9"])

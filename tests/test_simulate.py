@@ -439,7 +439,7 @@ def test_block_parts_are_even_row_ranges_on_disjoint_workspace_bytes():
     # part's rows: offsets counted in the view's dtype overlapped the parts
     p, n = LoRaParams(5), 11
     names = ("normals", "clean", "spectra", "work", "mag", "scores", "mask")
-    ws = simulate._Workspace(p.m, 3 + n, dict.fromkeys(names, 1))
+    ws = simulate._Workspace(p.m, 3 + n)
     cfg = SimConfig(sf=p.sf, channel="c1", ebn0_db=(0.0,))
     block = simulate._Block(p, channel.C1, cfg, ws, 3, np.arange(n), np.zeros((n, 3), complex),
                             ws.take("normals", 3 + n, np.complex128)[3:], [1.0], [None],
@@ -488,14 +488,14 @@ def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
     monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
-    cfg = _small(detectors=("noncoh", "rake", "cand-rake", "tdel"), n_c=5, n_trials=3, n_d=40)
+    cfg = _small(detectors=("noncoh", "rake", "cand-rake", "tdel"), n_trials=3, n_d=40)
     run_ser_sweep(replace(cfg, n_d=4))
     assert sizes == []
     run_ser_sweep(replace(cfg, n_d=5))
     assert sizes == [3] * 3
     sizes.clear()
     run_ser_sweep(cfg)
-    run_candidate_sweep(_cand(replace(cfg, detectors=SimConfig.detectors, n_c=None)), (0.5,))
+    run_candidate_sweep(_cand(cfg), (0.5,))
     assert sizes == [3] * 6
     sizes.clear()
     for workers in (2, 3, 8):  # 1 thread each: 3 // 2, 3 // 3 and 3 // 3
@@ -694,7 +694,7 @@ def test_without_an_openblas_thread_count_mf_keeps_one_thread(monkeypatch, blas)
             kernel = getattr(simulate, name)
             monkeypatch.setattr(simulate, name, lambda *a, kernel=kernel, **k: (
                 counts.append(blas.get()), kernel(*a, **k))[1])
-        cfg = _small(detectors=("noncoh", "cand-mf"), n_c=5, n_trials=1, n_d=40)
+        cfg = _small(detectors=("noncoh", "cand-mf"), n_trials=1, n_d=40)
         for dets in (("noncoh", "cand-mf"), ("mf",), simulate.DETECTOR_IDS):
             run_ser_sweep(replace(cfg, detectors=dets, csir="estimated"))
         run_ser_sweep(cfg)
@@ -717,7 +717,7 @@ def test_split_trials_build_each_mf_bank_once(monkeypatch, threads, csir, det):
     # cut into parts
     calls = _count_mf_bank_builds(monkeypatch)
     cfg = _small(channel="c1", detectors=(det, "rake"), ebn0_db=(-2.0, 0.0, 3.0), n_p=3,
-                 n_d=37, rho_c=0.3, **csir)
+                 n_d=37, **csir)
     seen = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -927,7 +927,7 @@ def _case_block(case, normals=None, scales=(0.0,)) -> simulate._Block:
     symbols = channel.build_frame(p, n_p, data).symbols
     n = symbols.size
     cfg = SimConfig(sf=p.sf, channel=ch, ebn0_db=tuple(float(e) for e in range(len(scales))))
-    ws = simulate._Workspace(p.m, n, dict.fromkeys(("normals", "clean", "spectra", "work"), 1))
+    ws = simulate._Workspace(p.m, n)
     delta = channel.head_deltas(p, ch, symbols, prev)
     w = ws.take("normals", n, np.complex128)
     w[:] = 0.0 if normals is None else normals
@@ -975,6 +975,8 @@ def test_closed_forms_are_the_kernels_on_the_noise_free_spectra(case):
 @example(case=(LoRaParams(8), channel.C1, 2, [255, 0, 9], 17), scale=0.5, seed=1)
 @example(case=(LoRaParams(8), MultipathChannel((0, 40), (3.0, 1.0j)), 0, [3, 200], None),
          scale=0.5, seed=1)
+@example(case=(LoRaParams(5), MultipathChannel((0, 2, 3), (3 - 2j, 0j, 0j)), 0, [0], None),
+         scale=0.0, seed=0)
 def test_shared_scores_are_the_kernels_on_each_points_spectra(case, scale, seed):
     # a point's scores, scale * S(W) + S(C), against the kernel run on its
     # spectra scale * W + C (their inverse FFT for mf), C being the block's
@@ -984,7 +986,8 @@ def test_shared_scores_are_the_kernels_on_each_points_spectra(case, scale, seed)
     # products' magnitudes, a bin of C counting the head terms its DFT summed:
     # the closed form adds those terms one by one where the kernel reads
     # their rounded sum. At scale 0 the point's scores are the closed form's
-    # bytes
+    # values, the sign of a zero aside: 0 * S(W) + (-0.0) is +0.0 where S(W)
+    # is positive
     p, ch, n_p, data, _ = case
     m, n = p.m, n_p + len(data)
     rng = np.random.default_rng(seed)
@@ -1002,7 +1005,7 @@ def test_shared_scores_are_the_kernels_on_each_points_spectra(case, scale, seed)
             ins = [np.fft.ifft(x, axis=1) for x in ins]
         direct = np.empty((len(data), m))
         kernel.score(block, 0, ins[0], direct)
-        assert at_zero.tobytes() == s_c.tobytes()
+        assert np.array_equal(at_zero, s_c)
         t_w, count = _abs_terms(kernel, p, g, ins[1])
         t_c, _ = _abs_terms(kernel, p, g, ins[2], _clean_floor(block, kernel))
         bound = (2 * count + 8) * eps * (scale * t_w + t_c)
@@ -1207,6 +1210,28 @@ def test_workspace_is_smaller_than_the_per_block_arrays_it_replaced(cfg, before)
     peak, ws_bytes = _traced_sweep(cfg)
     assert ws_bytes <= peak <= before * 2**20
     assert peak - ws_bytes < channel.BLOCK_BINS * 8
+
+
+@pytest.mark.parametrize("cfg", [dict(detectors=("rake",)),
+                                 dict(detectors=("noncoh",), csir="estimated", n_p=3)])
+def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
+    # one layout for every sweep: every region, whatever the detectors, and
+    # each of the mask region's masks slots, tile one allocation
+    cfg = _small(**cfg, ebn0_db=(-2.0, 0.0, 2.0), n_d=40)
+    params, _ = cfg.resolve()
+    rows, widest = cfg.n_p + cfg.n_d, {16: np.complex128, 8: np.float64, 1: bool}
+    ws = simulate._workspace(params, cfg, masks=3)
+    try:
+        spans = []
+        for name, size in simulate._REGION_BYTES.items():
+            for slot in range(3 if name == "mask" else 1):
+                a = ws.take(name, rows, widest[size], slot)
+                a[...] = 0
+                spans.append((a.ctypes.data, a.ctypes.data + a.nbytes))
+        assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
+        assert spans[-1][1] - spans[0][0] == ws.nbytes
+    finally:
+        simulate._workspace_cache.clear()
 
 
 def test_a_sweep_leaves_no_workspace_behind():

@@ -45,9 +45,9 @@ from lorarake import (
     simulate_ser,
     snr_ebn0_convert,
 )
-from lorarake.channel import complex_noise
 from lorarake.detectors import rake_scores
-from lorarake.simulate import _trial_rng
+from lorarake.simulate import _burst_normals, _trial_rng
+from lorarake.waveform import _downchirp_conj, idft
 
 # ----------------------------------------------------------------------
 # helpers
@@ -470,21 +470,26 @@ def test_09_pilot_averaging_and_single_path_fallback(report):
 #     sample-level pipeline
 
 
-def _sample_chain_ser(cfg: SimConfig, ebn0_db: float) -> float:
-    """Rake SER through the sample-level chain (frame, channel convolution,
-    white sample noise, dechirp, FFT) with the sweep's own trial seeds."""
+def _sample_chain_errors(cfg: SimConfig, ebn0_db: float) -> int:
+    """Rake errors through the sample-level chain (frame, channel convolution,
+    white sample noise, dechirp, FFT) on the sweep's own trials: their data
+    symbols, and as sample noise the inverse DFT of each trial's standard
+    normals W at the point's scale, times the upchirp that dechirping removes,
+    so the chain's noise spectra are the sweep's up to rounding."""
     params, ch = cfg.resolve()
+    m, n = params.m, cfg.n_p + cfg.n_d
     g = dechirped_gain(params, ch)
-    sigma2 = noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr"))
+    scale = math.sqrt(m * noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr")) / 2.0)
+    upchirp = np.conj(_downchirp_conj(params.sf))
     errors = 0
     for trial in range(cfg.n_trials):
-        rng = _trial_rng(cfg.master_seed, trial)
-        data = rng.integers(0, params.m, size=cfg.n_d)
+        data = _trial_rng(cfg.master_seed, trial).integers(0, m, size=cfg.n_d)
+        w = _burst_normals(cfg.master_seed, trial, m, 0, np.empty((n, m), np.complex128))
         rx = apply_channel(params, build_frame(params, cfg.n_p, data), ch)
-        rx += complex_noise(rx.shape, sigma2, rng)
-        spec = dft(dechirp(params, rx.reshape(-1, params.m)))[cfg.n_p:]
+        rx += (idft(scale * w) * upchirp).reshape(-1)
+        spec = dft(dechirp(params, rx.reshape(-1, m)))[cfg.n_p:]
         errors += int(np.sum(np.argmax(rake_scores(params, spec, g), axis=1) != data))
-    return errors / (cfg.n_trials * cfg.n_d)
+    return errors
 
 
 def test_10_fast_sim_matches_exact_pipeline(report):
@@ -509,16 +514,17 @@ def test_10_fast_sim_matches_exact_pipeline(report):
     ok = True
     details = []
     for i, e in enumerate(axis):
-        exact = _sample_chain_ser(cfg, e)
+        chain = _sample_chain_errors(cfg, e)
+        exact = chain / n_exact
         sigma2 = noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
         errors = simulate_ser(model, sigma2, n_fast, np.random.default_rng([2, i]))
         fast_ser = errors / n_fast
-        synth_ser = sweep[e].ser
-        for name, ser, n in (("fast", fast_ser, n_fast), ("sweep", synth_ser, sweep[e].symbols)):
-            tol = 3.0 * math.hypot(_se(exact, n_exact), _se(ser, n))
-            diff = abs(ser - exact)
-            if diff > tol:
-                ok = False
-            details.append(f"{e:+.0f}dB exact={exact:.4f} {name}={ser:.4f} |d|={diff:.4f}<{tol:.4f}")
+        tol = 3.0 * math.hypot(_se(exact, n_exact), _se(fast_ser, n_fast))
+        diff = abs(fast_ser - exact)
+        # the sweep reads the chain's noise: its decisions are the chain's
+        if diff > tol or sweep[e].errors != chain:
+            ok = False
+        details.append(f"{e:+.0f}dB exact={exact:.4f} fast={fast_ser:.4f} |d|={diff:.4f}<{tol:.4f} "
+                       f"sweep errors={sweep[e].errors} chain={chain}")
     report("10 fast-sim agreement", ok, "; ".join(details))
     assert ok

@@ -227,6 +227,10 @@ def test_bad_config_exits_two(tmp_path, capsys):
     rc4, _, err4 = _run(capsys, ["ser", "--config", str(cfg)])
     assert rc4 == 2
     assert "n_trials" in err4
+    # a seed beyond SeedSequence's four-word pool would spill into the spawn key
+    rc8, out8, err8 = _run(capsys, ["ser", "--seed", str(2**128)])
+    assert rc8 == 2 and out8 == ""
+    assert err8.startswith("error: master_seed:")
     # a repeated point, and points whose noise variance overflows a float
     for axis in ("1,1", "-3100", "-3060"):
         rc5, out5, err5 = _run(capsys, ["ser", "--sf", "7", f"--ebn0={axis}"])

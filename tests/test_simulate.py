@@ -81,6 +81,7 @@ def test_from_dict_rejects_unknown_keys():
         (dict(n_c=129, detectors=("cand-rake",)), "n_c"),
         (dict(rho_tdel=0.0), "rho_tdel"),
         (dict(master_seed=-1), "master_seed"),
+        (dict(master_seed=2**128), "master_seed"),
         (dict(workers=0), "workers"),
         (dict(n_trials=1.5), "n_trials"),
         (dict(ebn0_db="3"), "ebn0_db"),
@@ -441,7 +442,8 @@ def test_block_parts_are_even_row_ranges_on_disjoint_workspace_bytes():
     names = ("normals", "clean", "spectra", "work", "mag", "scores", "mask")
     ws = simulate._Workspace(p.m, 3 + n)
     cfg = SimConfig(sf=p.sf, channel="c1", ebn0_db=(0.0,))
-    block = simulate._Block(p, channel.C1, cfg, ws, 3, np.arange(n), np.zeros((n, 3), complex),
+    block = simulate._Block(p, channel.C1, cfg, ws, 0, 3, 3, np.arange(n),
+                            np.zeros((n, 3), complex),
                             ws.take("normals", 3 + n, np.complex128)[3:], [1.0], [None],
                             [dechirped_gain(p, channel.C1)], [None])
     assert [[b.data.size for b in block.parts(k)] for k in (1, 2, 3, 4, 6, 12)] == [
@@ -478,10 +480,11 @@ def test_block_parts_are_even_row_ranges_on_disjoint_workspace_bytes():
 def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     # cores // processes threads a trial, processes being min(workers,
     # n_trials); a pool of 1 is none. A burst shorter than one block (here
-    # 5 windows at sf 7 and 10 at sf 6) keeps 1, and so does a sweep that
-    # makes no point's spectra (shared gains, linear detectors: mf alone
-    # too); mf and cand-mf split like every detector where the library sets
-    # OpenBLAS's thread count, held at the cores left to each part
+    # 5 windows at sf 7 and 10 at sf 6) keeps 1; a sweep that makes no
+    # point's spectra (shared gains, linear detectors: mf alone too) splits,
+    # its parts drawing their own normals; mf and cand-mf split like every
+    # detector where the library sets OpenBLAS's thread count, held at the
+    # cores left to each part
     held = []  # the counts set, the caller's being 7
     monkeypatch.setattr(simulate, "_openblas", lambda: simulate._Blas(lambda: 7, held.append))
     sizes = _thread_pools(monkeypatch)
@@ -500,9 +503,11 @@ def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     sizes.clear()
     for workers in (2, 3, 8):  # 1 thread each: 3 // 2, 3 // 3 and 3 // 3
         run_ser_sweep(replace(cfg, workers=workers))
+    assert sizes == []
     for dets in (("mf",), ("rake",), ("coh", "ideal-mf", "rake")):
         run_ser_sweep(replace(cfg, detectors=dets))
-    assert sizes == []
+    assert sizes == [3] * 9
+    sizes.clear()
     held.clear()
     for dets in (("cand-mf", "rake"), simulate.DETECTOR_IDS):
         run_ser_sweep(replace(cfg, detectors=dets))
@@ -575,23 +580,71 @@ def _fail_the_second_part(monkeypatch) -> SimConfig:
     return _small(detectors=("noncoh", "cand-rake"), n_c=5, n_trials=1, n_d=40)
 
 
-def test_a_failing_part_raises_its_own_error(monkeypatch):
-    # a part that fails before the masks releases the part waiting there for
-    # it, and the sweep raises the failure rather than waiting forever
-    cfg = _fail_the_second_part(monkeypatch)
+def _raised(cfg: SimConfig) -> list[str]:
+    """The error a sweep of cfg raises, or [], once it ends within a minute."""
     outcome = []
 
     def sweep():
         try:
             run_ser_sweep(cfg)
         except Exception as exc:  # noqa: BLE001 - the test reads which one
-            outcome.append(exc)
+            outcome.append(str(exc))
 
     runner = threading.Thread(target=sweep, daemon=True)
     runner.start()
     runner.join(60)
     assert not runner.is_alive()
-    assert [str(exc) for exc in outcome] == ["second part"]
+    return outcome
+
+
+def test_a_failing_part_raises_its_own_error(monkeypatch):
+    # a part that fails before the masks releases the part waiting there for
+    # it, and the sweep raises the failure rather than waiting forever
+    assert _raised(_fail_the_second_part(monkeypatch)) == ["second part"]
+
+
+def test_a_failing_draw_raises_its_own_error(monkeypatch):
+    # a part draws its normals inside the step that releases the other
+    # parts when it fails: here the second of 2 parts, burst rows [26, 46)
+    # after 6 pilots and the first part's 20 rows, fails in its draw
+    draw = simulate._burst_normals
+
+    def failing(seed, trial, m, first, out):
+        if first > 6:
+            raise ValueError("second draw")
+        return draw(seed, trial, m, first, out)
+
+    monkeypatch.setattr(simulate, "_burst_normals", failing)
+    monkeypatch.setattr(simulate, "_threads", lambda p, c: 2)
+    assert _raised(_small(detectors=("noncoh", "cand-rake"), n_c=5, n_trials=1, n_d=40)) == [
+        "second draw"]
+
+
+@pytest.mark.parametrize("csir", _CSIRS)
+def test_each_part_draws_its_normals_on_its_own_thread(monkeypatch, csir):
+    # on 2 threads every data row's normals are drawn on the thread of the
+    # part that holds it: rows [6, 26) and [26, 46), the second part first
+    # drawing tile 0's 26 earlier rows into its 20 rows and dropping them.
+    # The caller's thread draws only the 6 pilots, and only where they are
+    # read (estimated or forced CSIR). The parts meet at the candidate masks,
+    # so neither thread can run both
+    calls = []
+    noise = simulate.complex_noise
+
+    def recording(shape, sigma2, rng, out=None):
+        calls.append((threading.current_thread(), shape[0]))
+        return noise(shape, sigma2, rng, out=out)
+
+    monkeypatch.setattr(simulate, "complex_noise", recording)
+    monkeypatch.setattr(simulate, "_threads", lambda p, c: 2)
+    cfg = _small(detectors=("noncoh", "cand-rake"), n_c=5, n_trials=1, n_d=40, **csir)
+    run_ser_sweep(cfg)
+    caller = threading.current_thread()
+    by_thread = {}
+    for thread, rows in calls:
+        by_thread.setdefault(thread, []).append(rows)
+    assert by_thread.pop(caller, []) == ([] if cfg.csir == "perfect" else [6])
+    assert sorted(by_thread.values()) == [[6, 20], [20, 6, 20]]
 
 
 _real_blas = None  # the blas fixture's, read by _blas_count in a pool worker
@@ -791,23 +844,69 @@ def test_points_pair_across_different_axes(axis, rows, csir):
                 assert [p for p in swept if p.ebn0_db == e] == alone != []
 
 
+def _stream(seed: int, trial: int, key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, key)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_row_range_draws_those_rows_of_the_whole_burst(data):
+    # any range [a, b) of a burst of n rows, drawn alone (as a part or the
+    # pilots draw it), is rows [a, b) of the whole burst's draw, bit for bit:
+    # tile t's stream drawn whole, tile after tile
+    sf = data.draw(st.integers(2, 16), label="sf")
+    m = 2**sf
+    tile = max(1, simulate.TILE_BINS // m)
+    n = data.draw(st.integers(1, 3 * tile + 2), label="n")
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.integers(a + 1, n), label="b")
+    seed = data.draw(st.integers(0, 2**128 - 1), label="seed")
+    trial = data.draw(st.integers(0, 2**32 - 1), label="trial")
+    whole = np.concatenate([_stream(seed, trial, 1 + t).standard_normal((tile, m, 2))
+                            for t in range(-(-n // tile))])[:n]
+    rows = simulate._burst_normals(seed, trial, m, a, np.empty((b - a, m), np.complex128))
+    assert rows.view(np.float64).tobytes() == whole[a:b].tobytes()
+
+
+def test_no_two_seeds_share_a_trial_stream():
+    # default_rng([seed, trial]) cut a seed into 32-bit words and padded the
+    # shorter key with zeros, so seed 2**32's trial 0 drew seed 0's trial 1.
+    # Keyed as SeedSequence(seed, spawn_key=(trial, key)), every (seed,
+    # trial, stream) below draws its own numbers
+    def head(rng):
+        return tuple(rng.integers(0, 2**63, size=4).tolist())
+
+    assert head(np.random.default_rng([2**32, 0])) == head(np.random.default_rng([0, 1]))
+    seeds = (0, 1, 2**32, 2**32 + 1, 2**64, 2**96, 2**128 - 1)
+    heads = {head(simulate._trial_rng(seed, trial, key))
+             for seed in seeds for trial in (0, 1, 2**32) for key in (0, 1, 2)}
+    assert len(heads) == len(seeds) * 3 * 3
+
+
 def test_every_point_scales_the_trials_standard_normals():
-    # the trial's generator draws the data symbols, then the standard normals
-    # of the first block (at sf 7 the whole burst); each point scales the
-    # same normals to its variance and adds the same noise-free spectra. A
-    # block's arrays live in the workspace until the next yield, so each kept
-    # point keeps copies: its data, noisy spectra, data-row normals and scale
-    cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), master_seed=4)
+    # the trial's stream 0 draws the data symbols, and burst row j (pilots
+    # first) takes its standard normals from row j % R of tile j // R, whose
+    # stream is 1 + j // R, R = TILE_BINS // M rows (256 at sf 7: this burst
+    # of 6 + 600 rows spans 3 tiles). A block fills its rows before its points
+    # run; each point scales the same normals to its variance and adds the
+    # same noise-free spectra. A block's arrays live in the workspace until
+    # the next yield, so each kept point keeps copies: its data, noisy
+    # spectra, data-row normals and scale
+    cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), n_d=600, master_seed=4)
     params, ch = cfg.resolve()
-    blocks = {cfg.ebn0_db[t.i]: SimpleNamespace(
-                  data=block.data.copy(), data_spec=t.data_spec.copy(), scale=block.scales[t.i],
-                  normals=block.normals.view(np.float64).copy())
-              for block in simulate._trial_setup(params, ch, cfg, 3) for t in block.points()}
+    blocks = {}
+    for block in simulate._trial_setup(params, ch, cfg, 3):
+        block.draw()
+        blocks.update({cfg.ebn0_db[t.i]: SimpleNamespace(
+            data=block.data.copy(), data_spec=t.data_spec.copy(), scale=block.scales[t.i],
+            normals=block.normals.view(np.float64).copy()) for t in block.points()})
     assert len(blocks) == 2
     np.testing.assert_array_equal(blocks[-3.0].data, blocks[5.0].data)
-    rng = np.random.default_rng([cfg.master_seed, 3])
-    frame = channel.build_frame(params, cfg.n_p, rng.integers(0, params.m, size=cfg.n_d))
-    z = rng.standard_normal((cfg.n_p + cfg.n_d, params.m, 2))[cfg.n_p:]
+    n, tile = cfg.n_p + cfg.n_d, 2**15 // params.m
+    frame = channel.build_frame(params, cfg.n_p,
+                                _stream(4, 3, 0).integers(0, params.m, size=cfg.n_d))
+    z = np.concatenate([_stream(4, 3, 1 + t).standard_normal((tile, params.m, 2))
+                        for t in range(-(-n // tile))])[cfg.n_p : n]
     clean = channel.dechirped_spectra(params, ch, frame.symbols)[cfg.n_p:]
     for e, block in blocks.items():
         var = params.m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
@@ -933,7 +1032,7 @@ def _case_block(case, normals=None, scales=(0.0,)) -> simulate._Block:
     w[:] = 0.0 if normals is None else normals
     g = dechirped_gain(p, ch)
     bank = simulate._channel_bank(p, ch, True)
-    return simulate._Block(p, ch, cfg, ws, n_p, symbols[n_p:], delta[n_p:], w[n_p:],
+    return simulate._Block(p, ch, cfg, ws, 0, n_p, n_p, symbols[n_p:], delta[n_p:], w[n_p:],
                            list(scales), [None] * len(scales), [g] * len(scales),
                            [bank] * len(scales))
 

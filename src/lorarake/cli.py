@@ -113,7 +113,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
     sub.add_argument("--n-d", type=int, dest="n_d", help="data symbols per frame")
     sub.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
                      help="master seed")
-    sub.add_argument("--workers", type=int, help="worker processes")
+    sub.add_argument("--workers", type=int, help="trials run at once")
     if not full:
         return
     sub.add_argument("--channel", help="channel: alias (c1, c2), inline delay:gain "

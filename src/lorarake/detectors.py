@@ -262,8 +262,8 @@ def _head_scores(y: np.ndarray, bank: np.ndarray, out: np.ndarray | None) -> np.
     # first k samples: the same products, each score summed on its own by an
     # einsum, so a row rounds alike in any block and no BLAS thread runs. A
     # 2-D matmul over the block rounds by its row count and runs on BLAS
-    # threads in every pool worker at once (fastsim's edge_statistics keeps
-    # it: it runs in one process, and there it is faster)
+    # threads in every trial thread and part at once (fastsim's
+    # edge_statistics keeps it: it runs on one thread, and there it is faster)
     z = np.empty((y.shape[0], bank.shape[1])) if out is None else out
     return np.einsum("nk,km->nm", np.ascontiguousarray(y).view(np.float64), bank, out=z)
 

@@ -77,8 +77,8 @@ def edge_statistics(model: FastSimModel, prev_symbols, symbols) -> np.ndarray:
     delta -= window_heads(model.params, delays, model.raw, sent)
     # the reference head term: a sweep's closed-form scores
     # (detectors.clean_rake_scores) take the same deltas through the same
-    # bank with an einsum summed per row, which runs no BLAS threads in pool
-    # workers; here one process runs, and the 2-D product is faster
+    # bank with an einsum summed per row, which runs no BLAS threads in a
+    # sweep's trial threads; here one thread runs, and the 2-D product is faster
     return mf_scores(delta, model.head)
 
 

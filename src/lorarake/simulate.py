@@ -20,21 +20,24 @@ and point i's scores are s_i * score(W) + score(C): each kernel runs on W, coh
 and ideal-mf run on C too, and rake and mf share one closed form of score(C)
 from the windows' symbols and head deltas (detectors.clean_rake_scores), the
 spectral lines and window heads that make C.
-Every block array, and each point's mf bank when the points' gains differ,
-is written into one workspace per process, made once per sweep, so the
-blocks of a sweep allocate no block memory and those banks end with it.
+The trials of a sweep run at once on min(workers, n_trials) trial threads
+(_map_points). Every block array, and each point's mf bank when the
+points' gains differ, is written into one workspace per trial thread, made
+once per sweep, so the blocks of a sweep allocate no block memory and those
+banks end with it; with shared gains every trial reads one channel bank.
 
 After a block's serial steps (its head deltas, and in the first block every
 point's pilot average, gains and mf banks, from the pilots' own normals), its
-data rows are cut into one part per core the process has to itself
+data rows are cut into one part per core left to its trial thread
 (_threads: one part for a burst shorter than a block), and the parts run at
-once on a thread pool that lives for one trial, with OpenBLAS (mf's product)
-held at the cores left to each part (_blas_threads; where numpy's OpenBLAS
-cannot be found, a run with mf keeps one part). Each part first draws its
-own rows' normals (_Block.draw). Every later stage works row by row, and
-numpy releases the GIL while it runs, so each part writes only its own rows
-of every workspace region, and the parts' counts add up to those of the
-whole block: output does not depend on the thread count or the block size.
+once on a thread pool that lives for one trial. While more than one thread
+runs, the sweep holds OpenBLAS (mf's product) at the cores left to each
+(_blas_threads; where numpy's OpenBLAS cannot be found, a run with mf keeps
+one part). Each part first draws its own rows' normals (_Block.draw).
+Every later stage works row by row, and numpy releases the GIL while it
+runs, so each part writes only its own rows of every workspace region, and
+the parts' counts add up to those of the whole block: output does not
+depend on the thread count or the block size.
 The one exception is a candidate mask, which the parts meet to make of the
 whole block's rows (_Block.make_masks), as one thread makes it.
 """
@@ -48,7 +51,7 @@ import numbers
 import os
 import threading
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -302,15 +305,16 @@ class SimConfig:
         banked = self._banked()
         phys = _physical_memory() if banked else None
         if phys is not None:
-            # each process running trials holds its (2M, M) float64 banks, the
-            # channel's or one per point, and a build adds one slab (block_rows)
-            procs = _processes(self)
-            need = procs * (1 if _shares_gains(self) else len(self.ebn0_db)) * 2 * m * m * 8
+            # a (2M, M) float64 bank: the channel's, which every trial thread
+            # reads, or one per point in each trial thread's workspace; a
+            # build adds one slab (block_rows)
+            banks = 1 if _shares_gains(self) else _trial_threads(self) * len(self.ebn0_db)
+            need = banks * 2 * m * m * 8
             if need > phys:
                 raise ConfigError(
                     "detectors",
                     f"{banked[0]} at sf {self.sf} holds {need / 2**30:.1f} GiB of (2M, M) filter "
-                    f"banks over {procs} worker(s), more than the {phys / 2**30:.1f} GiB "
+                    f"banks ({banks} of them), more than the {phys / 2**30:.1f} GiB "
                     "of physical memory; rake and cand-rake make the same decisions without one")
         return params, ch
 
@@ -399,7 +403,7 @@ _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
 
 
 class _Workspace:
-    """A process's block arrays for one sweep, carved from one allocation, and mf banks.
+    """A trial thread's block arrays for one sweep, carved from one allocation, and mf banks.
 
     Every region holds one array (the mask region masks) of rows windows of
     M bins: block_rows(M) rows (n_p + 1 when a first block of pilots needs
@@ -445,26 +449,29 @@ def _shares_gains(cfg: SimConfig) -> bool:
     return cfg.csir == "perfect"
 
 
-# (params, cfg) -> this process's one workspace, for that sweep
-_workspace_cache: dict = {}
+# this thread's one workspace for a sweep: held is ((params, cfg, masks), it)
+_workspace_cache = threading.local()
 
 
 def _workspace(params: LoRaParams, cfg: SimConfig, masks: int = 1) -> _Workspace:
-    """This process's one workspace, for cfg's sweep: every region at the rows
-    of a trial's largest block, the mask region holding masks masks, and one
-    mf bank per point if a detector reads the bank and the points' gains
-    differ. A new sweep's workspace replaces the last one, which is freed
-    first (a worker of a shared pool runs several sweeps); _map_points clears
-    it when the sweep ends."""
+    """This trial thread's one workspace, for cfg's sweep: every region at the
+    rows of a trial's largest block, the mask region holding masks masks, and
+    one mf bank per point if a detector reads the bank and the points' gains
+    differ. A new sweep's workspace replaces the thread's last one, which is
+    freed first (a thread that runs its sweeps' trials itself runs several
+    sweeps); _map_points frees the caller's when the sweep ends, and a trial
+    thread's ends with the thread."""
     key = (params, cfg, masks)
-    if key not in _workspace_cache:
-        _workspace_cache.clear()
+    held = getattr(_workspace_cache, "held", None)
+    if held is None or held[0] != key:
+        _workspace_cache.held = None
         rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
         banks = len(cfg.ebn0_db) if cfg._banked() and not _shares_gains(cfg) else 0
         if banks:  # this sweep's banks are its own: free the last channel's first
-            _channel_bank_memo.clear()
-        _workspace_cache[key] = _Workspace(params.m, rows, masks, banks)
-    return _workspace_cache[key]
+            with _channel_bank_lock:
+                _channel_bank_memo.clear()
+        held = _workspace_cache.held = (key, _Workspace(params.m, rows, masks, banks))
+    return held[1]
 
 
 def _real_halves(a: np.ndarray) -> np.ndarray:
@@ -661,19 +668,22 @@ def _run_kernels(block: _Block, i: int, kernels, x: np.ndarray,
 
 
 _channel_bank_memo: dict = {}  # (params, ch, whole) -> the last channel's bank
+_channel_bank_lock = threading.Lock()
 
 
 def _channel_bank(params: LoRaParams, ch: MultipathChannel, whole: bool) -> np.ndarray:
     """With shared gains, the channel's mf bank if whole, else its first k_max
-    samples, the rows the closed form reads. A process keeps the last one, so
-    its next trial or sweep on that channel builds none, and frees it before
-    building another."""
+    samples, the rows the closed form reads. The process keeps the last one,
+    so its next trial or sweep on that channel builds none, and frees it
+    before building another. The trial threads of a sweep take turns: the
+    first builds the bank, and the others wait for it and read it."""
     key = (params, ch, whole)
-    if key not in _channel_bank_memo:
-        _channel_bank_memo.clear()
-        g = dechirped_gain(params, ch)
-        _channel_bank_memo[key] = mf_filter_bank(params, g, cols=None if whole else g.k_max)
-    return _channel_bank_memo[key]
+    with _channel_bank_lock:
+        if key not in _channel_bank_memo:
+            _channel_bank_memo.clear()
+            g = dechirped_gain(params, ch)
+            _channel_bank_memo[key] = mf_filter_bank(params, g, cols=None if whole else g.k_max)
+        return _channel_bank_memo[key]
 
 
 def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
@@ -696,8 +706,8 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     normals and fix each point's pilot average and gains before it is
     yielded, then each point's mf bank in the workspace (with shared gains,
     _channel_bank's): no part of a block builds a bank. Every array of a
-    yielded block is a view of the process's workspace, so a block is valid
-    until the next yield; its mask region holds masks masks.
+    yielded block is a view of the trial thread's workspace, so a block is
+    valid until the next yield; its mask region holds masks masks.
     """
     m = params.m
     ws = _workspace(params, cfg, masks)
@@ -786,8 +796,8 @@ def _blas_threads(n: int) -> Iterator[None]:
 
     An OpenBLAS thread busy-waits for a while after each product, so a
     product's threads beyond the cores left to its caller spin on cores
-    that other parts or processes are running on. The count is the
-    process's, so the forked workers of a pool made inside inherit it."""
+    that other parts or trials are running on. The count is the
+    process's, so every thread's products run on it."""
     blas = _openblas()
     if blas is None:
         yield
@@ -800,15 +810,15 @@ def _blas_threads(n: int) -> Iterator[None]:
         blas.set(before)
 
 
-def _processes(cfg: SimConfig) -> int:
-    """The worker processes a sweep runs its trials on; 1 is none but this one."""
+def _trial_threads(cfg: SimConfig) -> int:
+    """The threads a sweep runs its trials on at once; 1 is the caller's alone."""
     return min(cfg.workers, cfg.n_trials)
 
 
 def _threads(params: LoRaParams, cfg: SimConfig) -> int:
     """Threads a trial runs its blocks' parts on: the usable cores over the
-    sweep's processes, at least 1. A run keeps 1 where a split was measured
-    slower or no faster (in process, on 2 cores):
+    sweep's trial threads, at least 1. A run keeps 1 where a split was
+    measured slower or no faster (in process, on 2 cores):
     - with a burst shorter than one block (channel.BLOCK_BINS bins): on
       smaller blocks the parts' Python steps and hand-offs cost more than
       their rows save (2 threads ran 0.6-0.85 times as fast as 1 on sf 7-10
@@ -818,11 +828,11 @@ def _threads(params: LoRaParams, cfg: SimConfig) -> int:
     A sweep that makes no point's spectra (shared gains, linear detectors
     alone) splits too: its parts draw their own normals, which take most of
     its time (a 3-point sf 10 or sf 12 rake sweep ran 0.96-1.97 times as fast
-    on 2 threads, 1.2 or more in 11 of 12 rounds). A split trial holds
-    OpenBLAS at the cores left to each part (_trial_counts)."""
+    on 2 threads, 1.2 or more in 11 of 12 rounds). _map_points holds
+    OpenBLAS at the cores left to each part."""
     if cfg.n_d < block_rows(params.m) or (cfg._banked() and _openblas() is None):
         return 1
-    return max(1, _usable_cores() // _processes(cfg))
+    return max(1, _usable_cores() // _trial_threads(cfg))
 
 
 def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
@@ -832,13 +842,11 @@ def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
     is cut into at most _threads(params, cfg) parts (_Block.parts) that each
     draw their rows' normals and count them at once, one per thread of a
     pool of the trial's own (the parts wait for each other), so no thread
-    outlives the trial or crosses the fork of a pool worker; with one thread
-    the block's one part counts inline, on the caller's OpenBLAS thread
-    count. A split trial holds that count at the cores left to each part
-    while they run. Every stage works row by row and each mask is made of
-    the whole block, so the sums do not depend on the cut. A part that
-    fails, in its draw too, releases the parts waiting for it. The
-    workspace's mask region holds masks masks."""
+    outlives the trial; with one thread the block's one part counts inline.
+    Every stage works row by row and each mask is made of the whole block,
+    so the sums do not depend on the cut. A part that fails, in its draw
+    too, releases the parts waiting for it. The workspace's mask region
+    holds masks masks."""
     threads = _threads(params, cfg)
     total = 0
 
@@ -852,11 +860,7 @@ def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
             part.sync.abort()  # release the parts waiting for this one at make_masks
             raise
 
-    split = threads > 1
-    # the pool, and with it every part, ends before the caller's count is back
-    with (_blas_threads(_usable_cores() // (_processes(cfg) * threads)) if split
-          else nullcontext(),
-          ThreadPoolExecutor(threads) if split else nullcontext() as pool):
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for block in _trial_setup(params, ch, cfg, trial, masks):
             total = sum(run(counted, block.parts(threads)), total)
@@ -1012,26 +1016,24 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
              for det in dets} for c, g in zip(counts, gains)]
 
 
-def _map_points(fn, params, ch, cfg: SimConfig, *extra,
-                pool: Executor | None = None) -> list[tuple[float, tuple]]:
+def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, tuple]]:
     """(Eb/N0, each trial's result there) per point, in axis order, where
     fn(params, ch, cfg, trial, *extra) returns a trial's results in axis order.
-    The trials run on min(cfg.workers, cfg.n_trials) worker processes: those
-    of pool, shared by several sweeps, or else of a pool of the sweep's own.
-    A pool's workers fork (Linux's default start method) while this process
-    holds OpenBLAS at the cores over the workers, and keep that count."""
-    tasks = [(params, ch, cfg, trial, *extra) for trial in range(cfg.n_trials)]
-    workers = _processes(cfg)
+    The trials run on a pool of _trial_threads(cfg) threads, each trial on
+    _threads(params, cfg) parts. While more than one thread runs, OpenBLAS
+    is held at the cores left to each, once for the sweep (a trial's own
+    hold would give its count back under other trials' products), and the
+    pool ends before the caller's count is back, also when a trial raises."""
+    trials = _trial_threads(cfg)
+    threads = trials * _threads(params, cfg)
     try:
-        if workers > 1:
-            chunk = max(1, len(tasks) // (workers * 4))
-            with (_blas_threads(_usable_cores() // workers),
-                  nullcontext(pool) if pool else ProcessPoolExecutor(max_workers=workers) as run):
-                results = list(run.map(fn, *zip(*tasks), chunksize=chunk))
-        else:
-            results = [fn(*t) for t in tasks]
+        with (_blas_threads(_usable_cores() // threads) if threads > 1 else nullcontext(),
+              ThreadPoolExecutor(trials) if trials > 1 else nullcontext() as pool):
+            run = pool.map if pool else map
+            results = list(run(lambda trial: fn(params, ch, cfg, trial, *extra),
+                               range(cfg.n_trials)))
     finally:
-        _workspace_cache.clear()  # a caller holds no block memory between sweeps
+        _workspace_cache.held = None  # a caller holds no block memory between sweeps
     return list(zip(cfg.ebn0_db, zip(*results)))
 
 
@@ -1048,15 +1050,10 @@ def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     noise variance; each trial owns an RNG stream, so results do not
     depend on scheduling, worker count or the rest of the axis.
     """
-    return _ser_sweep(cfg)
-
-
-def _ser_sweep(cfg: SimConfig, pool: Executor | None = None) -> list[SerPoint]:
-    """run_ser_sweep, its trials on pool's processes if given (see _map_points)."""
     params, ch = cfg.resolve()
     symbols = cfg.n_trials * cfg.n_d
     points = []
-    for ebn0, block in _map_points(_run_trial, params, ch, cfg, pool=pool):
+    for ebn0, block in _map_points(_run_trial, params, ch, cfg):
         for det in cfg.detectors:
             errors, nc_sum, cmult, cadd = map(sum, zip(*(r[det] for r in block)))
             points.append(SerPoint.from_counts(det, ebn0, errors, symbols, nc_sum / symbols,
@@ -1180,12 +1177,8 @@ def run_estimation_study(cfg: SimConfig) -> list[StudyRow]:
         *(("khat", "-".join(str(k) for k in khat), replace(c1, csir="forced", forced_khat=khat))
           for khat in KHAT_STUDY),
     ]
-    base.resolve()  # every field is checked before a worker starts
-    workers = _processes(base)
-    # one pool serves every sweep of the study, and is shut down before it returns
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        return [StudyRow(study, param, p) for study, param, run in runs
-                for p in _ser_sweep(run, pool)]
+    base.resolve()  # every field is checked before the first sweep runs
+    return [StudyRow(study, param, p) for study, param, run in runs for p in run_ser_sweep(run)]
 
 
 DEFAULT_NC_GRID = (0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0)

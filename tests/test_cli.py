@@ -157,10 +157,10 @@ def test_committed_output_holds_on_split_blocks(tmp_path, capsys, monkeypatch, t
 
 
 def test_committed_output_holds_across_worker_processes(tmp_path, capsys):
-    # each of two processes runs one trial over every point; the sweep puts
-    # the trials' rows back per point
+    # each of two trial threads runs one trial over every point; the sweep
+    # puts the trials' rows back per point
     _assert_matches_committed_output(tmp_path, capsys, "ser_estimated_sf8.csv", "--workers", "2")
-    # the study's 20 sweeps share one pool of two processes
+    # each of the study's 20 sweeps runs its trials on two threads
     _assert_matches_committed_output(tmp_path, capsys, "estimate_study_sf6.csv", "--workers", "2")
 
 

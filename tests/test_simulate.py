@@ -7,7 +7,9 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -136,25 +138,30 @@ def test_from_dict_rejects_a_wrongly_typed_value_in_any_field(data):
 
 
 def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
-    # the bank is (2M, M) float64 per worker, 16 bytes per M^2: 16 GiB for mf
-    # at sf 15, 1 GiB per worker at sf 13; resolve() allocates none of it
+    # the bank is (2M, M) float64, 16 bytes per M^2: 16 GiB for mf at sf 15,
+    # 1 GiB at sf 13; resolve() allocates none of it
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
-    for det, sf, workers in (("mf", 15, 1), ("cand-mf", 13, 9), ("mf", 16, 1)):
+    for det, sf in (("mf", 15), ("mf", 16)):
         with pytest.raises(ConfigError) as err:
-            _small(sf=sf, detectors=("rake", det), workers=workers, n_trials=workers).resolve()
+            _small(sf=sf, detectors=("rake", det)).resolve()
         assert err.value.field_name == "detectors"
         assert str(err.value).startswith(f"detectors: {det} at sf {sf} ")
     _small(sf=14, detectors=("mf",)).resolve()
-    _small(sf=13, detectors=("cand-mf",), workers=8, n_trials=8).resolve()
-    # only min(workers, n_trials) processes run trials and hold a bank
-    _small(sf=13, detectors=("cand-mf",), workers=9, n_trials=2).resolve()
+    # with perfect CSIR every trial thread reads the one channel bank
+    _small(sf=13, detectors=("cand-mf",), workers=9, n_trials=9).resolve()
     _small(sf=16, detectors=("rake", "cand-rake", "ideal-mf")).resolve()
-    # with estimated or forced gains a worker keeps one bank per Eb/N0 point
-    eight = tuple(float(e) for e in range(8))
+    # with estimated or forced gains each of the min(workers, n_trials) trial
+    # threads keeps one bank per Eb/N0 point in its workspace
+    four, eight = tuple(float(e) for e in range(4)), tuple(float(e) for e in range(8))
     for csir in (dict(csir="estimated"), dict(csir="forced", forced_khat=(0, 2))):
         with pytest.raises(ConfigError, match="^detectors: mf at sf 13 "):
             _small(sf=13, detectors=("mf",), ebn0_db=(*eight, 8.0), **csir).resolve()
         _small(sf=13, detectors=("mf",), ebn0_db=eight, **csir).resolve()
+        with pytest.raises(ConfigError, match="^detectors: mf at sf 13 "):
+            _small(sf=13, detectors=("mf",), ebn0_db=(*four, 4.0), workers=2, n_trials=2,
+                   **csir).resolve()
+        _small(sf=13, detectors=("mf",), ebn0_db=four, workers=2, n_trials=2, **csir).resolve()
+        _small(sf=13, detectors=("mf",), ebn0_db=eight, workers=2, n_trials=1, **csir).resolve()
     _small(sf=13, detectors=("mf",), ebn0_db=(*eight, 8.0)).resolve()
     monkeypatch.setattr(simulate, "_physical_memory", lambda: None)
     _small(sf=15, detectors=("mf",)).resolve()
@@ -307,82 +314,83 @@ def test_workers_do_not_change_results():
             == run_candidate_sweep(_cand(cfg2), (0.05, 1.0)))
 
 
-def test_pool_starts_no_more_processes_than_trials(monkeypatch):
-    # a fork pool starts all of its processes at the first task: 64 workers for
-    # 2 trials would fork 62 idle ones; a sweep maps one task per trial
-    pools = []
-
-    class RecordingPool:  # runs the tasks in this process
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *columns, chunksize=1):
-            pools.append((self.max_workers, len(columns[0])))
-            return map(fn, *columns)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+def test_a_sweep_starts_no_more_trial_threads_than_trials(monkeypatch):
+    # a sweep runs its trials on one pool of min(workers, n_trials) threads:
+    # 64 workers for 2 trials start 2, and one trial runs on the caller's
+    # thread. On one core no trial cuts its blocks, so every pool is a
+    # sweep's trial pool
+    sizes = _thread_pools(monkeypatch)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
     cfg = _small(detectors=("rake", "mf"), ebn0_db=(-2.0, 0.0, 2.0), n_trials=2, workers=64)
     assert run_ser_sweep(cfg) == run_ser_sweep(replace(cfg, workers=1))
     assert run_candidate_sweep(_cand(cfg), (0.05, 1.0)) == run_candidate_sweep(
         _cand(replace(cfg, workers=1)), (0.05, 1.0))
     run_ser_sweep(replace(cfg, n_trials=5, workers=3))
-    run_ser_sweep(replace(cfg, n_trials=1))  # one trial runs in this process
-    assert pools == [(2, 2), (2, 2), (3, 5)]
+    run_ser_sweep(replace(cfg, n_trials=1))  # one trial runs on the caller's thread
+    assert sizes == [2, 2, 3]
 
 
-def test_estimation_study_runs_its_sweeps_on_one_pool(monkeypatch):
-    # a pool per sweep started a set of processes for each of the study's 20
-    # sweeps; the study starts one and shuts it down before it returns
-    pools = []
+def test_trial_threads_give_the_one_thread_rows(monkeypatch):
+    # on 4 cores 2 trial threads run 3 trials at once, each trial cutting
+    # its blocks into 2 parts (of 5 windows after 3 pilots: 2 data rows,
+    # then 5), under a short switch interval that interleaves the threads'
+    # Python steps finely; every driver's rows are those of workers=1
+    held = []  # the counts set, the caller's being 7
+    monkeypatch.setattr(simulate, "_openblas", lambda: simulate._Blas(lambda: 7, held.append))
+    sizes = _thread_pools(monkeypatch)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
+    cfg = _small(channel="c1", detectors=simulate.DETECTOR_IDS, ebn0_db=(-2.0, 0.0, 3.0),
+                 n_p=3, n_d=17, n_c=5, n_trials=3, workers=2)
+    runs = [(run_ser_sweep, replace(cfg, **csir)) for csir in (
+        dict(csir="perfect"), dict(csir="estimated"), dict(csir="forced", forced_khat=(0, 2, 3)))]
+    runs += [(lambda c: run_candidate_sweep(c, (0.05, 0.5, 1.0)), _cand(replace(c, n_c=None)))
+             for _, c in runs[:2]]
+    runs.append((run_estimation_study, SimConfig(sf=6, ebn0_db=(0.0,), n_trials=3, n_d=20,
+                                                 workers=2)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run, c in runs:
+            sizes.clear()
+            held.clear()
+            rows = run(c)
+            assert sizes[0] == 2 and set(sizes) == {2} and len(sizes) > 1
+            assert held == [1, 7] * (len(rows) if run is run_estimation_study else 1)
+            assert rows == run(replace(c, workers=1))
+    finally:
+        sys.setswitchinterval(interval)
 
-    class RecordingPool:  # runs the tasks in this process
-        def __init__(self, max_workers):
-            self.max_workers, self.maps, self.running = max_workers, 0, False
-            pools.append(self)
 
-        def __enter__(self):
-            self.running = True
-            return self
+def test_a_perfect_mf_sweep_on_trial_threads_builds_its_bank_once(monkeypatch):
+    # the trial threads share the channel's bank: the first trial builds it
+    # while the others wait, and none builds or frees one of its own. A slow
+    # build gives every trial thread time to look for the bank meanwhile
+    calls = _count_mf_bank_builds(monkeypatch)
+    counting = simulate.mf_filter_bank
 
-        def __exit__(self, *exc):
-            self.running = False
-            return False
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return counting(*args, **kwargs)
 
-        def map(self, fn, *columns, chunksize=1):
-            assert self.running
-            self.maps += 1
-            return map(fn, *columns)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    cfg = SimConfig(sf=6, ebn0_db=(0.0,), n_trials=2, n_d=20, workers=8)
-    rows = run_estimation_study(cfg)
-    assert [(p.max_workers, p.maps, p.running) for p in pools] == [(2, len(rows), False)]
-    assert len(rows) == 20
-    assert rows == run_estimation_study(replace(cfg, workers=1))
-    run_estimation_study(replace(cfg, n_trials=1))  # one trial runs in this process
-    assert len(pools) == 1
+    monkeypatch.setattr(simulate, "mf_filter_bank", slow)
+    cfg = _small(sf=8, detectors=("mf", "rake"), ebn0_db=(-2.0, 2.0), n_trials=4, workers=2)
+    assert run_ser_sweep(cfg) == run_ser_sweep(replace(cfg, workers=1))
+    assert [c[-1] for c in calls] == [None]
 
 
-class _InProcessPool:
-    """A process pool's interface, running its tasks in this process."""
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *columns, chunksize=1):
-        return map(fn, *columns)
+def test_no_thread_outlives_a_sweep(monkeypatch):
+    # the trial pool and every trial's part pool end before the sweep
+    # returns, also when a part raises, and the sweep raises that part's error
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
+    before = threading.active_count()
+    run_ser_sweep(_small(detectors=("noncoh", "cand-rake"), n_c=5, n_trials=3, n_d=40,
+                         workers=2))
+    assert threading.active_count() == before
+    failing = replace(_fail_the_second_part(monkeypatch), n_trials=3, workers=2)
+    assert _raised(failing) == ["second part"]
+    assert threading.active_count() == before
 
 
 def _thread_pools(monkeypatch) -> list[int]:
@@ -478,17 +486,16 @@ def test_block_parts_are_even_row_ranges_on_disjoint_workspace_bytes():
 
 
 def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
-    # cores // processes threads a trial, processes being min(workers,
-    # n_trials); a pool of 1 is none. A burst shorter than one block (here
-    # 5 windows at sf 7 and 10 at sf 6) keeps 1; a sweep that makes no
-    # point's spectra (shared gains, linear detectors: mf alone too) splits,
-    # its parts drawing their own normals; mf and cand-mf split like every
-    # detector where the library sets OpenBLAS's thread count, held at the
-    # cores left to each part
+    # cores // trial threads threads a trial, the trial threads being
+    # min(workers, n_trials); a pool of 1 is none. A burst shorter than one
+    # block (here 5 windows at sf 7 and 10 at sf 6) keeps 1; a sweep that
+    # makes no point's spectra (shared gains, linear detectors: mf alone
+    # too) splits, its parts drawing their own normals; mf and cand-mf split
+    # like every detector where the library sets OpenBLAS's thread count,
+    # held once a sweep at the cores left to each part
     held = []  # the counts set, the caller's being 7
     monkeypatch.setattr(simulate, "_openblas", lambda: simulate._Blas(lambda: 7, held.append))
     sizes = _thread_pools(monkeypatch)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
     monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
     cfg = _small(detectors=("noncoh", "rake", "cand-rake", "tdel"), n_trials=3, n_d=40)
@@ -501,9 +508,10 @@ def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     run_candidate_sweep(_cand(cfg), (0.5,))
     assert sizes == [3] * 6
     sizes.clear()
-    for workers in (2, 3, 8):  # 1 thread each: 3 // 2, 3 // 3 and 3 // 3
+    for workers in (2, 3, 8):  # 1 part each: 3 // 2, 3 // 3 and 3 // 3
         run_ser_sweep(replace(cfg, workers=workers))
-    assert sizes == []
+    assert sizes == [2, 3, 3]  # the trial pools alone
+    sizes.clear()
     for dets in (("mf",), ("rake",), ("coh", "ideal-mf", "rake")):
         run_ser_sweep(replace(cfg, detectors=dets))
     assert sizes == [3] * 9
@@ -512,19 +520,20 @@ def test_a_process_runs_its_blocks_on_the_cores_left_to_it(monkeypatch):
     for dets in (("cand-mf", "rake"), simulate.DETECTOR_IDS):
         run_ser_sweep(replace(cfg, detectors=dets))
     assert sizes == [3] * 6
-    assert held == [1, 7] * 6  # 3 cores // 3 threads, then the caller's count
+    assert held == [1, 7] * 2  # 3 cores // 3 threads, then the caller's count
     sizes.clear()
     for dets in (("rake",), ("mf",)):  # each point's own gains
         run_ser_sweep(replace(cfg, detectors=dets, csir="estimated"))
     assert sizes == [3] * 6
     sizes.clear()
-    run_ser_sweep(replace(cfg, workers=8, n_trials=1))  # one trial: one process
+    run_ser_sweep(replace(cfg, workers=8, n_trials=1))  # one trial: the caller's thread
     run_ser_sweep(replace(cfg, workers=2, n_trials=5))
-    assert sizes == [3]
+    assert sizes == [3, 2]
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
     sizes.clear()
-    run_estimation_study(SimConfig(sf=6, ebn0_db=(0.0,), n_trials=2, n_d=20, workers=2))
-    assert sizes == []
+    rows = run_estimation_study(SimConfig(sf=6, ebn0_db=(0.0,), n_trials=2, n_d=20, workers=2))
+    assert sizes == [2] * len(rows)  # a trial pool per sweep, 1 part a trial
+    sizes.clear()
     run_estimation_study(SimConfig(sf=6, ebn0_db=(0.0,), n_trials=2, n_d=20))
     assert set(sizes) == {2}
 
@@ -647,57 +656,69 @@ def test_each_part_draws_its_normals_on_its_own_thread(monkeypatch, csir):
     assert sorted(by_thread.values()) == [[6, 20], [20, 6, 20]]
 
 
-_real_blas = None  # the blas fixture's, read by _blas_count in a pool worker
-
-
 @pytest.fixture
-def blas(monkeypatch):
+def blas():
     """numpy's OpenBLAS thread count, set back as it was after the test."""
     real = simulate._openblas()
     if real is None:
         pytest.skip("numpy's BLAS exports no thread count the library sets")
-    monkeypatch.setitem(globals(), "_real_blas", real)
     before = real.get()
     yield real
     real.set(before)
 
 
-def _blas_count(params, ch, cfg, trial):
-    # a trial's result at each point: the OpenBLAS count its process runs on
-    return [_real_blas.get()] * len(cfg.ebn0_db)
+def _blas_counts(blas, cfg: SimConfig) -> list:
+    """_map_points of cfg with each trial's result at each point the OpenBLAS
+    count the trial runs on."""
+    return simulate._map_points(lambda params, ch, c, trial: [blas.get()] * len(c.ebn0_db),
+                                *cfg.resolve(), cfg)
 
 
 def test_the_callers_blas_count_comes_back(monkeypatch, blas):
-    # a split trial holds OpenBLAS at the cores left to each part and a pool
-    # at the cores over its workers, whose forks run on that count; each
-    # gives the caller's count back, also when a part raises
-    held = []
+    # a sweep that runs more than one thread holds OpenBLAS once, at the
+    # cores left to each part of each trial thread, and gives the caller's
+    # count back when it ends, also when a part raises. No trial holds one:
+    # a trial that gave its count back while another trial's products ran
+    # would leave those on the caller's count
+    held, seen = [], []
+    mf_scores = simulate._mf_scores
 
     def holding(n):
         held.append(n)
         blas.set(n)
 
+    def recording(*args, **kwargs):
+        seen.append(blas.get())
+        return mf_scores(*args, **kwargs)
+
     monkeypatch.setattr(simulate, "_openblas", lambda: simulate._Blas(blas.get, holding))
+    monkeypatch.setattr(simulate, "_mf_scores", recording)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
     monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
     blas.set(3)
     cfg = _small(detectors=("noncoh", "mf", "cand-mf"), n_c=5, n_trials=1, n_d=40)
-    run_ser_sweep(cfg)  # 4 threads, 1 BLAS thread each
+    run_ser_sweep(cfg)  # 4 parts, 1 BLAS thread each
     assert (held, blas.get()) == ([1, 3], 3)
     held.clear()
-    pooled = replace(cfg, n_trials=2, workers=2)
-    assert simulate._map_points(_blas_count, *pooled.resolve(), pooled) == [(0.0, (2, 2))]
-    assert (held, blas.get()) == ([2, 3], 3)
+    pooled = replace(cfg, n_trials=2, workers=2)  # 2 trial threads of 2 parts
+    assert _blas_counts(blas, pooled) == [(0.0, (1, 1))]
+    assert (held, blas.get()) == ([1, 3], 3)
     held.clear()
+    seen.clear()
     assert run_ser_sweep(pooled) == run_ser_sweep(replace(pooled, workers=1))
-    assert blas.get() == 3
+    assert (held, blas.get(), set(seen)) == ([1, 3] * 2, 3, {1})
     held.clear()
     rows = run_estimation_study(SimConfig(sf=6, ebn0_db=(0.0,), n_trials=2, n_d=20, workers=2))
-    assert (held, blas.get()) == ([2, 3] * len(rows), 3)
+    assert (held, blas.get()) == ([1, 3] * len(rows), 3)
+    held.clear()
+    failing = _fail_the_second_part(monkeypatch)
+    with pytest.raises(ValueError, match="second part"):
+        run_ser_sweep(failing)
+    assert (held, blas.get()) == ([2, 3], 3)
     held.clear()
     with pytest.raises(ValueError, match="second part"):
-        run_ser_sweep(_fail_the_second_part(monkeypatch))
-    assert (held, blas.get()) == ([2, 3], 3)
+        run_ser_sweep(replace(failing, n_trials=2, workers=2))
+    assert (held, blas.get()) == ([1, 3], 3)
 
 
 @pytest.mark.parametrize("csir", _CSIRS)
@@ -732,8 +753,8 @@ def test_mf_rows_do_not_depend_on_the_parts_or_the_blas_threads(monkeypatch, bla
 
 def test_without_an_openblas_thread_count_mf_keeps_one_thread(monkeypatch, blas):
     # where numpy's BLAS exports no thread count (another build) a sweep with
-    # mf keeps one thread, and no sweep sets a count: its products and a
-    # pool's workers run on the caller's
+    # mf keeps one thread per trial, and no sweep sets a count: its products
+    # run on the caller's, on trial threads too
     sizes = _thread_pools(monkeypatch)
     monkeypatch.setattr(simulate.ctypes, "CDLL", lambda path: SimpleNamespace())
     simulate._openblas.cache_clear()
@@ -755,7 +776,9 @@ def test_without_an_openblas_thread_count_mf_keeps_one_thread(monkeypatch, blas)
         run_ser_sweep(replace(cfg, detectors=("noncoh", "cand-rake")))  # splits, no set
         assert sizes == [4]
         pooled = replace(cfg, n_trials=2, workers=2)
-        assert simulate._map_points(_blas_count, *pooled.resolve(), pooled) == [(0.0, (3, 3))]
+        assert _blas_counts(blas, pooled) == [(0.0, (3, 3))]
+        run_ser_sweep(pooled)  # 2 trial threads, 1 part each
+        assert sizes == [4, 2, 2]
         assert counts and set(counts) == {3}
     finally:
         simulate._openblas.cache_clear()
@@ -1330,13 +1353,27 @@ def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
         assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
         assert spans[-1][1] - spans[0][0] == ws.nbytes
     finally:
-        simulate._workspace_cache.clear()
+        simulate._workspace_cache.held = None
 
 
-def test_a_sweep_leaves_no_workspace_behind():
-    run_ser_sweep(_small(detectors=("rake", "cand-rake"), n_c=5))
-    run_candidate_sweep(_cand(_small()), (0.5,))
-    assert simulate._workspace_cache == {}
+def test_a_sweep_leaves_no_workspace_behind(monkeypatch):
+    # the caller's workspace is freed when its sweep ends, and each trial
+    # thread's with the thread, before the sweep returns
+    made = []
+
+    class Recorded(simulate._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(simulate, "_Workspace", Recorded)
+    for workers in (1, 2):
+        run_ser_sweep(_small(detectors=("rake", "cand-rake"), n_c=5, n_trials=3,
+                             workers=workers))
+        run_candidate_sweep(_cand(_small(n_trials=3, workers=workers)), (0.5,))
+    assert len(made) >= 4
+    assert getattr(simulate._workspace_cache, "held", None) is None
+    assert [ref() for ref in made] == [None] * len(made)
 
 
 def test_full_candidate_set_reproduces_full_search():

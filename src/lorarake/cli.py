@@ -76,16 +76,12 @@ def parse_ebn0_axis(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+def _parse_list(kind):
+    """A parser of a comma list into a tuple of kind values, blank items skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(p.strip()) for p in text.split(",") if p.strip())
+    parse.__name__ = f"{kind.__name__} list"  # argparse names a bad value's type by it
+    return parse
 
 
 def _load_config_file(path: str) -> dict:
@@ -99,8 +95,8 @@ def _load_config_file(path: str) -> dict:
 # flag values that need parsing into a config list; the rest pass through
 _LIST_FLAGS = {
     "ebn0_db": parse_ebn0_axis,
-    "detectors": _parse_str_list,
-    "forced_khat": _parse_int_list,
+    "detectors": _parse_list(str),
+    "forced_khat": _parse_list(int),
 }
 
 
@@ -113,7 +109,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
     sub.add_argument("--n-d", type=int, dest="n_d", help="data symbols per frame")
     sub.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
                      help="master seed")
-    sub.add_argument("--workers", type=int, help="trials run at once")
+    sub.add_argument("--workers", type=int, help="trials run at once, at most one per usable core")
     if not full:
         return
     sub.add_argument("--channel", help="channel: alias (c1, c2), inline delay:gain "
@@ -157,7 +153,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_path: str, header: list[str], rows: list[list]) -> int:
+def _write_csv(out_path: str, header: list[str], rows: list) -> None:
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -169,7 +165,6 @@ def _write_csv(out_path: str, header: list[str], rows: list[list]) -> int:
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             emit(fh)
-    return len(rows)
 
 
 def _channel_text(ch) -> str:
@@ -197,31 +192,26 @@ def _config_payload(cfg: SimConfig, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns (CSV header, rows, seed, config-hash payload)
+# for main to write, or None once it has printed its own output
 # ---------------------------------------------------------------------------
 
 SER_HEADER = [f.name for f in fields(SerPoint)]
 
 
-def _cmd_ser(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ser(args):
     cfg = _build_config(args)
-    points = run_ser_sweep(cfg)
-    n = _write_csv(args.out, SER_HEADER, [astuple(p) for p in points])
-    _summary("ser", cfg.master_seed, _config_payload(cfg), n, t0)
-    return 0
+    rows = [astuple(p) for p in run_ser_sweep(cfg)]
+    return SER_HEADER, rows, cfg.master_seed, _config_payload(cfg)
 
 
-def _cmd_delta(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_delta(args):
     rows, ratio = run_delta_report(args.channel, args.sf)
     table = [[r.a, r.coh, r.noncoh, r.ideal_mf, r.mf] for r in rows]
     table.append(["max_coh_over_ideal_mf", ratio, "", "", ""])
     header = ["a", "delta_coh", "delta_noncoh", "delta_ideal_mf", "delta_mf"]
-    n = _write_csv(args.out, header, table)
-    payload = {"cmd": "delta", "sf": args.sf, "channel": _channel_text(args.channel)}
-    _summary("delta", "-", payload, n, t0)
-    return 0
+    return header, table, "-", {"cmd": "delta", "sf": args.sf,
+                                "channel": _channel_text(args.channel)}
 
 
 COMPLEXITY_HEADER = [
@@ -232,43 +222,32 @@ COMPLEXITY_HEADER = [
 ]
 
 
-def _cmd_complexity(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_complexity(args):
     rows = run_complexity_report(args.sf_list, args.k, args.nc_list)
     table = [[r.sf, r.k, r.n_c,
               r.mf.cmult, r.mf.cadd, r.rake.cmult, r.rake.cadd,
               r.cand_mf.cmult, r.cand_mf.cadd, r.cand_rake.cmult, r.cand_rake.cadd,
               r.ratio_full, r.ratio_cand]
              for r in rows]
-    n = _write_csv(args.out, COMPLEXITY_HEADER, table)
-    payload = {"cmd": "complexity", "sf_list": list(args.sf_list), "k": args.k,
-               "nc_list": list(args.nc_list)}
-    _summary("complexity", "-", payload, n, t0)
-    return 0
+    return COMPLEXITY_HEADER, table, "-", {"cmd": "complexity", "sf_list": list(args.sf_list),
+                                           "k": args.k, "nc_list": list(args.nc_list)}
 
 
-def _cmd_estimate_study(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_estimate_study(args):
     cfg = _build_config(args)
-    rows = run_estimation_study(cfg)
-    table = [[r.study, r.param, *astuple(r.point)] for r in rows]
-    n = _write_csv(args.out, ["study", "param"] + SER_HEADER, table)
-    _summary("estimate-study", cfg.master_seed, _config_payload(cfg), n, t0)
-    return 0
+    table = [[r.study, r.param, *astuple(r.point)] for r in run_estimation_study(cfg)]
+    return ["study", "param"] + SER_HEADER, table, cfg.master_seed, _config_payload(cfg)
 
 
-def _cmd_cand_sweep(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_cand_sweep(args):
     cfg = _build_config(args)
-    rows = run_candidate_sweep(cfg, args.nc_grid)
-    n = _write_csv(args.out, [f.name for f in fields(CandSweepRow)], [astuple(r) for r in rows])
+    rows = [astuple(r) for r in run_candidate_sweep(cfg, args.nc_grid)]
     # the sweep scores cand-rake alone, at every fraction of the grid
     payload = _config_payload(replace(cfg, detectors=("cand-rake",)), nc_grid=args.nc_grid)
-    _summary("cand-sweep", cfg.master_seed, payload, n, t0)
-    return 0
+    return [f.name for f in fields(CandSweepRow)], rows, cfg.master_seed, payload
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> None:
     t0 = time.perf_counter()
     rows, ratio = run_delta_report("c1", 7)
     worst = max(rows, key=lambda r: r.noncoh)
@@ -284,7 +263,6 @@ def _cmd_demo(args) -> int:
     for p in points:
         print(f"  {p.detector:<9} {p.ebn0_db:>7.1f} {p.ser:>9.4f}")
     print(f"done in {time.perf_counter() - t0:.2f}s")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta.set_defaults(func=_cmd_delta)
 
     p_cx = sub.add_parser("complexity", help="per-symbol operation cost table")
-    p_cx.add_argument("--sf-list", dest="sf_list", type=_parse_int_list,
+    p_cx.add_argument("--sf-list", dest="sf_list", type=_parse_list(int),
                       default=(7, 8, 9, 10, 11, 12))
     p_cx.add_argument("--k", type=int, default=3, help="channel tap count")
-    p_cx.add_argument("--nc-list", dest="nc_list", type=_parse_int_list,
+    p_cx.add_argument("--nc-list", dest="nc_list", type=_parse_list(int),
                       default=(1, 2, 4, 8, 16, 32))
     p_cx.add_argument("--out", default="-")
     p_cx.set_defaults(func=_cmd_complexity)
@@ -332,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cand = sub.add_parser("cand-sweep", help="candidate-set size sweep")
     _add_sweep_flags(p_cand)
-    p_cand.add_argument("--nc-grid", dest="nc_grid", type=_parse_float_list,
+    p_cand.add_argument("--nc-grid", dest="nc_grid", type=_parse_list(float),
                         default=DEFAULT_NC_GRID,
                         help="comma list of candidate fractions of M")
     p_cand.add_argument("--out", default="-")
@@ -346,19 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        result = args.func(args)
+        if result is not None:
+            header, rows, seed, payload = result
+            _write_csv(args.out, header, rows)
+            _summary(args.command, seed, payload, len(rows), t0)
+    except (ValueError, OSError) as exc:  # ConfigError and json's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -528,3 +528,78 @@ def test_10_fast_sim_matches_exact_pipeline(report):
                        f"sweep errors={sweep[e].errors} chain={chain}")
     report("10 fast-sim agreement", ok, "; ".join(details))
     assert ok
+
+
+# ----------------------------------------------------------------------
+# 11-12. simulated error rates against the exact curves of orthogonal
+# M-ary signalling (Proakis, Digital Communications, ch. 4): on a single
+# path noncoh is the noncoherent detector, coh and rake the coherent one.
+# With Es/N0 = sf * Eb/N0 and a = sqrt(2 Es/N0), a bin's statistic in
+# units of its noise's standard deviation per dimension has mean a at the
+# sent bin and 0 elsewhere.
+
+
+def _es_n0(sf: int, ebn0_db: float) -> float:
+    return sf * 10.0 ** (ebn0_db / 10.0)
+
+
+def _coherent_ser(m: int, es_n0: float) -> float:
+    """1 - the integral of phi(x - a) Phi(x)^(M-1) dx."""
+    a = math.sqrt(2.0 * es_n0)
+    x = np.linspace(a - 12.0, a + 12.0, 24001)
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * (x - a) ** 2) / math.sqrt(2.0 * math.pi)
+    return 1.0 - float(np.trapezoid(pdf * cdf ** (m - 1), x))
+
+
+def _noncoherent_ser(m: int, es_n0: float) -> float:
+    """1 - the integral over r > 0 of r exp(-(r^2 + a^2) / 2) I0(r a)
+    (1 - exp(-r^2 / 2))^(M-1) dr: the sent bin's Rice magnitude above the
+    M - 1 Rayleigh ones."""
+    a = math.sqrt(2.0 * es_n0)
+    r = np.linspace(0.0, a + 12.0, 24001)
+    rice = r * np.exp(-0.5 * (r * r + a * a)) * np.i0(r * a)
+    return 1.0 - float(np.trapezoid(rice * (1.0 - np.exp(-0.5 * r * r)) ** (m - 1), r))
+
+
+def _z(point, exact: float) -> float:
+    """The point's distance from the exact rate in binomial standard errors."""
+    return (point.ser - exact) / math.sqrt(exact * (1.0 - exact) / point.symbols)
+
+
+def test_11_single_path_ser_matches_exact_curves(report):
+    worst, details = 0.0, []
+    for sf, axis, trials, seed in ((7, (-2.0, 0.0, 2.0), 20, 1101),
+                                   (10, (-4.0, -2.0, 0.0), 4, 1102)):
+        cfg = SimConfig(sf=sf, channel="0:1", detectors=("noncoh", "coh", "rake"), ebn0_db=axis,
+                        n_trials=trials, n_d=1000, n_p=0, csir="perfect", master_seed=seed)
+        m = 2**sf
+        for p in run_ser_sweep(cfg):
+            curve = _noncoherent_ser if p.detector == "noncoh" else _coherent_ser
+            z = _z(p, curve(m, _es_n0(sf, p.ebn0_db)))
+            worst = max(worst, abs(z))
+            details.append(f"sf{sf} {p.detector} {p.ebn0_db:+.0f}dB z={z:+.2f}")
+    report("11 single-path exact curves", worst <= 4.0, f"worst |z|={worst:.2f}; "
+           + "; ".join(details))
+    assert worst <= 4.0
+
+
+def test_12_coh_awgn_matches_its_exact_curve(report):
+    # coh-awgn is a flat tap of the channel's energy E under the same noise:
+    # the coherent curve at E * Es/N0, on any channel. Points expecting
+    # fewer than 50 errors carry too few to test
+    worst, tested = 0.0, []
+    for name, seed in (("c1", 1201), ("c2", 1202)):
+        cfg = SimConfig(sf=7, channel=name, detectors=("coh-awgn",), ebn0_db=(-4.0, -2.0, 0.0),
+                        n_trials=20, n_d=1000, n_p=0, csir="perfect", master_seed=seed)
+        energy = parse_channel(name).energy()
+        for p in run_ser_sweep(cfg):
+            exact = _coherent_ser(128, energy * _es_n0(7, p.ebn0_db))
+            if exact * p.symbols >= 50:
+                z = _z(p, exact)
+                worst = max(worst, abs(z))
+                tested.append(f"{name} {p.ebn0_db:+.0f}dB z={z:+.2f}")
+    ok = worst <= 4.0 and len(tested) >= 4
+    report("12 coh-awgn exact curve", ok, f"worst |z|={worst:.2f}; " + "; ".join(tested))
+    assert len(tested) >= 4
+    assert worst <= 4.0

@@ -313,8 +313,10 @@ def candidate_masks(mag: np.ndarray, rule: tuple[str, float], out: np.ndarray | 
         part.partition(mag.shape[1] - n_c, axis=1)
         thr = part[:, -n_c, None]
         np.greater_equal(mag, thr, out=mask)
-        over = np.flatnonzero(np.count_nonzero(mask, axis=1) > n_c)
-        if over.size:
+        # every row keeps at least n_c bins, so one whole-block count tells
+        # whether any row keeps more, and the per-row count runs only then
+        if np.count_nonzero(mask) > mask.shape[0] * n_c:
+            over = np.flatnonzero(np.count_nonzero(mask, axis=1) > n_c)
             # more bins tie at the threshold than fit: the lowest-index ones fill up
             sub, t = mag[over], thr[over]
             ties = sub == t
@@ -328,15 +330,32 @@ def candidate_masks(mag: np.ndarray, rule: tuple[str, float], out: np.ndarray | 
     return mask
 
 
+# masked_argmax's branch-free form runs above 1 / _DENSE_MASK of the bins
+_NINF_BITS = np.array(-np.inf).view(np.int64)
+_DENSE_MASK = 25
+
+
 def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-row argmax over the masked bins only; ties resolve to the lowest bin.
 
     The masked scores, -inf elsewhere, are written to out, a real array of
-    scores' shape.
+    scores' shape, in one of two forms that write the same bytes:
+    - over 4% of the bins masked, three branch-free integer passes over
+      out's bits, (bits(scores) ^ bits(-inf)) * mask ^ bits(-inf);
+    - otherwise, a fill with -inf and a masked copy of the scores.
+    Measured in process on (32-256, 1024-4096) blocks, the masked copy cost
+    0.5-0.8 ns a bin on the sparsest masks and 5-6.5 at 30-45% of the bins,
+    the three passes 1.4-1.8 at any density: they crossed at 3-4%.
     """
     filled = np.empty(scores.shape) if out is None else out
-    filled.fill(-np.inf)
-    np.copyto(filled, scores, where=mask)
+    if np.count_nonzero(mask) * _DENSE_MASK > mask.size:
+        bits = filled.view(np.int64)
+        np.bitwise_xor(scores.view(np.int64), _NINF_BITS, out=bits)
+        np.multiply(bits, mask, out=bits)
+        np.bitwise_xor(bits, _NINF_BITS, out=bits)
+    else:
+        filled.fill(-np.inf)
+        np.copyto(filled, scores, where=mask)
     return np.argmax(filled, axis=1)
 
 

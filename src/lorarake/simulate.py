@@ -993,7 +993,7 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
             for det in rules:
                 counts[t.i, col[det]] += np.sum(_DETECTORS[det].decide(t) != block.data)
             if candidates:
-                counts[t.i, -1] += t.mask.sum()
+                counts[t.i, -1] += np.count_nonzero(t.mask)
             if kernels and not shared:
                 for kernel, scores in t.scores(kernels):
                     tally(t.i, kernel, scores)

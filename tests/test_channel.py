@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lorarake import channel
 from lorarake.channel import (
     C1,
     C2,
     DechirpedGains,
     MultipathChannel,
+    add_lines,
     apply_channel,
     add_awgn,
     build_frame,
@@ -417,3 +420,37 @@ def test_chained_spectra_are_bitwise_the_one_call_spectra(case, cuts):
     for (a, b), d, part in zip(ranges, deltas, parts):
         got = dechirped_spectra(p, ch, s[a:b], d, out=used[: b - a])
         assert got.tobytes() == part.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda sf: st.tuples(st.just(sf), st.integers(0, 2**sf - 1))),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+@example((5, 0), 3, 0)
+@example((7, 8), 4, 1)
+@example((7, 9), 4, 2)
+@example((7, 127), 2, 3)
+@example((10, 5), 5, 4)
+def test_head_term_is_the_head_fft(sk, n, seed):
+    # a head of any length up to M - 1 (none on a single path) reaches the
+    # spectrum as its M-point DFT: by a per-window product up to
+    # _HEAD_PRODUCT_SAMPLES samples, with no FFT, and by the FFT beyond
+    sf, k = sk
+    p = LoRaParams(sf)
+    rng = np.random.default_rng(seed)
+    ch = MultipathChannel((0, k), (1.0, 0.5 - 1j)) if k else MultipathChannel((0,), (1.0 + 2j,))
+    s = rng.integers(0, p.m, size=n)
+    delta = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    ref = np.fft.fft(delta, n=p.m, axis=1)
+    add_lines(p, dechirped_gain(p, ch), s, ref)
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        fresh = dechirped_spectra(p, ch, s, delta)
+    assert fft.called == (k > channel._HEAD_PRODUCT_SAMPLES)
+    # a few ulp of each bin's terms: the head samples through 2k products or
+    # sf FFT stages, and the lines
+    scale = np.abs(delta).sum(axis=1, keepdims=True) * (2 * k + sf) + p.m * sum(map(abs, ch.gains))
+    assert np.all(np.abs(fresh - ref) <= 4 * np.finfo(float).eps * scale)
+    # written into a region left over from other work
+    used = rng.standard_normal((n + 2, p.m)) + 1j * np.inf
+    used[::2] = np.nan
+    got = dechirped_spectra(p, ch, s, delta, out=used[:n])
+    assert got.tobytes() == fresh.tobytes()

@@ -260,6 +260,34 @@ def test_detect_tie_resolves_to_lowest_index():
     assert masked_argmax(scores, mask)[0] == 4  # all scores are 0.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 9), st.sampled_from([0.0, 0.01, 0.04, 0.1, 0.5, 1.0]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example(10, 8, 0.0, True, 0)  # one bin a row: the masked copy
+@example(10, 8, 0.5, True, 1)  # half the bins: the three integer passes
+@example(3, 4, 1.0, False, 2)  # every bin
+def test_masked_argmax_is_the_fill_and_masked_copy(sf, rows, density, reuse, seed):
+    # both forms, chosen by the mask's count, against filling with -inf and
+    # copying the masked scores in: the same decisions and, in out, the same
+    # bytes, over tie-heavy scores with both zeros and infinities
+    m = 2**sf
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-2, 3, size=(rows, m)).astype(float)
+    scores[(scores == 0) & (rng.random(scores.shape) < 0.5)] = -0.0
+    scores[rng.random(scores.shape) < 0.05] = np.inf
+    scores[rng.random(scores.shape) < 0.05] = -np.inf
+    mask = rng.random((rows, m)) < density
+    mask[np.arange(rows), rng.integers(0, m, size=rows)] = True
+    ref = np.full(scores.shape, -np.inf)
+    np.copyto(ref, scores, where=mask)
+    before = scores.tobytes()
+    out = _used((rows, m), float, rng) if reuse else None
+    np.testing.assert_array_equal(masked_argmax(scores, mask, out=out), np.argmax(ref, axis=1))
+    assert scores.tobytes() == before
+    if reuse:
+        assert out.tobytes() == ref.tobytes()
+
+
 def test_delta_indicator_noncoh_exact():
     p = LoRaParams(7)
     for a in range(p.m):

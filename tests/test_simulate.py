@@ -874,25 +874,21 @@ def test_usable_cores_are_the_affinity_mask(monkeypatch):
 def test_linear_detectors_with_shared_gains_make_no_spectra(monkeypatch, cfg):
     # rake and mf score the noise-free spectra in closed form and the
     # normals with their kernels, so such a sweep makes neither the
-    # noise-free spectra (their head FFT) nor any point's noisy spectra, and
-    # its rows are those it has in a run that makes both. The one FFT of the
-    # closed form's bank (channel_coefficient) is taken by a first sweep,
-    # which keeps the bank
-    ffts = Counter()
-    fft = np.fft.fft
+    # noise-free spectra (dechirped_spectra) nor any point's noisy spectra,
+    # and its rows are those it has in a run that makes both
+    made = Counter()
+    spectra = simulate.dechirped_spectra
 
     def counting(*args, **kwargs):
-        ffts["fft"] += 1
-        return fft(*args, **kwargs)
+        made["clean"] += 1
+        return spectra(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft", counting)
+    monkeypatch.setattr(simulate, "dechirped_spectra", counting)
     cfg = _small(**{"ebn0_db": (0.0,), **cfg})
-    run_ser_sweep(cfg)
-    ffts.clear()
     alone = run_ser_sweep(replace(cfg, master_seed=10))
-    assert ffts["fft"] == 0
+    assert made["clean"] == 0
     shared = run_ser_sweep(replace(cfg, master_seed=10, detectors=("noncoh", *cfg.detectors)))
-    assert ffts["fft"] > 0
+    assert made["clean"] > 0
     assert [p for p in shared if p.detector != "noncoh"] == alone
 
 

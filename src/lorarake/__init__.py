@@ -3,10 +3,11 @@
 Layers, bottom up: waveform (chirps, dechirping, the DFT),
 channel (multipath model, frames, noise), detectors (matched filter,
 tap combining, candidate pruning, pilot correlation), estimator (pilot
-based path detection), complexity (operation counts), fastsim
-(statistic-domain sampler on the rake combiner), simulate (Monte Carlo
-drivers), cli (command line front end). The package namespace holds
-the core pipeline names; everything else is imported from its module.
+based path detection), complexity (operation counts), simulate (Monte
+Carlo drivers), fastsim (simulate_ser, one rake trial of the sweep, and
+statistic-domain reference forms), cli (command line front end). The
+package namespace holds the core pipeline names; everything else is
+imported from its module.
 """
 
 from .channel import (

@@ -242,10 +242,10 @@ def dechirped_gain(params: LoRaParams, ch: MultipathChannel) -> DechirpedGains:
     return DechirpedGains(ch.delays, np.asarray(ch.gains) * rot)
 
 
-# Bins (rows * M) of one block of windows that a trial or the fast simulator
-# holds at a time: 4 MiB per complex block array at any sf, so a trial's
-# memory does not grow with its length. A sweep writes its blocks into one
-# workspace of such arrays, made once per sweep (simulate._workspace).
+# Bins (rows * M) of one block of windows that a trial holds at a time: 4 MiB
+# per complex block array at any sf, so a trial's memory does not grow with
+# its length. A sweep writes its blocks into one workspace of such arrays,
+# made once per sweep (simulate._workspace).
 BLOCK_BINS = 1 << 18
 
 

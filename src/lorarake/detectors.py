@@ -179,7 +179,8 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     and negated imaginary part, so a window's interleaved (real, imaginary)
     float view times the bank is the real part of every statistic. cols
     defaults to M; with cols given only the first cols samples are built:
-    fastsim maps a window's k_max head samples to statistics through them.
+    a window's k_max head samples map to scores through them
+    (clean_rake_scores, and fastsim's edge_statistics).
     Built in slabs of channel.block_rows(M) samples in one reused slab of
     temporaries, so a build's cost does not depend on the allocator's
     history. out, a real (2 * cols, M) array, is overwritten with the bank.
@@ -335,7 +336,8 @@ _NINF_BITS = np.array(-np.inf).view(np.int64)
 _DENSE_MASK = 25
 
 
-def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None,
+                  density: float | None = None) -> np.ndarray:
     """Per-row argmax over the masked bins only; ties resolve to the lowest bin.
 
     The masked scores, -inf elsewhere, are written to out, a real array of
@@ -346,9 +348,12 @@ def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None =
     Measured in process on (32-256, 1024-4096) blocks, the masked copy cost
     0.5-0.8 ns a bin on the sparsest masks and 5-6.5 at 30-45% of the bins,
     the three passes 1.4-1.8 at any density: they crossed at 3-4%.
+    density, the share of bins masked where the caller knows it (n_c / M
+    for the fixed rule), picks the form without counting the mask.
     """
     filled = np.empty(scores.shape) if out is None else out
-    if np.count_nonzero(mask) * _DENSE_MASK > mask.size:
+    if (np.count_nonzero(mask) * _DENSE_MASK > mask.size if density is None
+            else density * _DENSE_MASK > 1):
         bits = filled.view(np.int64)
         np.bitwise_xor(scores.view(np.int64), _NINF_BITS, out=bits)
         np.multiply(bits, mask, out=bits)

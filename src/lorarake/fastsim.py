@@ -1,30 +1,30 @@
-"""Statistic-domain fast symbol-error simulation for the full-search detector.
+"""Full-search symbol errors in one call, and the statistic-domain reference forms.
 
-The matched filter is a rake over the DFT output, so a window's
-statistics are rake_combine applied to its dechirped spectrum. Under a
-steady (cyclic) window that spectrum is the K spectral lines the sweep
-writes (channel.add_lines), and the dechirped noise of a window has a
-white CN(0, M*sigma2) spectrum, so the combiner applied to lines plus
-white spectral noise draws the statistics with their exact joint law. A
-Monte Carlo trial is then one white draw, one rake pass and an argmax,
-skipping waveform synthesis and the FFT entirely.
-
-The cyclic window neglects one real effect: its first k_max samples carry
-the previous symbol's chirp tail. That perturbation has a closed form in
-the (previous, current) symbol pair, the window heads, and the sampler
-applies it exactly as the matched-filter scores of the head difference,
-through the first k_max samples of the filter bank.
+The matched filter is a rake over the DFT output, so a window's statistics
+are rake_combine applied to its dechirped spectrum. That identity lets the
+exact sweep (simulate.run_ser_sweep) score every hypothesis with one rake
+pass over a block's white spectral noise plus a closed-form noise-free term
+that takes each window's head (the previous symbol's chirp tail) exactly.
+simulate_ser is an entry point onto that sweep: one rake trial under
+perfect CSIR on the model's channel. The other functions are reference
+forms of the same law, kept until the benchmark stops calling and tracing
+them by name (ROADMAP items 1-2): sample_correlated_noise draws the
+statistic noise as the rake combiner of white CN(0, M*sigma2) spectral
+noise, and edge_statistics is the exact score correction of the window
+heads, through the filter bank's first k_max samples (build_fast_sim).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DechirpedGains, add_lines, block_rows, complex_noise, window_heads
-from .detectors import mf_filter_bank, mf_scores, rake_combine, rake_scores
-from .waveform import LoRaParams, chirp_samples
+from .channel import DechirpedGains, MultipathChannel, complex_noise, window_heads
+from .detectors import mf_filter_bank, mf_scores, rake_combine
+from .simulate import SimConfig, run_ser_sweep
+from .waveform import LoRaParams, chirp_samples, snr_ebn0_convert
 
 __all__ = [
     "FastSimModel",
@@ -101,39 +101,28 @@ def sample_correlated_noise(
     return w[0] if size is None else w
 
 
-def simulate_ser(
-    model: FastSimModel,
-    sigma2: float,
-    n_symbols: int,
-    rng: np.random.Generator,
-    batch: int = 4096,
-) -> int:
-    """Symbol errors of the full-search detector under the fast model.
+def simulate_ser(model: FastSimModel, sigma2: float, n_symbols: int, rng: np.random.Generator,
+                 batch: int | None = None) -> int:
+    """Symbol errors of the full-search detector, from one exact sweep trial.
 
-    Per block: draws the symbols and their white spectral noise, writes
-    the symbols' spectral lines into it, scores them with the rake kernel,
-    adds the exact previous-symbol head term along the symbol chain, and
-    counts the rows whose argmax misses the sent symbol. The chain opens
-    on a value-0 predecessor, mirroring the trailing pilot before a data
-    burst. Blocks hold at most batch symbols and at most
-    channel.block_rows(M), the sweep's block size. Returns the error count
-    over n_symbols.
+    Runs run_ser_sweep on one trial of n_symbols data symbols: the rake
+    detector under perfect CSIR, the model's raw taps as the channel, sigma2's
+    Eb/N0 (snr_ebn0_convert) as the only point, n_p=1 (the value-0 predecessor
+    of the first data symbol), k_max=1, and a master seed of
+    rng.integers(2**63). Perfect CSIR reads neither the pilot nor k_max, and
+    k_max=1 fits every sf. Returns the trial's rake error count. batch is
+    accepted and ignored: the sweep sets its own block size.
     """
-    p = model.params
-    block = min(batch, block_rows(p.m))
-    errors = 0
-    done = 0
-    last = 0
-    while done < n_symbols:
-        n = min(block, n_symbols - done)
-        sent = rng.integers(0, p.m, size=n)
-        spec = complex_noise((n, p.m), p.m * sigma2, rng)
-        add_lines(p, model.gains, sent, spec)
-        scores = rake_scores(p, spec, model.gains)
-        # free the block before the head product so its memory is reused
-        del spec
-        scores += edge_statistics(model, np.concatenate([[last], sent[:-1]]), sent)
-        errors += int(np.sum(np.argmax(scores, axis=1) != sent))
-        done += n
-        last = int(sent[-1])
-    return errors
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and > 0 (a sweep has no noise-free "
+                         f"point), got {sigma2}")
+    if n_symbols < 0:
+        raise ValueError(f"n_symbols must be >= 0, got {n_symbols}")
+    if n_symbols == 0:
+        return 0
+    ebn0 = snr_ebn0_convert(model.params, -10.0 * math.log10(sigma2), "snr_to_ebn0")
+    ch = MultipathChannel(model.gains.delays, tuple(model.raw))
+    cfg = SimConfig(sf=model.params.sf, channel=ch, detectors=("rake",), ebn0_db=(ebn0,),
+                    n_trials=1, n_d=n_symbols, n_p=1, k_max=1, csir="perfect",
+                    master_seed=int(rng.integers(2**63)))
+    return run_ser_sweep(cfg)[0].errors

@@ -977,6 +977,8 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
             kernels.setdefault(_DETECTORS[det].kernel, []).append(det)
     shared = _shares_gains(cfg)
     reads_points = cfg._reads_points()
+    # the fixed rule's masks keep n_c bins a row, bar ties: _masked_argmax need not count them
+    density = cfg.n_c / params.m if cfg.n_c is not None else None
 
     def count(block: _Block) -> np.ndarray:
         counts = np.zeros((len(cfg.ebn0_db), len(dets) + 1), dtype=np.int64)
@@ -984,7 +986,8 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
         def tally(i, kernel, scores):
             for det in kernels[kernel]:
                 if _DETECTORS[det].candidates:
-                    dec = _masked_argmax(scores, block.mask(i), out=block.region("work"))
+                    dec = _masked_argmax(scores, block.mask(i), out=block.region("work"),
+                                         density=density)
                 else:
                     dec = np.argmax(scores, axis=1)
                 counts[i, col[det]] += np.sum(dec != block.data)
@@ -1243,7 +1246,7 @@ def _cand_sweep_trial(params, ch, cfg, trial, nc_list) -> list[list[int]]:
             scores = block.combined(t.i) if shared else next(t.scores((_RAKE,)))[1]
             for j in range(len(rules)):
                 dec = _masked_argmax(scores, block.region("mask", bool, j),
-                                     out=block.region("work"))
+                                     out=block.region("work"), density=nc_list[j] / params.m)
                 errors[t.i, j] += np.sum(dec != block.data)
         return errors
 

@@ -4,6 +4,9 @@ the pilot-correlation detector."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -267,9 +270,11 @@ def test_detect_tie_resolves_to_lowest_index():
 @example(10, 8, 0.5, True, 1)  # half the bins: the three integer passes
 @example(3, 4, 1.0, False, 2)  # every bin
 def test_masked_argmax_is_the_fill_and_masked_copy(sf, rows, density, reuse, seed):
-    # both forms, chosen by the mask's count, against filling with -inf and
-    # copying the masked scores in: the same decisions and, in out, the same
-    # bytes, over tie-heavy scores with both zeros and infinities
+    # both forms, chosen by the mask's count or by a density the caller passes
+    # (0 and 1 force the copy and the integer passes whatever the mask holds),
+    # against filling with -inf and copying the masked scores in: the same
+    # decisions and, in out, the same bytes, over tie-heavy scores with both
+    # zeros and infinities. A passed density skips the count
     m = 2**sf
     rng = np.random.default_rng(seed)
     scores = rng.integers(-2, 3, size=(rows, m)).astype(float)
@@ -281,11 +286,16 @@ def test_masked_argmax_is_the_fill_and_masked_copy(sf, rows, density, reuse, see
     ref = np.full(scores.shape, -np.inf)
     np.copyto(ref, scores, where=mask)
     before = scores.tobytes()
-    out = _used((rows, m), float, rng) if reuse else None
-    np.testing.assert_array_equal(masked_argmax(scores, mask, out=out), np.argmax(ref, axis=1))
-    assert scores.tobytes() == before
-    if reuse:
-        assert out.tobytes() == ref.tobytes()
+    for known in (None, density, 0.0, 1.0):
+        out = _used((rows, m), float, rng) if reuse else None
+        uncounted = (mock.patch.object(np, "count_nonzero", side_effect=AssertionError("counted"))
+                     if known is not None else nullcontext())
+        with uncounted:
+            dec = masked_argmax(scores, mask, out=out, density=known)
+        np.testing.assert_array_equal(dec, np.argmax(ref, axis=1))
+        assert scores.tobytes() == before
+        if reuse:
+            assert out.tobytes() == ref.tobytes()
 
 
 def test_delta_indicator_noncoh_exact():

@@ -9,14 +9,17 @@ mf_filter_bank interleaves.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorarake import detectors
+from lorarake import channel, detectors, fastsim
 from lorarake.channel import (
     C1,
     C2,
@@ -36,7 +39,9 @@ from lorarake.fastsim import (
     sample_correlated_noise,
     simulate_ser,
 )
-from lorarake.waveform import LoRaParams, chirp_samples, dechirp
+from lorarake.simulate import SimConfig, _trial_rng, run_ser_sweep
+from lorarake.waveform import LoRaParams, chirp_samples, dechirp, snr_ebn0_convert
+from test_acceptance import _sample_chain_errors
 
 
 def _steady_rows(p, g, sent):
@@ -200,26 +205,19 @@ def test_edge_statistics_are_the_closed_forms_head_term():
     assert np.all(np.abs(closed - ref) <= 64 * np.finfo(float).eps * terms.max())
 
 
-class _ChainRng:
-    """Stands in for a Generator: hands out a fixed symbol chain block by
-    block and all-zero normals, so the statistics are noise-free."""
-
-    def __init__(self, chain):
-        self.chain = np.asarray(chain)
-
-    def integers(self, low, high, size):
-        out, self.chain = self.chain[:size], self.chain[size:]
-        return out
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
+def _one_trial(sf, channel, ebn0_db, n_d, master_seed):
+    """The sweep simulate_ser runs: one rake trial under perfect CSIR, after one pilot."""
+    return SimConfig(sf=sf, channel=channel, detectors=("rake",), ebn0_db=(ebn0_db,), n_trials=1,
+                     n_d=n_d, n_p=1, k_max=1, csir="perfect", master_seed=master_seed)
 
 
-def test_noise_free_errors_are_the_exact_pipelines():
-    # strong late echoes at sf 4-5: only the previous-symbol heads cause errors,
-    # so the count pins that simulate_ser applies them along its symbol chain,
-    # from a value-0 predecessor and across its blocks; the last two channels
-    # span M/2 and more, up to M - 1
+def test_noise_free_errors_are_the_exact_pipelines(monkeypatch):
+    # strong late echoes at sf 4-5, at an Eb/N0 where no noise decides a
+    # symbol: only the previous-symbol heads cause errors, so the count pins
+    # that the sweep simulate_ser runs applies them along its symbol chain,
+    # from the value-0 pilot and across its blocks (7 windows at sf 4, 3 at
+    # sf 5); the last two channels span M/2 and more, up to M - 1
+    monkeypatch.setattr(channel, "BLOCK_BINS", 7 * 16 + 3)
     for sf, taps in ((4, "0:0.4,6:0.9j,7:1.2"), (4, "0:0.4,9:0.9j,15:1.2"),
                      (5, "0:0.5,16:1.1,29:0.9j")):
         _check_noise_free_chain(LoRaParams(sf), parse_channel(taps))
@@ -227,9 +225,7 @@ def test_noise_free_errors_are_the_exact_pipelines():
 
 def _check_noise_free_chain(p, ch):
     g = dechirped_gain(p, ch)
-    model = build_fast_sim(p, g)
-    n = 400
-    sent = np.random.default_rng(4).integers(0, p.m, n)
+    ebn0 = 80.0
 
     def exact_errors(frame_symbols):
         frame = build_frame(p, 0, frame_symbols)
@@ -237,14 +233,62 @@ def _check_noise_free_chain(p, ch):
         stats = [[mf_statistic(p, r, g, b).real for b in range(p.m)] for r in rd]
         return np.argmax(stats, axis=1) != frame_symbols[1:]
 
-    errors = int(np.sum(exact_errors([0, *sent])))
+    cfg = _one_trial(p.sf, ch, ebn0, 400, 4)
+    sent = _trial_rng(cfg.master_seed, 0).integers(0, p.m, size=cfg.n_d)
+    errors = run_ser_sweep(cfg)[0].errors
     assert errors > 50
+    assert errors == _sample_chain_errors(cfg, ebn0)
+    assert errors == int(np.sum(exact_errors([0, *sent])))
     assert np.all(np.argmax(_steady_rows(p, g, sent).real, axis=1) == sent)
-    for batch in (n, 7):
-        assert simulate_ser(model, 0.0, n, _ChainRng(sent), batch=batch) == errors
-    for a in range(p.m):
-        first = int(exact_errors([0, a])[0])
-        assert simulate_ser(model, 0.0, 1, _ChainRng([a])) == first
+    # one data symbol after the pilot, trial by trial, until every value has been sent
+    first = [int(exact_errors([0, a])[0]) for a in range(p.m)]
+    seen = set()
+    for seed in range(8 * p.m):
+        one = replace(cfg, n_d=1, master_seed=seed)
+        a = int(_trial_rng(seed, 0).integers(0, p.m, size=1)[0])
+        seen.add(a)
+        errors = run_ser_sweep(one)[0].errors
+        assert errors == first[a] == _sample_chain_errors(one, ebn0)
+    assert seen == set(range(p.m))
+
+
+@pytest.mark.parametrize("sf, taps", [(6, "0:1,3:0.6j,9:0.4"), (2, "0:1,3:0.5")])
+def test_simulate_ser_is_one_sweep_trial(sf, taps):
+    # the documented config, its seed drawn from an identically seeded Generator;
+    # batch is accepted and changes nothing. k_max=1 fits sf 2, where the
+    # config's default (10) would not
+    p = LoRaParams(sf)
+    model = build_fast_sim(p, dechirped_gain(p, parse_channel(taps)))
+    sigma2 = 8.0
+    ebn0 = snr_ebn0_convert(p, -10.0 * math.log10(sigma2), "snr_to_ebn0")
+    seed = int(np.random.default_rng(12).integers(2**63))
+    ch = MultipathChannel(model.gains.delays, tuple(model.raw))
+    want = run_ser_sweep(_one_trial(p.sf, ch, ebn0, 3000, seed))[0].errors
+    assert 0 < want < 3000
+    for batch in ((), (1,), (7,), (4096,)):
+        assert simulate_ser(model, sigma2, 3000, np.random.default_rng(12), *batch) == want
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_simulate_ser_rejects_a_bad_noise_variance_before_any_work(sigma2):
+    # a sweep has no noise-free point; the Generator is left untouched
+    p = LoRaParams(5)
+    model = build_fast_sim(p, dechirped_gain(p, C1))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with mock.patch.object(fastsim, "run_ser_sweep") as sweep:
+        with pytest.raises(ValueError, match="sigma2"):
+            simulate_ser(model, sigma2, 10, rng)
+    sweep.assert_not_called()
+    assert rng.bit_generator.state == state
+
+
+def test_simulate_ser_symbol_count():
+    p = LoRaParams(5)
+    model = build_fast_sim(p, dechirped_gain(p, C1))
+    with pytest.raises(ValueError, match="n_symbols"):
+        simulate_ser(model, 0.5, -1, np.random.default_rng(3))
+    assert simulate_ser(model, 0.5, 0, np.random.default_rng(3)) == 0
 
 
 def test_simulate_ser_noise_free_limit():
@@ -289,7 +333,7 @@ def test_model_memory_is_linear_in_m():
 
 def test_simulate_ser_blocks_are_capped_in_bytes():
     # at sf 11 one 4096-row block would hold 128 MiB per (block, M) complex
-    # array; the cap (channel.BLOCK_BINS) keeps each at 4 MiB whatever batch allows
+    # array; the sweep's cap (channel.BLOCK_BINS) keeps each at 4 MiB
     p = LoRaParams(11)
     model = build_fast_sim(p, dechirped_gain(p, C2))
     tracemalloc.start()

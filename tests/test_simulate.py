@@ -892,6 +892,27 @@ def test_linear_detectors_with_shared_gains_make_no_spectra(monkeypatch, cfg):
     assert [p for p in shared if p.detector != "noncoh"] == alone
 
 
+def test_fixed_rule_decisions_pass_their_density(monkeypatch):
+    # a fixed rule keeps n_c of a row's M bins (bar ties), so its callers tell
+    # masked_argmax the density and it counts no mask; threshold masks are counted
+    seen = []
+    argmax = simulate._masked_argmax
+
+    def recording(*args, density=None, **kwargs):
+        seen.append(density)
+        return argmax(*args, density=density, **kwargs)
+
+    monkeypatch.setattr(simulate, "_masked_argmax", recording)
+    run_ser_sweep(_small(detectors=("cand-rake", "cand-mf"), n_c=8, n_d=20))
+    assert seen and set(seen) == {8 / 128}
+    seen.clear()
+    run_ser_sweep(_small(detectors=("cand-rake",), rho_c=0.3, n_d=20))
+    assert seen and set(seen) == {None}
+    seen.clear()
+    run_candidate_sweep(_cand(_small(n_d=20)), (0.05, 0.5))
+    assert seen and set(seen) == {6 / 128, 64 / 128}
+
+
 @settings(max_examples=20, deadline=None)
 @given(axis=st.lists(st.sampled_from([-4.0, -1.5, 0.0, 2.0, 5.0]), min_size=1, max_size=3,
                      unique=True),

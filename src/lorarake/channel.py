@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .waveform import LoRaParams, chirp_samples
+from .waveform import LoRaParams, _chirp_tables, chirp_samples
 
 __all__ = [
     "MultipathChannel",
@@ -171,19 +171,6 @@ def build_frame(params: LoRaParams, pilots: int, data) -> Frame:
     return Frame(params, int(pilots), int(data.size), symbols)
 
 
-@lru_cache(maxsize=None)
-def _chirp_tables(sf: int) -> tuple[np.ndarray, np.ndarray]:
-    # (x_0[k], exp(2j*pi*k/M)) over k in [0, M), built once per spreading
-    # factor and shared read-only; entry j of the roots equals the exp of any
-    # exponent reduced to j, bit for bit
-    m = 1 << sf
-    k = np.arange(m)
-    tables = (chirp_samples(LoRaParams(sf), 0, k), np.exp(2j * np.pi * k / m))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
 def apply_channel(params: LoRaParams, frame, ch: MultipathChannel) -> np.ndarray:
     """Exact linear convolution with the channel taps, truncated to the input length.
 
@@ -244,8 +231,8 @@ def dechirped_gain(params: LoRaParams, ch: MultipathChannel) -> DechirpedGains:
 
 # Bins (rows * M) of one block of windows that a trial holds at a time: 4 MiB
 # per complex block array at any sf, so a trial's memory does not grow with
-# its length. A sweep writes its blocks into one workspace of such arrays,
-# made once per sweep (simulate._workspace).
+# its length. A trial writes its blocks into one workspace of such arrays,
+# which its sweep makes (simulate._map_points).
 BLOCK_BINS = 1 << 18
 
 

@@ -31,14 +31,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import (
     DechirpedGains,
-    _chirp_tables,
     block_rows,
     channel_coefficient,
     dechirped_gain,
     line_amplitudes,
     rotate_gains,
 )
-from .waveform import LoRaParams
+from .waveform import LoRaParams, _chirp_tables
 
 __all__ = [
     "CorrelationTable",
@@ -336,24 +335,22 @@ _NINF_BITS = np.array(-np.inf).view(np.int64)
 _DENSE_MASK = 25
 
 
-def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None,
-                  density: float | None = None) -> np.ndarray:
+def masked_argmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-row argmax over the masked bins only; ties resolve to the lowest bin.
 
     The masked scores, -inf elsewhere, are written to out, a real array of
     scores' shape, in one of two forms that write the same bytes:
-    - over 4% of the bins masked, three branch-free integer passes over
-      out's bits, (bits(scores) ^ bits(-inf)) * mask ^ bits(-inf);
+    - over 4% of the first row's bins masked, three branch-free integer
+      passes over out's bits, (bits(scores) ^ bits(-inf)) * mask ^ bits(-inf);
     - otherwise, a fill with -inf and a masked copy of the scores.
     Measured in process on (32-256, 1024-4096) blocks, the masked copy cost
     0.5-0.8 ns a bin on the sparsest masks and 5-6.5 at 30-45% of the bins,
-    the three passes 1.4-1.8 at any density: they crossed at 3-4%.
-    density, the share of bins masked where the caller knows it (n_c / M
-    for the fixed rule), picks the form without counting the mask.
+    the three passes 1.4-1.8 at any density: they crossed at 3-4%. The first
+    row stands for the rest: the fixed rule masks n_c bins of every row, and
+    a threshold mask's rows share one law. The form sets the time alone.
     """
     filled = np.empty(scores.shape) if out is None else out
-    if (np.count_nonzero(mask) * _DENSE_MASK > mask.size if density is None
-            else density * _DENSE_MASK > 1):
+    if np.count_nonzero(mask[:1]) * _DENSE_MASK > mask.shape[-1]:
         bits = filled.view(np.int64)
         np.bitwise_xor(scores.view(np.int64), _NINF_BITS, out=bits)
         np.multiply(bits, mask, out=bits)

@@ -5,12 +5,13 @@ Each trial draws one pilot-prefixed symbol burst, writes its dechirped
 window spectra in closed form (channel.dechirped_spectra), adds one
 shared white spectral noise realization, and runs every configured
 detector on the same data, so detector comparisons are paired. It does
-so one block of consecutive windows at a time (channel.BLOCK_BINS), so a
-trial's memory does not grow with its length. Each trial is an independent
-Monte Carlo unit whose RNG streams are keyed by (master_seed, trial): one
-draws its data symbols, and one per tile of TILE_BINS bins its standard
-normals, so results do not depend on the worker count, and any range of a
-burst's rows draws its normals alone. It makes each block's standard
+so one block of consecutive windows at a time (channel.BLOCK_BINS), each
+block drawing its own data symbols, so a trial's memory does not grow with
+its length. Each trial is an independent Monte Carlo unit whose RNG streams
+are keyed by (master_seed, trial): one draws its data symbols, block after
+block, and one per tile of TILE_BINS bins its standard normals, so results
+do not depend on the worker count, and any range of a burst's rows draws
+its normals alone. It makes each block's standard
 normals W and noise-free spectra C once, and every Eb/N0 point scales the
 normals to its own noise variance, so the points of one run are common random
 numbers: point i sees the spectra s_i * W + C. With perfect CSIR every point
@@ -22,10 +23,10 @@ from the windows' symbols and head deltas (detectors.clean_rake_scores), the
 spectral lines and window heads that make C.
 The trials of a sweep run at once on min(workers, n_trials, usable cores)
 trial threads (_map_points). Every block array, and each point's mf bank
-when the points' gains differ, is written into one workspace per trial
-thread, made once per sweep, so the blocks of a sweep allocate no block
-memory and those banks end with it; with shared gains every trial reads one
-channel bank.
+when the points' gains differ, is written into a workspace that the sweep
+makes and hands to each trial, at most one per trial thread, so the blocks
+of a sweep allocate no block memory and those banks end with it; with
+shared gains every trial reads one channel bank.
 
 After a block's serial steps (its head deltas, and in the first block every
 point's pilot average, gains and mf banks, from the pilots' own normals), its
@@ -50,6 +51,7 @@ import functools
 import math
 import numbers
 import os
+import queue
 import threading
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -408,17 +410,18 @@ _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
 
 
 class _Workspace:
-    """A trial thread's block arrays for one sweep, carved from one allocation, and mf banks.
+    """A trial's block arrays, carved from one allocation, and mf banks.
 
-    Every region holds one array (the mask region masks) of rows windows of
-    M bins: block_rows(M) rows (n_p + 1 when a first block of pilots needs
-    more), or the n_p + n_d windows of a shorter burst. Window j of a block,
-    pilots first, owns row j of every region. A region no stage writes is
-    never touched: it costs address space, not resident memory. One
-    allocation keeps a sweep independent of the allocator's history: no block
-    array is freed, handed back to the system and faulted in again between
-    blocks. banks holds one (2M, M) mf bank per point when the points' gains
-    differ, rebuilt in place by each trial.
+    _map_points makes them for its sweep and hands each trial one no other
+    running trial holds. Every region holds one array (the mask region
+    masks) of rows windows of M bins: block_rows(M) rows (n_p + 1 when a
+    first block of pilots needs more), or the n_p + n_d windows of a shorter
+    burst. Window j of a block, pilots first, owns row j of every region. A
+    region no stage writes is never touched: it costs address space, not
+    resident memory. One allocation keeps a sweep independent of the
+    allocator's history: no block array is freed, handed back to the system
+    and faulted in again between blocks. banks holds one (2M, M) mf bank per
+    point when the points' gains differ, rebuilt in place by each trial.
     """
 
     def __init__(self, m: int, rows: int, masks: int = 1, banks: int = 0):
@@ -452,31 +455,6 @@ def _shares_gains(cfg: SimConfig) -> bool:
     linear score at a point is scale * (its score of the normals) + (its score
     of the noise-free spectra), so a block scores those two once for every point."""
     return cfg.csir == "perfect"
-
-
-# this thread's one workspace for a sweep: held is ((params, cfg, masks), it)
-_workspace_cache = threading.local()
-
-
-def _workspace(params: LoRaParams, cfg: SimConfig, masks: int = 1) -> _Workspace:
-    """This trial thread's one workspace, for cfg's sweep: every region at the
-    rows of a trial's largest block, the mask region holding masks masks, and
-    one mf bank per point if a detector reads the bank and the points' gains
-    differ. A new sweep's workspace replaces the thread's last one, which is
-    freed first (a thread that runs its sweeps' trials itself runs several
-    sweeps); _map_points frees the caller's when the sweep ends, and a trial
-    thread's ends with the thread."""
-    key = (params, cfg, masks)
-    held = getattr(_workspace_cache, "held", None)
-    if held is None or held[0] != key:
-        _workspace_cache.held = None
-        rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
-        banks = len(cfg.ebn0_db) if cfg._banked() and not _shares_gains(cfg) else 0
-        if banks:  # this sweep's banks are its own: free the last channel's first
-            with _channel_bank_lock:
-                _channel_bank_memo.clear()
-        held = _workspace_cache.held = (key, _Workspace(params.m, rows, masks, banks))
-    return held[1]
 
 
 def _real_halves(a: np.ndarray) -> np.ndarray:
@@ -679,13 +657,15 @@ def _channel_bank(params: LoRaParams, ch: MultipathChannel, whole: bool) -> np.n
         return _channel_bank_memo[key]
 
 
-def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
-    """Draw one burst's symbols; yield the data rows of its blocks in burst order.
+def _trial_setup(params, ch, cfg, ws: _Workspace, trial) -> Iterator[_Block]:
+    """Yield the data rows of one burst's blocks in burst order, in ws.
 
     A block is at most block_rows(M) consecutive windows, one _Block over
     their symbols, head deltas and normals (the first also carries every
-    pilot, rows(0, n_p), before at least one data symbol). Its normals are
-    not drawn here: whoever runs a range of its rows fills them first
+    pilot, rows(0, n_p), before at least one data symbol). Its data symbols
+    are drawn as it starts, from the trial's one symbol stream, so the burst
+    is that of one draw but is never held whole. Its normals are not drawn
+    here: whoever runs a range of its rows fills them first
     (_Block.draw), each burst row's from its own tile's stream, so they do
     not depend on the range. Its noise-free spectra continue the previous
     block's last symbol. Both are made once per block, and so are the
@@ -699,12 +679,10 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     normals and fix each point's pilot average and gains before it is
     yielded, then each point's mf bank in the workspace (with shared gains,
     _channel_bank's): no part of a block builds a bank. Every array of a
-    yielded block is a view of the trial thread's workspace, so a block is
-    valid until the next yield; its mask region holds masks masks.
+    yielded block is a view of ws, so a block is valid until the next yield.
     """
     m = params.m
-    ws = _workspace(params, cfg, masks)
-    data = _trial_rng(cfg.master_seed, trial).integers(0, m, size=cfg.n_d)
+    rng = _trial_rng(cfg.master_seed, trial)
     # the DFT of dechirped white CN(0, sigma2) samples is white CN(0, M*sigma2)
     # over the bins, so the noise is drawn in the spectrum
     scales = [math.sqrt(m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr")) / 2.0)
@@ -720,7 +698,7 @@ def _trial_setup(params, ch, cfg, trial, masks: int = 1) -> Iterator[_Block]:
     n_p, start, prev = cfg.n_p, 0, None
     while start < cfg.n_d:
         stop = min(cfg.n_d, start + max(1, rows - n_p))
-        symbols = build_frame(params, n_p, data[start:stop]).symbols
+        symbols = build_frame(params, n_p, rng.integers(0, m, size=stop - start)).symbols
         n = symbols.size
         first = cfg.n_p + start - n_p  # its first window's burst row: 0, or after the pilots
         block = _Block(params, ch, cfg, ws, trial, first, 0, symbols,
@@ -830,7 +808,7 @@ def _threads(params: LoRaParams, cfg: SimConfig) -> int:
     return max(1, _usable_cores() // _trial_threads(cfg))
 
 
-def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
+def _trial_counts(params, ch, cfg, ws: _Workspace, trial, count):
     """(count summed over a trial's blocks, the trial's gains per point).
 
     count(block) returns a block's integer counts as an array. Each block
@@ -840,8 +818,7 @@ def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
     outlives the trial; with one thread the block's one part counts inline.
     Every stage works row by row and each mask is made of the whole block,
     so the sums do not depend on the cut. A part that fails, in its draw
-    too, releases the parts waiting for it. The workspace's mask region
-    holds masks masks."""
+    too, releases the parts waiting for it."""
     threads = _threads(params, cfg)
     total = 0
 
@@ -857,7 +834,7 @@ def _trial_counts(params, ch, cfg, trial, count, masks: int = 1):
 
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool else map
-        for block in _trial_setup(params, ch, cfg, trial, masks):
+        for block in _trial_setup(params, ch, cfg, ws, trial):
             total = sum(run(counted, block.parts(threads)), total)
     return total, block.gains
 
@@ -956,7 +933,7 @@ def _trial_sums(spec: _Detector, params, n_paths: int, n_d: int, masked: int):
             n_d * base.cadd + (unit.cadd - base.cadd) * nc_total)
 
 
-def _run_trial(params, ch, cfg, trial) -> list[dict]:
+def _run_trial(params, ch, cfg, ws: _Workspace, trial) -> list[dict]:
     """One burst at every operating point: per point, detector -> (errors,
     scored hypotheses, cmult, cadd), each summed over the trial.
 
@@ -977,8 +954,6 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
             kernels.setdefault(_DETECTORS[det].kernel, []).append(det)
     shared = _shares_gains(cfg)
     reads_points = cfg._reads_points()
-    # the fixed rule's masks keep n_c bins a row, bar ties: _masked_argmax need not count them
-    density = cfg.n_c / params.m if cfg.n_c is not None else None
 
     def count(block: _Block) -> np.ndarray:
         counts = np.zeros((len(cfg.ebn0_db), len(dets) + 1), dtype=np.int64)
@@ -986,8 +961,7 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
         def tally(i, kernel, scores):
             for det in kernels[kernel]:
                 if _DETECTORS[det].candidates:
-                    dec = _masked_argmax(scores, block.mask(i), out=block.region("work"),
-                                         density=density)
+                    dec = _masked_argmax(scores, block.mask(i), out=block.region("work"))
                 else:
                     dec = np.argmax(scores, axis=1)
                 counts[i, col[det]] += np.sum(dec != block.data)
@@ -1006,32 +980,52 @@ def _run_trial(params, ch, cfg, trial) -> list[dict]:
                     tally(i, kernel, block.combined(i))
         return counts
 
-    # with shared gains the masks are read after the points loop, so each point keeps its own
-    counts, gains = _trial_counts(params, ch, cfg, trial, count,
-                                  masks=len(cfg.ebn0_db) if shared else 1)
+    counts, gains = _trial_counts(params, ch, cfg, ws, trial, count)
     return [{det: (int(c[col[det]]), *_trial_sums(_DETECTORS[det], params, g.n_paths, cfg.n_d,
                                                    int(c[-1])))
              for det in dets} for c, g in zip(counts, gains)]
 
 
-def _map_points(fn, params, ch, cfg: SimConfig, *extra) -> list[tuple[float, tuple]]:
+def _map_points(fn, params, ch, cfg: SimConfig, *extra,
+                masks: int = 1) -> list[tuple[float, tuple]]:
     """(Eb/N0, each trial's result there) per point, in axis order, where
-    fn(params, ch, cfg, trial, *extra) returns a trial's results in axis order.
-    The trials run on a pool of _trial_threads(cfg) threads, each trial on
-    _threads(params, cfg) parts. While more than one thread runs, OpenBLAS
-    is held at the cores left to each, once for the sweep (a trial's own
-    hold would give its count back under other trials' products), and the
-    pool ends before the caller's count is back, also when a trial raises."""
+    fn(params, ch, cfg, ws, trial, *extra) returns a trial's results in axis
+    order, its block arrays in ws.
+
+    The sweep owns its workspaces: each at the rows of a trial's largest
+    block, its mask region holding masks masks, and one mf bank per point if
+    a detector reads the bank and the points' gains differ (the last
+    channel's bank is freed first: this sweep never reads it). A trial takes
+    one that no running trial holds, made when there is none, so a sweep
+    makes at most one per trial thread, and they all go when it returns or
+    raises. The trials run on a pool of _trial_threads(cfg) threads, each
+    trial on _threads(params, cfg) parts. While more than one thread runs,
+    OpenBLAS is held at the cores left to each, once for the sweep (a
+    trial's own hold would give its count back under other trials'
+    products), and the pool ends before the caller's count is back, also
+    when a trial raises."""
     trials = _trial_threads(cfg)
     threads = trials * _threads(params, cfg)
-    try:
-        with (_blas_threads(_usable_cores() // threads) if threads > 1 else nullcontext(),
-              ThreadPoolExecutor(trials) if trials > 1 else nullcontext() as pool):
-            run = pool.map if pool else map
-            results = list(run(lambda trial: fn(params, ch, cfg, trial, *extra),
-                               range(cfg.n_trials)))
-    finally:
-        _workspace_cache.held = None  # a caller holds no block memory between sweeps
+    rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
+    banks = len(cfg.ebn0_db) if cfg._banked() and not _shares_gains(cfg) else 0
+    if banks:
+        with _channel_bank_lock:
+            _channel_bank_memo.clear()
+    spare = queue.SimpleQueue()  # the workspaces of finished trials
+
+    def run(trial):
+        try:
+            ws = spare.get_nowait()
+        except queue.Empty:
+            ws = _Workspace(params.m, rows, masks, banks)
+        try:
+            return fn(params, ch, cfg, ws, trial, *extra)
+        finally:
+            spare.put(ws)
+
+    with (_blas_threads(_usable_cores() // threads) if threads > 1 else nullcontext(),
+          ThreadPoolExecutor(trials) if trials > 1 else nullcontext() as pool):
+        results = list((pool.map if pool else map)(run, range(cfg.n_trials)))
     return list(zip(cfg.ebn0_db, zip(*results)))
 
 
@@ -1051,7 +1045,9 @@ def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     params, ch = cfg.resolve()
     symbols = cfg.n_trials * cfg.n_d
     points = []
-    for ebn0, block in _map_points(_run_trial, params, ch, cfg):
+    # with shared gains the masks are read after the points loop, so each point keeps its own
+    masks = len(cfg.ebn0_db) if _shares_gains(cfg) else 1
+    for ebn0, block in _map_points(_run_trial, params, ch, cfg, masks=masks):
         for det in cfg.detectors:
             errors, nc_sum, cmult, cadd = map(sum, zip(*(r[det] for r in block)))
             points.append(SerPoint.from_counts(det, ebn0, errors, symbols, nc_sum / symbols,
@@ -1218,7 +1214,8 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     nc_list = sorted({min(m, max(1, round(x * m))) for x in nc_norm_grid})
     symbols = cfg.n_trials * cfg.n_d
     rows = []
-    for ebn0, block in _map_points(_cand_sweep_trial, params, ch, cfg, nc_list):
+    for ebn0, block in _map_points(_cand_sweep_trial, params, ch, cfg, nc_list,
+                                   masks=len(nc_list)):
         for n_c, errors in zip(nc_list, map(sum, zip(*block))):
             ser = errors / symbols
             rows.append(CandSweepRow(params.sf, float(ebn0), n_c, n_c / m,
@@ -1226,7 +1223,7 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     return rows
 
 
-def _cand_sweep_trial(params, ch, cfg, trial, nc_list) -> list[list[int]]:
+def _cand_sweep_trial(params, ch, cfg, ws: _Workspace, trial, nc_list) -> list[list[int]]:
     """Errors of the fixed-size candidate combiner per point, for each n_c, on one burst.
 
     With shared gains a block's rake scores fill its spectra region before
@@ -1246,8 +1243,8 @@ def _cand_sweep_trial(params, ch, cfg, trial, nc_list) -> list[list[int]]:
             scores = block.combined(t.i) if shared else next(t.scores((_RAKE,)))[1]
             for j in range(len(rules)):
                 dec = _masked_argmax(scores, block.region("mask", bool, j),
-                                     out=block.region("work"), density=nc_list[j] / params.m)
+                                     out=block.region("work"))
                 errors[t.i, j] += np.sum(dec != block.data)
         return errors
 
-    return _trial_counts(params, ch, cfg, trial, count, masks=len(rules))[0].tolist()
+    return _trial_counts(params, ch, cfg, ws, trial, count)[0].tolist()

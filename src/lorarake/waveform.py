@@ -61,6 +61,19 @@ def chirp_samples(params: LoRaParams, a: int, k) -> np.ndarray:
     return np.exp(1j * phase)
 
 
+@lru_cache(maxsize=None)
+def _chirp_tables(sf: int) -> tuple[np.ndarray, np.ndarray]:
+    # (x_0[k], exp(2j*pi*k/M)) over k in [0, M), built once per spreading
+    # factor and shared read-only; entry j of the roots equals the exp of any
+    # exponent reduced to j, bit for bit
+    m = 1 << sf
+    k = np.arange(m)
+    tables = (chirp_samples(LoRaParams(sf), 0, k), np.exp(2j * np.pi * k / m))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def gen_chirp(params: LoRaParams, a: int) -> np.ndarray:
     """Length-M unit-modulus chirp carrying symbol value a."""
     if not 0 <= a < params.m:
@@ -81,14 +94,6 @@ def instantaneous_frequency(params: LoRaParams, a: int, wrap: bool = False) -> n
     return f
 
 
-@lru_cache(maxsize=None)
-def _downchirp_conj(sf: int) -> np.ndarray:
-    # conj(x_0), built once per spreading factor and shared read-only
-    c = np.conj(chirp_samples(LoRaParams(sf), 0, np.arange(1 << sf)))
-    c.setflags(write=False)
-    return c
-
-
 def dechirp(params: LoRaParams, samples: np.ndarray) -> np.ndarray:
     """Multiply by conj(x_0) along the last axis.
 
@@ -98,7 +103,7 @@ def dechirp(params: LoRaParams, samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.shape[-1] != params.m:
         raise ValueError(f"last axis must have length M={params.m}, got {samples.shape}")
-    return samples * _downchirp_conj(params.sf)
+    return samples * np.conj(_chirp_tables(params.sf)[0])
 
 
 def dft(buf: np.ndarray) -> np.ndarray:

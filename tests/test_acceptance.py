@@ -47,7 +47,7 @@ from lorarake import (
 )
 from lorarake.detectors import rake_scores
 from lorarake.simulate import _burst_normals, _trial_rng
-from lorarake.waveform import _downchirp_conj, idft
+from lorarake.waveform import _chirp_tables, idft
 
 # ----------------------------------------------------------------------
 # helpers
@@ -480,7 +480,7 @@ def _sample_chain_errors(cfg: SimConfig, ebn0_db: float) -> int:
     m, n = params.m, cfg.n_p + cfg.n_d
     g = dechirped_gain(params, ch)
     scale = math.sqrt(m * noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr")) / 2.0)
-    upchirp = np.conj(_downchirp_conj(params.sf))
+    upchirp = _chirp_tables(params.sf)[0]
     errors = 0
     for trial in range(cfg.n_trials):
         data = _trial_rng(cfg.master_seed, trial).integers(0, m, size=cfg.n_d)

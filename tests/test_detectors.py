@@ -4,7 +4,6 @@ the pilot-correlation detector."""
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -270,28 +269,30 @@ def test_detect_tie_resolves_to_lowest_index():
 @example(10, 8, 0.5, True, 1)  # half the bins: the three integer passes
 @example(3, 4, 1.0, False, 2)  # every bin
 def test_masked_argmax_is_the_fill_and_masked_copy(sf, rows, density, reuse, seed):
-    # both forms, chosen by the mask's count or by a density the caller passes
-    # (0 and 1 force the copy and the integer passes whatever the mask holds),
-    # against filling with -inf and copying the masked scores in: the same
-    # decisions and, in out, the same bytes, over tie-heavy scores with both
-    # zeros and infinities. A passed density skips the count
+    # both forms, chosen by the first row's count (an empty first row forces
+    # the masked copy and a full one the integer passes, whatever the other
+    # rows hold), against filling with -inf and copying the masked scores in:
+    # the same decisions and, in out, the same bytes, over tie-heavy scores
+    # with both zeros and infinities
     m = 2**sf
     rng = np.random.default_rng(seed)
     scores = rng.integers(-2, 3, size=(rows, m)).astype(float)
     scores[(scores == 0) & (rng.random(scores.shape) < 0.5)] = -0.0
     scores[rng.random(scores.shape) < 0.05] = np.inf
     scores[rng.random(scores.shape) < 0.05] = -np.inf
-    mask = rng.random((rows, m)) < density
-    mask[np.arange(rows), rng.integers(0, m, size=rows)] = True
-    ref = np.full(scores.shape, -np.inf)
-    np.copyto(ref, scores, where=mask)
+    drawn = rng.random((rows, m)) < density
+    drawn[np.arange(rows), rng.integers(0, m, size=rows)] = True
     before = scores.tobytes()
-    for known in (None, density, 0.0, 1.0):
+    for first in (None, False, True):
+        mask = drawn.copy()
+        if first is not None:
+            mask[0] = first
+        ref = np.full(scores.shape, -np.inf)
+        np.copyto(ref, scores, where=mask)
         out = _used((rows, m), float, rng) if reuse else None
-        uncounted = (mock.patch.object(np, "count_nonzero", side_effect=AssertionError("counted"))
-                     if known is not None else nullcontext())
-        with uncounted:
-            dec = masked_argmax(scores, mask, out=out, density=known)
+        with mock.patch.object(np, "copyto", wraps=np.copyto) as copied:
+            dec = masked_argmax(scores, mask, out=out)
+        assert first is None or copied.called != first
         np.testing.assert_array_equal(dec, np.argmax(ref, axis=1))
         assert scores.tobytes() == before
         if reuse:

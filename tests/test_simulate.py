@@ -258,14 +258,14 @@ def test_a_process_holds_one_channel_bank_or_its_points_banks(monkeypatch):
     # its own, and a sweep whose points have banks of their own frees it
     # before making them
     monkeypatch.setattr(simulate, "_channel_bank_memo", {})
-    made, workspace = [], simulate._workspace
+    made = []
 
-    def recorded(*args, **kwargs):
-        ws = workspace(*args, **kwargs)
-        made.append(ws.nbytes)
-        return ws
+    class Recorded(simulate._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.nbytes)
 
-    monkeypatch.setattr(simulate, "_workspace", recorded)
+    monkeypatch.setattr(simulate, "_Workspace", Recorded)
     bank = 2 * 1024 * 1024 * 8
     run = dict(sf=10, detectors=("mf",), ebn0_db=(-2.0, 0.0, 2.0), n_trials=1, n_d=20)
     peaks = []
@@ -717,7 +717,7 @@ def blas():
 def _blas_counts(blas, cfg: SimConfig) -> list:
     """_map_points of cfg with each trial's result at each point the OpenBLAS
     count the trial runs on."""
-    return simulate._map_points(lambda params, ch, c, trial: [blas.get()] * len(c.ebn0_db),
+    return simulate._map_points(lambda params, ch, c, ws, trial: [blas.get()] * len(c.ebn0_db),
                                 *cfg.resolve(), cfg)
 
 
@@ -892,27 +892,6 @@ def test_linear_detectors_with_shared_gains_make_no_spectra(monkeypatch, cfg):
     assert [p for p in shared if p.detector != "noncoh"] == alone
 
 
-def test_fixed_rule_decisions_pass_their_density(monkeypatch):
-    # a fixed rule keeps n_c of a row's M bins (bar ties), so its callers tell
-    # masked_argmax the density and it counts no mask; threshold masks are counted
-    seen = []
-    argmax = simulate._masked_argmax
-
-    def recording(*args, density=None, **kwargs):
-        seen.append(density)
-        return argmax(*args, density=density, **kwargs)
-
-    monkeypatch.setattr(simulate, "_masked_argmax", recording)
-    run_ser_sweep(_small(detectors=("cand-rake", "cand-mf"), n_c=8, n_d=20))
-    assert seen and set(seen) == {8 / 128}
-    seen.clear()
-    run_ser_sweep(_small(detectors=("cand-rake",), rho_c=0.3, n_d=20))
-    assert seen and set(seen) == {None}
-    seen.clear()
-    run_candidate_sweep(_cand(_small(n_d=20)), (0.05, 0.5))
-    assert seen and set(seen) == {6 / 128, 64 / 128}
-
-
 @settings(max_examples=20, deadline=None)
 @given(axis=st.lists(st.sampled_from([-4.0, -1.5, 0.0, 2.0, 5.0]), min_size=1, max_size=3,
                      unique=True),
@@ -981,8 +960,8 @@ def test_every_point_scales_the_trials_standard_normals():
     # spectra, data-row normals and scale
     cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), n_d=600, master_seed=4)
     params, ch = cfg.resolve()
-    blocks = {}
-    for block in simulate._trial_setup(params, ch, cfg, 3):
+    blocks, ws = {}, simulate._Workspace(params.m, cfg.n_p + cfg.n_d)
+    for block in simulate._trial_setup(params, ch, cfg, ws, 3):
         block.draw()
         blocks.update({cfg.ebn0_db[t.i]: SimpleNamespace(
             data=block.data.copy(), data_spec=t.data_spec.copy(), scale=block.scales[t.i],
@@ -1301,9 +1280,12 @@ def test_block_size_does_not_change_results(monkeypatch, patch):
     assert run_ser_sweep(cfg) == whole
 
 
-def _trial_peak_bytes(n_d: int) -> int:
-    cfg = _small(sf=12, channel="c1", detectors=("noncoh", "rake", "cand-rake"),
-                 csir="estimated", n_c=32, ebn0_db=(0.0,), n_trials=1, n_d=n_d)
+_SF12_CAND_EST = dict(sf=12, channel="c1", detectors=("noncoh", "rake", "cand-rake"),
+                      csir="estimated", n_c=32)
+
+
+def _trial_peak_bytes(n_d: int, cfg: dict = _SF12_CAND_EST) -> int:
+    cfg = _small(**cfg, ebn0_db=(0.0,), n_trials=1, n_d=n_d)
     tracemalloc.start()
     try:
         run_ser_sweep(cfg)
@@ -1320,17 +1302,24 @@ def test_trial_memory_is_one_block_whatever_n_d():
     assert _trial_peak_bytes(4000) <= 1.1 * peak
 
 
+def test_a_trial_draws_its_symbols_block_by_block():
+    # a block is 65536 windows at sf 2, so a burst of 4e6 symbols runs 62
+    # blocks; drawing the whole burst's symbols up front held 32 MB of them
+    sf2 = dict(sf=2, channel="0:1,1:0.5", k_max=3)
+    assert _trial_peak_bytes(4_000_000, sf2) <= 1.1 * _trial_peak_bytes(100_000, sf2)
+
+
 def _traced_sweep(cfg: SimConfig, grid=None) -> tuple[int, int]:
     """(tracemalloc peak of one ser sweep, or candidate sweep over grid, and
     the bytes of the workspace that sweep made)."""
-    made, workspace = set(), simulate._workspace
+    made = set()
 
-    def recorded(*args, **kwargs):
-        ws = workspace(*args, **kwargs)
-        made.add(ws.nbytes)
-        return ws
+    class Recorded(simulate._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.add(self.nbytes)
 
-    with mock.patch.object(simulate, "_workspace", recorded):
+    with mock.patch.object(simulate, "_Workspace", Recorded):
         tracemalloc.start()
         try:
             if grid is None:
@@ -1407,10 +1396,9 @@ def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
     # one layout for every sweep: every region, whatever the detectors, and
     # each of the mask region's masks slots, tile one allocation
     cfg = _small(**cfg, ebn0_db=(-2.0, 0.0, 2.0), n_d=40)
-    params, _ = cfg.resolve()
     rows, widest = cfg.n_p + cfg.n_d, {16: np.complex128, 8: np.float64, 1: bool}
-    ws = simulate._workspace(params, cfg, masks=3)
-    try:
+
+    def layout(params, ch, c, ws, trial):
         spans = []
         for name, size in simulate._REGION_BYTES.items():
             for slot in range(3 if name == "mask" else 1):
@@ -1419,13 +1407,14 @@ def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
                 spans.append((a.ctypes.data, a.ctypes.data + a.nbytes))
         assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
         assert spans[-1][1] - spans[0][0] == ws.nbytes
-    finally:
-        simulate._workspace_cache.held = None
+        return [None] * len(c.ebn0_db)
+
+    simulate._map_points(layout, *cfg.resolve(), cfg, masks=3)
 
 
 def test_a_sweep_leaves_no_workspace_behind(monkeypatch):
-    # the caller's workspace is freed when its sweep ends, and each trial
-    # thread's with the thread, before the sweep returns
+    # the sweep owns the workspaces it hands its trials and drops them all
+    # when it returns, whatever threads ran the trials
     made = []
 
     class Recorded(simulate._Workspace):
@@ -1439,7 +1428,47 @@ def test_a_sweep_leaves_no_workspace_behind(monkeypatch):
                              workers=workers))
         run_candidate_sweep(_cand(_small(n_trials=3, workers=workers)), (0.5,))
     assert len(made) >= 4
-    assert getattr(simulate._workspace_cache, "held", None) is None
+    assert [ref() for ref in made] == [None] * len(made)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sweep_makes_at_most_one_workspace_per_trial_thread(monkeypatch, workers):
+    # a trial takes a workspace that a finished trial gave back, so six
+    # trials on T trial threads make at most T, whatever thread runs which
+    made = []
+
+    class Recorded(simulate._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.nbytes)
+
+    monkeypatch.setattr(simulate, "_Workspace", Recorded)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+    cfg = _small(detectors=("rake", "cand-rake"), n_c=5, n_trials=6, n_d=40, workers=workers)
+    run_ser_sweep(cfg)
+    assert 1 <= len(made) <= simulate._trial_threads(cfg) == workers
+    made.clear()
+    run_candidate_sweep(_cand(replace(cfg, n_c=None)), (0.5,))
+    assert 1 <= len(made) <= workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_workspace_outlives_a_sweep_whose_trial_raises(monkeypatch, workers):
+    made = []
+
+    class Recorded(simulate._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(simulate, "_Workspace", Recorded)
+    monkeypatch.setattr(simulate, "_rake_scores", failing)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        run_ser_sweep(_small(n_trials=3, workers=workers))
+    assert made
     assert [ref() for ref in made] == [None] * len(made)
 
 

@@ -45,7 +45,14 @@ from lorarake import (
     simulate_ser,
     snr_ebn0_convert,
 )
-from lorarake.detectors import rake_scores
+from lorarake.detectors import (
+    candidate_masks,
+    masked_argmax,
+    mf_filter_bank,
+    mf_scores,
+    rake_scores,
+)
+from lorarake.estimator import gains_at_delays
 from lorarake.simulate import _burst_normals, _trial_rng
 from lorarake.waveform import _chirp_tables, idft
 
@@ -470,25 +477,54 @@ def test_09_pilot_averaging_and_single_path_fallback(report):
 #     sample-level pipeline
 
 
-def _sample_chain_errors(cfg: SimConfig, ebn0_db: float) -> int:
-    """Rake errors through the sample-level chain (frame, channel convolution,
-    white sample noise, dechirp, FFT) on the sweep's own trials: their data
-    symbols, and as sample noise the inverse DFT of each trial's standard
-    normals W at the point's scale, times the upchirp that dechirping removes,
-    so the chain's noise spectra are the sweep's up to rounding."""
+def _chain_gains(params: LoRaParams, ch: MultipathChannel, cfg: SimConfig, pilot_spectra):
+    """The gains cfg's detectors read: the channel's under perfect CSIR, else
+    fixed from the pilot spectra as cfg's estimator fixes them."""
+    if cfg.csir == "perfect":
+        return dechirped_gain(params, ch)
+    avg = average_pilot_dft(pilot_spectra)
+    if cfg.csir == "forced":
+        return gains_at_delays(params, avg, cfg.forced_khat)
+    return detect_paths(params, avg, cfg.rho_p, cfg.k_max, ch.n_paths if cfg.known_k else None)
+
+
+_CHAIN_DETECTORS = ("rake", "mf", "cand-mf")
+
+
+def _sample_chain_errors(cfg: SimConfig, ebn0_db: float) -> dict[str, int]:
+    """Errors of each of cfg's rake, mf and cand-mf through the sample-level
+    chain (frame, channel convolution, white sample noise, dechirp, FFT) on
+    the sweep's own trials: their data symbols, and as sample noise the
+    inverse DFT of each trial's standard normals W at the point's scale,
+    times the upchirp that dechirping removes, so the chain's noise spectra
+    are the sweep's up to rounding. The rake scores the data spectra; mf
+    scores the dechirped data windows through the dense (2M, M) bank
+    (mf_filter_bank, mf_scores), and cand-mf takes the argmax of those
+    scores over the candidate mask of the spectra's magnitudes. Under
+    estimated or forced CSIR the gains come from the chain's own pilots."""
     params, ch = cfg.resolve()
-    m, n = params.m, cfg.n_p + cfg.n_d
-    g = dechirped_gain(params, ch)
+    m, n_p, n = params.m, cfg.n_p, cfg.n_p + cfg.n_d
     scale = math.sqrt(m * noise_variance(snr_ebn0_convert(params, ebn0_db, "ebn0_to_snr")) / 2.0)
     upchirp = _chirp_tables(params.sf)[0]
-    errors = 0
+    errors = {det: 0 for det in _CHAIN_DETECTORS if det in cfg.detectors}
     for trial in range(cfg.n_trials):
         data = _trial_rng(cfg.master_seed, trial).integers(0, m, size=cfg.n_d)
         w = _burst_normals(cfg.master_seed, trial, m, 0, np.empty((n, m), np.complex128))
-        rx = apply_channel(params, build_frame(params, cfg.n_p, data), ch)
+        rx = apply_channel(params, build_frame(params, n_p, data), ch)
         rx += (idft(scale * w) * upchirp).reshape(-1)
-        spec = dft(dechirp(params, rx.reshape(-1, m)))[cfg.n_p:]
-        errors += int(np.sum(np.argmax(rake_scores(params, spec, g), axis=1) != data))
+        dech = dechirp(params, rx.reshape(-1, m))
+        spec = dft(dech)
+        g = _chain_gains(params, ch, cfg, spec[:n_p])
+        scores = {"rake": rake_scores(params, spec[n_p:], g)}
+        if errors.keys() & {"mf", "cand-mf"}:
+            scores["mf"] = mf_scores(dech[n_p:], mf_filter_bank(params, g))
+        for det in errors:
+            if det == "cand-mf":
+                mask = candidate_masks(np.abs(spec[n_p:]), cfg.candidate_rule())
+                dec = masked_argmax(scores["mf"], mask)
+            else:
+                dec = np.argmax(scores[det], axis=1)
+            errors[det] += int(np.sum(dec != data))
     return errors
 
 
@@ -514,7 +550,7 @@ def test_10_fast_sim_matches_exact_pipeline(report):
     ok = True
     details = []
     for i, e in enumerate(axis):
-        chain = _sample_chain_errors(cfg, e)
+        chain = _sample_chain_errors(cfg, e)["rake"]
         exact = chain / n_exact
         sigma2 = noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
         errors = simulate_ser(model, sigma2, n_fast, np.random.default_rng([2, i]))
@@ -527,6 +563,39 @@ def test_10_fast_sim_matches_exact_pipeline(report):
         details.append(f"{e:+.0f}dB exact={exact:.4f} fast={fast_ser:.4f} |d|={diff:.4f}<{tol:.4f} "
                        f"sweep errors={sweep[e].errors} chain={chain}")
     report("10 fast-sim agreement", ok, "; ".join(details))
+    assert ok
+
+
+def test_10_sweep_mf_rows_are_the_dense_matched_filters(report):
+    # a sweep decides mf and cand-mf on the rake's scores; the chain scores
+    # the dechirped windows through the dense (2M, M) bank, so the two meet
+    # only through the MF = RAKE identity (acceptance 01), under every CSIR
+    # mode and both candidate rules, on echoes short and long
+    channels = ("c1", "c2", "0:1,5:0.7j,40:-0.6")
+    csirs = (dict(csir="perfect"), dict(csir="estimated"),
+             dict(csir="forced", forced_khat=(0, 2, 5)))
+    axis = (-2.0, 2.0)
+    mismatched, points = [], 0
+    for sf in (6, 7, 8):
+        for channel in channels:
+            for csir in csirs:
+                for rule in (dict(n_c=8), dict(rho_c=0.3)):
+                    cfg = SimConfig(sf=sf, channel=channel, detectors=("rake", "mf", "cand-mf"),
+                                    ebn0_db=axis, n_trials=2, n_d=200, master_seed=sf,
+                                    **csir, **rule)
+                    sweep = {(p.detector, p.ebn0_db): p.errors for p in run_ser_sweep(cfg)}
+                    for e in axis:
+                        chain = _sample_chain_errors(cfg, e)
+                        for det in ("mf", "cand-mf"):
+                            points += 1
+                            if sweep[(det, e)] != chain[det]:
+                                mismatched.append(f"sf{sf} {channel} {cfg.csir} {rule} {det} "
+                                                  f"{e:+.0f}dB sweep={sweep[(det, e)]} "
+                                                  f"chain={chain[det]}")
+    ok = not mismatched
+    report("10 sweep mf = dense bank", ok,
+           f"{points - len(mismatched)} of {points} points agree" +
+           "".join(f"; {m}" for m in mismatched[:3]))
     assert ok
 
 

@@ -237,7 +237,7 @@ def _check_noise_free_chain(p, ch):
     sent = _trial_rng(cfg.master_seed, 0).integers(0, p.m, size=cfg.n_d)
     errors = run_ser_sweep(cfg)[0].errors
     assert errors > 50
-    assert errors == _sample_chain_errors(cfg, ebn0)
+    assert errors == _sample_chain_errors(cfg, ebn0)["rake"]
     assert errors == int(np.sum(exact_errors([0, *sent])))
     assert np.all(np.argmax(_steady_rows(p, g, sent).real, axis=1) == sent)
     # one data symbol after the pilot, trial by trial, until every value has been sent
@@ -248,7 +248,7 @@ def _check_noise_free_chain(p, ch):
         a = int(_trial_rng(seed, 0).integers(0, p.m, size=1)[0])
         seen.add(a)
         errors = run_ser_sweep(one)[0].errors
-        assert errors == first[a] == _sample_chain_errors(one, ebn0)
+        assert errors == first[a] == _sample_chain_errors(one, ebn0)["rake"]
     assert seen == set(range(p.m))
 
 

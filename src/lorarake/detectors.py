@@ -169,8 +169,7 @@ def rake_combine(params: LoRaParams, data_spec: np.ndarray, g: DechirpedGains) -
     return z
 
 
-def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = None) -> np.ndarray:
     """The matched-filter bank in the form mf_scores takes: a real (2 * cols, M) array.
 
     Window sample k's coefficients over the hypotheses b are
@@ -182,7 +181,7 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     (clean_rake_scores, and fastsim's edge_statistics).
     Built in slabs of channel.block_rows(M) samples in one reused slab of
     temporaries, so a build's cost does not depend on the allocator's
-    history. out, a real (2 * cols, M) array, is overwritten with the bank.
+    history.
     """
     m = params.m
     n = m if cols is None else cols
@@ -191,7 +190,7 @@ def mf_filter_bank(params: LoRaParams, g: DechirpedGains, cols: int | None = Non
     heads = sliding_window_view(np.concatenate((hc, hc)), m)
     twiddles = np.conj(_chirp_tables(params.sf)[1])
     grid = np.arange(m)
-    bank = np.empty((2 * n, m)) if out is None else out
+    bank = np.empty((2 * n, m))
     step = max(1, min(n, block_rows(m)))
     idx_buf, slab_buf = np.empty((step, m), dtype=np.int64), np.empty((step, m), complex)
     for k0 in range(0, n, step):

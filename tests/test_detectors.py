@@ -177,17 +177,6 @@ def test_mf_filter_bank_is_bitwise_the_exp_formula(sf, ch):
         assert mf_filter_bank(p, g, cols=cols).tobytes() == _bank_by_formula(p, g, cols).tobytes()
 
 
-@pytest.mark.parametrize("cols", [None, 3])
-def test_mf_filter_bank_rebuilt_in_place_is_bitwise_a_fresh_build(cols):
-    # a sweep rebuilds each point's bank over the last trial's: every entry
-    # of out is written, whatever gains it held
-    p = LoRaParams(8)
-    g = dechirped_gain(p, C2)
-    out = mf_filter_bank(p, dechirped_gain(p, C1), cols=cols)
-    assert mf_filter_bank(p, g, cols=cols, out=out) is out
-    assert out.tobytes() == mf_filter_bank(p, g, cols=cols).tobytes()
-
-
 def test_ideal_mf_parasitic_peaks():
     # noise-free spectrum after true-symbol filtering: M * Gamma_aa[a - n]
     p = LoRaParams(7)

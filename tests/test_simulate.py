@@ -138,11 +138,11 @@ def test_from_dict_rejects_a_wrongly_typed_value_in_any_field(data):
 
 def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
     # mf and cand-mf decide on the rake's scores, so they hold no (2M, M)
-    # bank: at sf 15 on one tap they need no table. With shared gains each
-    # trial thread's trial builds the (2 k_max, M) float64 head table the
-    # rake's closed form reads, 15.6 GiB at sf 15 with a tap 32000 chips
-    # late, 7.8 GiB with one 16000 chips late; resolve() allocates none of
-    # it. On 2 cores 2 workers run 2 trial threads, whatever the machine
+    # bank: at sf 15 on one tap they need no table. With shared gains the
+    # sweep builds the (2 k_max, M) float64 head table the rake's closed
+    # form reads, 15.6 GiB at sf 15 with a tap 32000 chips late, 7.8 GiB
+    # with one 16000 chips late; resolve() allocates none of it. Its trial
+    # threads share the one table, so 2 workers on 2 cores are charged one
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
     wide, half = "0:1,32000:0.5", "0:1,16000:0.5"
@@ -154,12 +154,11 @@ def test_mf_bank_beyond_physical_memory_is_refused(monkeypatch):
             _small(sf=15, channel=wide, detectors=(det,)).resolve()
         assert err.value.field_name == "detectors"
         assert str(err.value).startswith(f"detectors: {det} at sf 15 holds 15.6 GiB of "
-                                         "(2 k_max, M) filter banks (1 of them)")
+                                         "(2 k_max, M) filter banks, more than the 8.0 GiB")
         _small(sf=15, channel=half, detectors=(det,)).resolve()
-        with pytest.raises(ConfigError, match=rf"^detectors: {det} at sf 15 holds 15.6 GiB of "
-                                              r"\(2 k_max, M\) filter banks \(2 of them\)"):
-            _small(sf=15, channel=half, detectors=(det,), workers=2, n_trials=2).resolve()
-        _small(sf=15, channel=half, detectors=(det,), workers=2, n_trials=1).resolve()
+        _small(sf=15, channel=half, detectors=(det,), workers=2, n_trials=2).resolve()
+        with pytest.raises(ConfigError, match=rf"^detectors: {det} at sf 15 holds 15.6 GiB "):
+            _small(sf=15, channel=wide, detectors=(det,), workers=2, n_trials=2).resolve()
     # with estimated or forced gains the rake scores each point's spectra
     # with the point's own gains: no table, whatever the axis
     nine = tuple(float(e) for e in range(9))
@@ -191,7 +190,7 @@ def test_rake_head_table_beyond_physical_memory_is_refused(monkeypatch):
     # estimated gains score each point's spectra: no table
     _small(sf=15, channel=wide, detectors=("rake",), csir="estimated", k_max=10).resolve()
     with pytest.raises(ConfigError, match="^detectors: rake at sf 15 holds 15.6 GiB of "
-                                          r"\(2 k_max, M\) filter banks \(1 of them\)"):
+                                          r"\(2 k_max, M\) filter banks, more than"):
         _small(sf=15, channel=wide, detectors=("rake", "mf")).resolve()
     with pytest.raises(ConfigError, match="^detectors: cand-rake at sf 15 "):
         run_candidate_sweep(_cand(_small(sf=15, channel=wide)), (1.0,))
@@ -578,10 +577,10 @@ def _fail_the_second_part(monkeypatch) -> SimConfig:
     """A config whose trials run 2 parts, the second failing in noncoh."""
     noncoh = simulate._DETECTORS["noncoh"]
 
-    def failing(t):
-        if t.block.row > t.block.whole.row:
+    def failing(b, i, mag):
+        if b.row > b.whole.row:
             raise ValueError("second part")
-        return noncoh.decide(t)
+        return noncoh.decide(b, i, mag)
 
     monkeypatch.setitem(simulate._DETECTORS, "noncoh", noncoh._replace(decide=failing))
     monkeypatch.setattr(simulate, "_threads", lambda p, c: 2)
@@ -659,10 +658,10 @@ def test_each_part_draws_its_normals_on_its_own_thread(monkeypatch, csir):
 @pytest.mark.parametrize("csir", _CSIRS)
 @pytest.mark.parametrize("det", ["mf", "cand-mf"])
 def test_split_trials_build_each_mf_bank_once(monkeypatch, threads, csir, det):
-    # with shared gains the trial builds its head table before its first
-    # block, and the blocks carry it, so no part builds one; with each
-    # point's own gains none is built. One block, its 37 data rows cut into
-    # parts
+    # with shared gains the sweep builds its head table before its first
+    # trial, and the blocks carry it, so no trial or part builds one; with
+    # each point's own gains none is built. One block, its 37 data rows cut
+    # into parts
     calls = _count_mf_bank_builds(monkeypatch)
     cfg = _small(channel="c1", detectors=(det, "rake"), ebn0_db=(-2.0, 0.0, 3.0), n_p=3,
                  n_d=37, **csir)
@@ -678,7 +677,7 @@ def test_split_trials_build_each_mf_bank_once(monkeypatch, threads, csir, det):
     finally:
         sys.setswitchinterval(interval)
     head = (7, channel.C1.delays, channel.C1.k_max)
-    assert seen[1] == seen[0] == ([head] * cfg.n_trials if cfg.csir == "perfect" else [])
+    assert seen[1] == seen[0] == ([head] if cfg.csir == "perfect" else [])
 
 
 def test_usable_cores_are_the_affinity_mask(monkeypatch):
@@ -786,11 +785,11 @@ def test_every_point_scales_the_trials_standard_normals():
     cfg = _small(detectors=("rake", "coh-awgn"), ebn0_db=(-3.0, 5.0), n_d=600, master_seed=4)
     params, ch = cfg.resolve()
     blocks, ws = {}, simulate._Workspace(params.m, cfg.n_p + cfg.n_d)
-    for block in simulate._trial_setup(params, ch, cfg, ws, 3):
+    for block in simulate._trial_setup(params, ch, cfg, ws, None, 3):
         block.draw()
-        blocks.update({cfg.ebn0_db[t.i]: SimpleNamespace(
-            data=block.data.copy(), data_spec=t.data_spec.copy(), scale=block.scales[t.i],
-            normals=block.normals.view(np.float64).copy()) for t in block.points()})
+        blocks.update({cfg.ebn0_db[i]: SimpleNamespace(
+            data=block.data.copy(), data_spec=spec.copy(), scale=block.scales[i],
+            normals=block.normals.view(np.float64).copy()) for i, spec in block.points()})
     assert len(blocks) == 2
     np.testing.assert_array_equal(blocks[-3.0].data, blocks[5.0].data)
     n, tile = cfg.n_p + cfg.n_d, 2**15 // params.m
@@ -821,7 +820,7 @@ def test_linear_kernels_run_once_per_block_with_shared_gains(monkeypatch, csir, 
     # with perfect CSIR each kernel scores a block's normals, whatever the
     # number of points: ideal-mf (as coh) scores the noise-free spectra with
     # its own kernel, and the rake scores them in closed form, through the
-    # head table each trial builds once; mf and cand-mf decide on the rake's
+    # head table the sweep builds once; mf and cand-mf decide on the rake's
     # scores, so nothing runs mf_scores or an inverse FFT. With estimated or
     # forced gains each kernel scores each point's spectra and no closed
     # form runs. 5 windows per block at sf 7, 2 pilots and 20 data symbols:
@@ -846,7 +845,7 @@ def test_linear_kernels_run_once_per_block_with_shared_gains(monkeypatch, csir, 
                  ebn0_db=tuple(float(e) for e in range(points)), n_p=2, n_d=20, **csir)
     blocks = cfg.n_trials * 5
     per_block, closed = (1, blocks) if cfg.csir == "perfect" else (points, 0)
-    heads = cfg.n_trials if cfg.csir == "perfect" else 0
+    heads = 1 if cfg.csir == "perfect" else 0
     run_ser_sweep(cfg)
     assert calls.pop("build_frame") == blocks
     assert calls == Counter({"_rake_scores": per_block * blocks,
@@ -903,7 +902,7 @@ def _clean_floor(block, kernel) -> np.ndarray | float:
 
 def _case_block(case, normals=None, scales=(0.0,)) -> simulate._Block:
     """The data rows of case's block as _trial_setup yields them, its normals
-    given or zero."""
+    given or zero and its noise-free spectra made."""
     p, ch, n_p, data, prev = case
     symbols = channel.build_frame(p, n_p, data).symbols
     n = symbols.size
@@ -913,9 +912,11 @@ def _case_block(case, normals=None, scales=(0.0,)) -> simulate._Block:
     w = ws.take("normals", n, np.complex128)
     w[:] = 0.0 if normals is None else normals
     g = dechirped_gain(p, ch)
-    return simulate._Block(p, ch, cfg, ws, 0, n_p, n_p, symbols[n_p:], delta[n_p:], w[n_p:],
-                           list(scales), [None] * len(scales), [g] * len(scales),
-                           simulate.mf_filter_bank(p, g, cols=g.k_max))
+    block = simulate._Block(p, ch, cfg, ws, 0, n_p, n_p, symbols[n_p:], delta[n_p:], w[n_p:],
+                            list(scales), [None] * len(scales), [g] * len(scales),
+                            simulate.mf_filter_bank(p, g, cols=g.k_max))
+    block.make_clean()
+    return block
 
 
 @settings(max_examples=80, deadline=None)
@@ -1014,34 +1015,92 @@ def _count_mf_bank_builds(monkeypatch) -> list:
     calls = []
     build = simulate.mf_filter_bank
 
-    def counting(params, g, cols=None, out=None):
+    def counting(params, g, cols=None):
         calls.append((params.sf, g.delays, cols))
-        return build(params, g, cols=cols, out=out)
+        return build(params, g, cols=cols)
 
     monkeypatch.setattr(simulate, "mf_filter_bank", counting)
     return calls
 
 
-def test_perfect_csir_builds_one_head_table_per_trial(monkeypatch):
-    # with shared gains each trial builds the channel's (2 k_max, M) head
-    # table once, whichever of rake, mf and their candidate forms read it,
-    # on trial threads too (each thread's trial its own); no (2M, M) bank is
-    # built, and a sweep with none of them, or with each point's own gains,
-    # builds nothing
+def test_perfect_csir_builds_one_head_table_per_sweep(monkeypatch):
+    # with shared gains a sweep builds the channel's (2 k_max, M) head table
+    # once, whichever of rake, mf and their candidate forms read it, and its
+    # trials share it, on trial threads too; no (2M, M) bank is built, and a
+    # sweep with none of them, or with each point's own gains, builds nothing
     calls = _count_mf_bank_builds(monkeypatch)
     head = (7, channel.C2.delays, channel.C2.k_max)
     for dets in (("mf",), ("mf", "cand-mf"), ("rake", "cand-mf"), ("cand-rake",)):
         calls.clear()
         run_ser_sweep(_small(detectors=dets, n_trials=3, ebn0_db=(-2.0, 2.0)))
-        assert calls == [head] * 3
+        assert calls == [head]
     calls.clear()
     cfg = _small(detectors=("mf", "rake"), n_trials=4, ebn0_db=(-2.0, 2.0), workers=2)
     assert run_ser_sweep(cfg) == run_ser_sweep(replace(cfg, workers=1))
-    assert calls == [head] * 8
+    assert calls == [head] * 2
     calls.clear()
     run_ser_sweep(_small(detectors=("coh", "ideal-mf", "noncoh")))
     run_ser_sweep(_small(detectors=("mf", "cand-mf"), csir="estimated"))
     assert calls == []
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_trial_threads_share_one_wide_head_table(monkeypatch, workers):
+    # each trial built its own head table, so T trial threads held T copies
+    # of one read-only table, and the guard charged all of them: at sf 10 on
+    # a tap 500 chips late a table is 7.8 MiB. The sweep builds one, its
+    # trial threads (here up to twice the cores, switching often) give the
+    # rows of one, and a machine that fits one table runs it
+    calls = _count_mf_bank_builds(monkeypatch)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: workers)
+    cfg = _small(sf=10, channel="0:1,500:0.5", n_trials=4, n_d=16, workers=workers)
+    assert simulate._trial_threads(cfg) == workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rows = run_ser_sweep(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [(10, (0, 500), 500)]
+    assert rows == run_ser_sweep(replace(cfg, workers=1))
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 12 * 2**20)
+    cfg.resolve()
+
+
+_POISON_DETECTORS = (("noncoh", "coh", "coh-awgn", "rake", "tdel"),
+                     ("ideal-mf", "mf", "cand-mf", "rake"), ("rake",), ("coh-awgn", "rake"),
+                     ("coh", "ideal-mf"))
+
+
+@pytest.mark.parametrize("csir", _CSIRS)
+def test_no_stage_reads_what_its_block_did_not_write(monkeypatch, csir):
+    # every region a stage reads was written earlier in the same block and
+    # point: workspaces whose bytes all start as 0x00 or as 0xFF (NaN
+    # floats, set masks) give the rows of fresh ones, for every detector
+    # set, part count and candidate grid. A fresh one may reuse a freed
+    # one's memory, so only the two fills together catch a stale read.
+    # 5 windows a block at sf 7, so a trial runs 4 blocks, the first of 3
+    # pilots and 2 data rows
+    def filled(byte):
+        class Filled(simulate._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self._buf.fill(byte)
+        return mock.patch.object(simulate, "_Workspace", Filled)
+
+    monkeypatch.setattr(channel, "BLOCK_BINS", 5 * 128 + 3)
+    cfg = _small(channel="c1", ebn0_db=(-2.0, 3.0), n_p=3, n_d=17, **csir)
+    sweeps = [lambda dets=dets: run_ser_sweep(replace(cfg, detectors=dets))
+              for dets in _POISON_DETECTORS]
+    sweeps += [lambda grid=grid: run_candidate_sweep(_cand(cfg), grid)
+               for grid in ((0.05, 0.5), (0.02, 1.0))]
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_threads", lambda p, c: threads)
+        for sweep in sweeps:
+            fresh = sweep()
+            for byte in (0x00, 0xFF):
+                with filled(byte):
+                    assert sweep() == fresh
 
 
 @pytest.mark.parametrize("patch", [
@@ -1191,7 +1250,7 @@ def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
     cfg = _small(**cfg, ebn0_db=(-2.0, 0.0, 2.0), n_d=40)
     rows, widest = cfg.n_p + cfg.n_d, {16: np.complex128, 8: np.float64, 1: bool}
 
-    def layout(params, ch, c, ws, trial):
+    def layout(params, ch, c, ws, head, trial):
         spans = []
         for name, size in simulate._REGION_BYTES.items():
             for slot in range(3 if name == "mask" else 1):

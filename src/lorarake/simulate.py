@@ -30,9 +30,9 @@ windows' symbols and head deltas through the channel's (2 k_max, M) head
 table (detectors.clean_rake_scores), which the sweep builds once.
 
 The trials of a sweep run at once on min(workers, n_trials, usable cores)
-trial threads (_map_points). Every block array is written into a workspace
-that the sweep makes and hands to each trial, at most one per trial thread,
-so the blocks of a sweep allocate no block memory. After a block's serial
+trial threads, its lanes (_map_points). A lane writes its trials' block
+arrays into one workspace and sums their integer tallies as each trial
+ends: no per-trial result or block memory is held. After a block's serial
 steps (its head deltas, and in the first block every point's pilot average
 and gains, from the pilots' own normals), its data rows are cut into one
 part per core left to its trial thread (_threads: one part for a burst
@@ -52,10 +52,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import queue
 import threading
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -114,9 +113,9 @@ __all__ = [
 
 _DEFAULT_RHO_C = 0.3
 
-# The most Eb/N0 points one sweep takes. A trial keeps every point's results,
-# and with perfect CSIR a ser sweep's block keeps every point's candidate mask
-# (a byte a bin).
+# The most Eb/N0 points one sweep takes. A trial's tallies and each lane's
+# total hold a row per point, and with perfect CSIR a ser sweep's block keeps
+# every point's candidate mask (a byte a bin).
 MAX_EBN0_POINTS = 1000
 
 
@@ -335,10 +334,10 @@ class SerPoint:
     cadd: float
 
     @classmethod
-    def from_counts(cls, detector, ebn0_db, errors, symbols, nc_avg, cmult, cadd):
+    def from_counts(cls, detector, ebn0_db, symbols, errors, nc_sum, cmult_sum, cadd_sum):
         ser = errors / symbols
-        return cls(detector, float(ebn0_db), int(errors), int(symbols), ser,
-                   _ci95(ser, symbols), float(nc_avg), float(cmult), float(cadd))
+        return cls(detector, float(ebn0_db), int(errors), int(symbols), ser, _ci95(ser, symbols),
+                   nc_sum / symbols, cmult_sum / symbols, cadd_sum / symbols)
 
 
 def _ci95(ser: float, symbols: int) -> float:
@@ -403,11 +402,17 @@ _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
                  "mag": 8, "scores": 8, "mask": 1}
 
 
-class _Workspace:
-    """A trial's block arrays, carved from one allocation.
+def _region_sizes(m: int, rows: int, masks: int) -> dict[str, int]:
+    """Bytes of each workspace region, in layout order."""
+    return {name: rows * m * size * (masks if name == "mask" else 1)
+            for name, size in _REGION_BYTES.items()}
 
-    _map_points makes them for its sweep and hands each trial one no other
-    running trial holds. Every region holds one array (the mask region
+
+class _Workspace:
+    """The block arrays of one lane's trials, carved from one allocation.
+
+    Each lane of a sweep makes one and runs its trials in it, one after
+    another (_map_points). Every region holds one array (the mask region
     masks) of rows windows of M bins: block_rows(M) rows (n_p + 1 when a
     first block of pilots needs more), or the n_p + n_d windows of a shorter
     burst. Window j of a block, pilots first, owns row j of every region. A
@@ -419,8 +424,7 @@ class _Workspace:
 
     def __init__(self, m: int, rows: int, masks: int = 1):
         self.m, self.rows = m, rows
-        sizes = {name: rows * m * size * (masks if name == "mask" else 1)
-                 for name, size in _REGION_BYTES.items()}
+        sizes = _region_sizes(m, rows, masks)
         self._buf = np.empty(sum(sizes.values()), dtype=np.uint8)
         self._regions, start = {}, 0
         for name, size in sizes.items():
@@ -779,10 +783,10 @@ DETECTOR_IDS = tuple(_DETECTORS)
 
 
 def _trial_sums(spec: _Detector, params, n_paths: int, n_d: int, masked: int):
-    """(scored hypotheses, cmult, cadd) of a detector, each summed over one trial."""
-    nc_total = float(masked) if spec.candidates else float(n_d * params.m)
+    """(scored hypotheses, cmult, cadd) of a detector, integers summed over one trial."""
+    nc_total = masked if spec.candidates else n_d * params.m
     if spec.op_kind is None:
-        return nc_total, 0.0, 0.0
+        return nc_total, 0, 0
     # counts are affine in n_c (constant for the full-search kinds), so sums
     # follow from the base and unit slopes
     base = op_count(spec.op_kind, params, n_paths, 0)
@@ -791,9 +795,9 @@ def _trial_sums(spec: _Detector, params, n_paths: int, n_d: int, masked: int):
             n_d * base.cadd + (unit.cadd - base.cadd) * nc_total)
 
 
-def _run_trial(params, ch, cfg, ws: _Workspace, head, trial) -> list[dict]:
-    """One burst at every operating point: per point, detector -> (errors,
-    scored hypotheses, cmult, cadd), each summed over the trial.
+def _run_trial(params, ch, cfg, ws: _Workspace, head, trial) -> np.ndarray:
+    """One burst's tallies: a (points, detectors, 4) object array of each
+    detector's (errors, scored hypotheses, cmult, cadd) there, Python ints.
 
     Per block part (_trial_counts), each point in turn writes its spectra
     and, where they are read, its magnitudes, runs the rules on them and
@@ -844,46 +848,60 @@ def _run_trial(params, ch, cfg, ws: _Workspace, head, trial) -> list[dict]:
         return counts
 
     counts, gains = _trial_counts(params, ch, cfg, ws, head, trial, count)
-    return [{det: (int(c[col[det]]), *_trial_sums(_DETECTORS[det], params, g.n_paths, cfg.n_d,
-                                                   int(c[-1])))
-             for det in dets} for c, g in zip(counts, gains)]
+    return np.array([[(int(c[col[det]]), *_trial_sums(_DETECTORS[det], params, g.n_paths,
+                                                       cfg.n_d, int(c[-1])))
+                      for det in dets] for c, g in zip(counts, gains)], dtype=object)
 
 
-def _map_points(fn, params, ch, cfg: SimConfig, *extra,
-                masks: int = 1) -> list[tuple[float, tuple]]:
-    """(Eb/N0, each trial's result there) per point, in axis order, where
-    fn(params, ch, cfg, ws, head, trial, *extra) returns a trial's results
-    in axis order, its block arrays in ws.
+def _map_points(fn, params, ch, cfg: SimConfig, *extra, masks: int = 1):
+    """The sum over the sweep's trials of fn(params, ch, cfg, ws, head,
+    trial, *extra), a trial's integer tallies, its block arrays in ws.
 
-    The sweep owns its workspaces: each at the rows of a trial's largest
-    block, its mask region holding masks masks. A trial takes one that no
-    running trial holds, made when there is none, so a sweep makes at most
-    one per trial thread, and they all go when it returns or raises. Beside
-    them it builds head, the shared gains' read-only (2 k_max, M) table
-    that the rake's closed form reads (else None), once before its first
-    trial, and every trial reads that one table. The trials run on a pool
-    of _trial_threads(cfg) threads, each trial on _threads(params, cfg)
-    parts."""
-    trials = _trial_threads(cfg)
-    rows = min(max(block_rows(params.m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
-    head = None
-    if _head_readers(cfg):
-        head = mf_filter_bank(params, dechirped_gain(params, ch), cols=ch.k_max)
-    spare = queue.SimpleQueue()  # the workspaces of finished trials
+    The trials run on _trial_threads(cfg) lanes, each trial on
+    _threads(params, cfg) parts. A lane makes one workspace at the rows of a
+    trial's largest block, its mask region holding masks masks, takes trial
+    after trial from a lock-guarded counter, and adds each one's tallies
+    into its total: integer sums do not depend on which lane ran which
+    trial. A lane that raises, or a caller interrupted while it waits, stops
+    every lane before its next trial. head is the shared gains' read-only
+    (2 k_max, M) table that the rake's closed form reads (else None), built
+    once for every trial. Pilots that outnumber a block's rows set every
+    workspace's rows; then the workspaces and the table are charged against
+    physical memory before either is made."""
+    m, lanes = params.m, _trial_threads(cfg)
+    rows = min(max(block_rows(m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
+    readers = _head_readers(cfg)
+    if rows > block_rows(m):
+        need = lanes * sum(_region_sizes(m, rows, masks).values())
+        need += 2 * ch.k_max * m * 8 if readers else 0
+        phys = _physical_memory()
+        if phys is not None and need > phys:
+            raise ConfigError("n_p", f"{cfg.n_p} pilot symbols make {lanes} trial workspace(s) of "
+                              f"{rows} windows: the sweep needs {need / 2**30:.1f} GiB, more than "
+                              f"the {phys / 2**30:.1f} GiB of physical memory")
+    head = mf_filter_bank(params, dechirped_gain(params, ch), cols=ch.k_max) if readers else None
+    trials, lock, stop = iter(range(cfg.n_trials)), threading.Lock(), threading.Event()
 
-    def run(trial):
+    def lane():
+        ws, total = _Workspace(m, rows, masks), 0
+        while not stop.is_set():
+            with lock:
+                trial = next(trials, None)
+            if trial is None:
+                break
+            total = total + fn(params, ch, cfg, ws, head, trial, *extra)
+        return total
+
+    if lanes == 1:
+        return lane()
+    with ThreadPoolExecutor(lanes) as pool:
         try:
-            ws = spare.get_nowait()
-        except queue.Empty:
-            ws = _Workspace(params.m, rows, masks)
-        try:
-            return fn(params, ch, cfg, ws, head, trial, *extra)
+            # each lane's total as it ends, so a lane's error is raised at once;
+            # no frame names a failed future, whose error would then hold the
+            # lanes' workspaces in a reference cycle
+            return sum(map(Future.result, as_completed([pool.submit(lane) for _ in range(lanes)])))
         finally:
-            spare.put(ws)
-
-    with ThreadPoolExecutor(trials) if trials > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(run, range(cfg.n_trials)))
-    return list(zip(cfg.ebn0_db, zip(*results)))
+            stop.set()  # a lane raised, the caller was interrupted, or every lane is done
 
 
 # ---------------------------------------------------------------------------
@@ -901,15 +919,11 @@ def run_ser_sweep(cfg: SimConfig) -> list[SerPoint]:
     """
     params, ch = cfg.resolve()
     symbols = cfg.n_trials * cfg.n_d
-    points = []
     # with shared gains the masks are read after the points loop, so each point keeps its own
     masks = len(cfg.ebn0_db) if _shares_gains(cfg) else 1
-    for ebn0, block in _map_points(_run_trial, params, ch, cfg, masks=masks):
-        for det in cfg.detectors:
-            errors, nc_sum, cmult, cadd = map(sum, zip(*(r[det] for r in block)))
-            points.append(SerPoint.from_counts(det, ebn0, errors, symbols, nc_sum / symbols,
-                                               cmult / symbols, cadd / symbols))
-    return points
+    tallies = _map_points(_run_trial, params, ch, cfg, masks=masks)
+    return [SerPoint.from_counts(det, ebn0, symbols, *sums)
+            for ebn0, row in zip(cfg.ebn0_db, tallies) for det, sums in zip(cfg.detectors, row)]
 
 
 @dataclass(frozen=True)
@@ -1071,18 +1085,18 @@ def run_candidate_sweep(cfg: SimConfig, nc_norm_grid=DEFAULT_NC_GRID) -> list[Ca
     nc_list = sorted({min(m, max(1, round(x * m))) for x in nc_norm_grid})
     symbols = cfg.n_trials * cfg.n_d
     rows = []
-    for ebn0, block in _map_points(_cand_sweep_trial, params, ch, cfg, nc_list,
-                                   masks=len(nc_list)):
-        for n_c, errors in zip(nc_list, map(sum, zip(*block))):
+    tallies = _map_points(_cand_sweep_trial, params, ch, cfg, nc_list, masks=len(nc_list))
+    for ebn0, row in zip(cfg.ebn0_db, tallies.tolist()):
+        for n_c, errors in zip(nc_list, row):
             ser = errors / symbols
             rows.append(CandSweepRow(params.sf, float(ebn0), n_c, n_c / m,
                                      errors, symbols, ser, _ci95(ser, symbols)))
     return rows
 
 
-def _cand_sweep_trial(params, ch, cfg, ws: _Workspace, head, trial,
-                      nc_list) -> list[list[int]]:
-    """Errors of the fixed-size candidate combiner per point, for each n_c, on one burst.
+def _cand_sweep_trial(params, ch, cfg, ws: _Workspace, head, trial, nc_list) -> np.ndarray:
+    """Errors of the fixed-size candidate combiner on one burst, a (points,
+    len(nc_list)) integer array.
 
     With shared gains a block's rake scores fill its spectra region before
     any point is made, so each point writes its spectra into the work region
@@ -1109,4 +1123,4 @@ def _cand_sweep_trial(params, ch, cfg, ws: _Workspace, head, trial,
                 errors[i, j] += np.sum(dec != block.data)
         return errors
 
-    return _trial_counts(params, ch, cfg, ws, head, trial, count)[0].tolist()
+    return _trial_counts(params, ch, cfg, ws, head, trial, count)[0]

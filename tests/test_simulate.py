@@ -196,6 +196,49 @@ def test_rake_head_table_beyond_physical_memory_is_refused(monkeypatch):
         run_candidate_sweep(_cand(_small(sf=15, channel=wide)), (1.0,))
 
 
+def test_pilots_beyond_physical_memory_are_refused(monkeypatch, capsys):
+    # pilots that outnumber a block's rows set the rows of every lane's
+    # workspace: 30000 at sf 12 make one of 9.3 GiB. The sweep charges its
+    # lanes' workspaces with the head table before it makes any of them
+    from lorarake.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("made what the guard should refuse")
+
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(simulate, "_Workspace", refuse)
+    monkeypatch.setattr(simulate, "mf_filter_bank", refuse)
+    big = _small(sf=12, channel="c1", csir="estimated", n_p=30000, n_d=10, n_trials=1)
+    with pytest.raises(ConfigError, match=r"^n_p: 30000 pilot symbols make 1 trial "
+                                          r"workspace\(s\) of 30001 windows: the sweep needs "
+                                          r"9.3 GiB, more than the 8.0 GiB"):
+        run_ser_sweep(big)
+    with pytest.raises(ConfigError, match="^n_p: "):
+        run_candidate_sweep(_cand(big))
+    argv = ["ser", "--sf", "12", "--channel", "c1", "--csir", "estimated", "--n-p", "30000",
+            "--n-trials", "1", "--n-d", "10", "--ebn0=0", "--detectors", "rake"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_p: 30000 pilot symbols")
+    # at sf 7 a block holds 2048 windows: 3000 pilots make a 31.1 MB
+    # workspace, which each lane holds, and a tap 100 chips late a 0.2 MB table
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 31_200_000)
+    pilots = _small(n_p=3000, n_d=20, n_trials=2)
+    run_ser_sweep(pilots)
+    with pytest.raises(ConfigError, match="^n_p: 3000 pilot symbols make 2 trial "):
+        run_ser_sweep(replace(pilots, workers=2))
+    with pytest.raises(ConfigError, match="^n_p: "):
+        run_ser_sweep(replace(pilots, channel="0:1,100:0.5"))
+    run_ser_sweep(replace(pilots, channel="0:1,100:0.5", csir="estimated"))
+    # below a block's rows the pilots leave the workspace at a block's
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 2**16)
+    run_ser_sweep(_small(n_p=2047, n_d=20, n_trials=1))
+
+
 def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
     from lorarake.cli import main
 
@@ -320,12 +363,72 @@ def test_sweep_is_deterministic():
     assert run_ser_sweep(cfg) == run_ser_sweep(cfg)
 
 
-def test_workers_do_not_change_results():
-    cfg1 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=4)
-    cfg2 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=4, workers=2)
-    assert run_ser_sweep(cfg1) == run_ser_sweep(cfg2)
-    assert (run_candidate_sweep(_cand(cfg1), (0.05, 1.0))
-            == run_candidate_sweep(_cand(cfg2), (0.05, 1.0)))
+def test_workers_do_not_change_results(monkeypatch):
+    # on 4 cores 3 lanes share 7 trials unevenly
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
+    for n_trials, workers in ((4, 2), (7, 3)):
+        cfg1 = _small(detectors=("rake", "tdel"), ebn0_db=(0.0, 2.0), n_trials=n_trials)
+        cfg2 = replace(cfg1, workers=workers)
+        assert run_ser_sweep(cfg1) == run_ser_sweep(cfg2)
+        assert (run_candidate_sweep(_cand(cfg1), (0.05, 1.0))
+                == run_candidate_sweep(_cand(cfg2), (0.05, 1.0)))
+
+
+def _tally_sweep(tally, n_trials: int, workers: int) -> tuple[object, int]:
+    """(_map_points' sum of tally over n_trials trials of a small sf 6
+    sweep on workers, its tracemalloc peak)."""
+    cfg = _small(sf=6, ebn0_db=(-2.0, 0.0, 2.0), n_trials=n_trials, n_d=1, workers=workers)
+    params, ch = cfg.resolve()
+    tracemalloc.start()
+    try:
+        total = simulate._map_points(tally, params, ch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return total, peak
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_a_sweep_holds_no_result_per_trial(monkeypatch, workers):
+    # each lane adds a trial's tallies into its own total as the trial
+    # finishes, so ten times the trials peak at the same heap; and the lanes,
+    # up to four times the cores here, switching often, take every trial
+    # once (a trial lost or run twice moves the sums)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: max(2, workers))
+
+    def tally(params, ch, cfg, ws, head, trial):
+        return np.array([1, trial, trial * trial], dtype=np.int64)
+
+    peaks = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (2000, 20000):
+            total, peak = _tally_sweep(tally, n, workers)
+            assert total.tolist() == [n, n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6]
+            peaks.append(peak)
+    finally:
+        sys.setswitchinterval(interval)
+    assert abs(peaks[1] - peaks[0]) <= 256 * 2**10
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_trial_stops_every_lane(monkeypatch, workers):
+    # the lane whose trial raises stops every lane before its next trial,
+    # and the sweep raises that error
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    calls, lock = [], threading.Lock()
+
+    def tally(params, ch, cfg, ws, head, trial):
+        with lock:
+            calls.append(trial)
+            if len(calls) == 3:
+                raise RuntimeError("third trial")
+        return 1
+
+    with pytest.raises(RuntimeError, match="third trial"):
+        _tally_sweep(tally, 10000, workers)
+    assert 3 <= len(calls) <= 3 + workers
 
 
 def test_a_sweep_starts_no_more_trial_threads_than_trials(monkeypatch):
@@ -1259,7 +1362,7 @@ def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
                 spans.append((a.ctypes.data, a.ctypes.data + a.nbytes))
         assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
         assert spans[-1][1] - spans[0][0] == ws.nbytes
-        return [None] * len(c.ebn0_db)
+        return 0
 
     simulate._map_points(layout, *cfg.resolve(), cfg, masks=3)
 
@@ -1285,8 +1388,8 @@ def test_a_sweep_leaves_no_workspace_behind(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_sweep_makes_at_most_one_workspace_per_trial_thread(monkeypatch, workers):
-    # a trial takes a workspace that a finished trial gave back, so six
-    # trials on T trial threads make at most T, whatever thread runs which
+    # each of a sweep's T lanes makes one workspace and runs all of its
+    # trials in it, so six trials on T trial threads make exactly T
     made = []
 
     class Recorded(simulate._Workspace):
@@ -1298,10 +1401,10 @@ def test_a_sweep_makes_at_most_one_workspace_per_trial_thread(monkeypatch, worke
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
     cfg = _small(detectors=("rake", "cand-rake"), n_c=5, n_trials=6, n_d=40, workers=workers)
     run_ser_sweep(cfg)
-    assert 1 <= len(made) <= simulate._trial_threads(cfg) == workers
+    assert len(made) == simulate._trial_threads(cfg) == workers
     made.clear()
     run_candidate_sweep(_cand(replace(cfg, n_c=None)), (0.5,))
-    assert 1 <= len(made) <= workers
+    assert len(made) == workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])

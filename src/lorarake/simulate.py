@@ -32,19 +32,21 @@ table (detectors.clean_rake_scores), which the sweep builds once.
 The trials of a sweep run at once on min(workers, n_trials, usable cores)
 trial threads, its lanes (_map_points). A lane writes its trials' block
 arrays into one workspace and sums their integer tallies as each trial
-ends: no per-trial result or block memory is held. After a block's serial
-steps (its head deltas, and in the first block every point's pilot average
-and gains, from the pilots' own normals), its data rows are cut into one
-part per core left to its trial thread (_threads: one part for a burst
-shorter than a block), and the parts run at once on a thread pool that
-lives for one trial. Each part first draws its own rows' normals and
-noise-free spectra (_Block.draw); then each point is one step of a loop
-(_Block.points). Every stage works row by row, and numpy releases the GIL
-while it runs, so each part writes only its own rows of every workspace
-region, and the parts' counts add up to those of the whole block: output
-does not depend on the thread count or the block size. The one exception
-is a candidate mask, which the parts meet to make of the whole block's
-rows (_Block.make_masks), as one thread makes it.
+ends: no per-trial result or block memory is held. Where a trial reads
+its pilots, they run first, one block of them at a time in the rows the
+data blocks use later, and fix every point's pilot average and gains, so a
+workspace holds one block whatever n_p is. After a data block's serial
+step (its head deltas), its rows are cut into one part per core left to
+its trial thread (_threads: one part for a burst shorter than a block), and
+the parts run at once on a thread pool that lives for one trial. Each part
+first draws its own rows' normals and noise-free spectra (_Block.draw);
+then each point is one step of a loop (_Block.points). Every stage works
+row by row, and numpy releases the GIL while it runs, so each part writes
+only its own rows of every workspace region, and the parts' counts add up
+to those of the whole block: output does not depend on the thread count or
+the block size. The one exception is a candidate mask, which the parts
+meet to make of the whole block's rows (_Block.make_masks), as one thread
+makes it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .detectors import (
     rake_scores as _rake_scores,
     tdel_detect,
 )
-from .estimator import average_pilot_dft, detect_paths, gains_at_delays
+from .estimator import detect_paths, gains_at_delays
 from .waveform import LoRaParams, noise_variance, snr_ebn0_convert
 
 # A sweep calls none of apply_channel, dechirp and mf_scores (mf decides on
@@ -402,21 +404,14 @@ _REGION_BYTES = {"normals": 16, "clean": 16, "spectra": 16, "work": 16,
                  "mag": 8, "scores": 8, "mask": 1}
 
 
-def _region_sizes(m: int, rows: int, masks: int) -> dict[str, int]:
-    """Bytes of each workspace region, in layout order."""
-    return {name: rows * m * size * (masks if name == "mask" else 1)
-            for name, size in _REGION_BYTES.items()}
-
-
 class _Workspace:
     """The block arrays of one lane's trials, carved from one allocation.
 
     Each lane of a sweep makes one and runs its trials in it, one after
     another (_map_points). Every region holds one array (the mask region
-    masks) of rows windows of M bins: block_rows(M) rows (n_p + 1 when a
-    first block of pilots needs more), or the n_p + n_d windows of a shorter
-    burst. Window j of a block, pilots first, owns row j of every region. A
-    region no stage writes is never touched: it costs address space, not
+    masks) of rows windows of M bins: one block, of pilots or of data, at
+    most block_rows(M) rows. Window j of a block owns row j of every region.
+    A region no stage writes is never touched: it costs address space, not
     resident memory. One allocation keeps a sweep independent of the
     allocator's history: no block array is freed, handed back to the system
     and faulted in again between blocks.
@@ -424,7 +419,8 @@ class _Workspace:
 
     def __init__(self, m: int, rows: int, masks: int = 1):
         self.m, self.rows = m, rows
-        sizes = _region_sizes(m, rows, masks)
+        sizes = {name: rows * m * size * (masks if name == "mask" else 1)
+                 for name, size in _REGION_BYTES.items()}
         self._buf = np.empty(sum(sizes.values()), dtype=np.uint8)
         self._regions, start = {}, 0
         for name, size in sizes.items():
@@ -471,16 +467,15 @@ class _Block:
     """Consecutive windows of a trial, its burst rows [first, first + n) in
     the workspace's rows [row, row + n): their symbols and head deltas
     (channel.head_deltas), and their standard normals, a complex (n, M)
-    array, and noise-free spectra (clean), both made by draw(). The first
-    block's pilot rows come before its data rows. The per-point
-    scales, pilot averages and gains are the trial's, and head is the
-    sweep's (2 k_max, M) table of the shared gains that the rake's closed
-    form reads (else None); the first block's pilots fix the pilot averages
-    and gains before its data rows run. rows(lo, hi) is a block of its own
-    over a range of the rows, and its stages write only those rows of every
-    region; parts(k) cuts the rows into such blocks, which know the block
-    they are parts of (whole) and meet at one barrier (sync) to make their
-    candidate masks.
+    array, and noise-free spectra (clean), both made by draw(). A block
+    holds pilots or data, never both. The per-point scales, pilot averages
+    and gains are the trial's, and head is the sweep's (2 k_max, M) table of
+    the shared gains that the rake's closed form reads (else None); the
+    pilot blocks fix the pilot averages and gains before any data block
+    runs. rows(lo, hi) is a block of its own over a range of the rows, and
+    its stages write only those rows of every region; parts(k) cuts the
+    rows into such blocks, which know the block they are parts of (whole)
+    and meet at one barrier (sync) to make their candidate masks.
     """
 
     params: LoRaParams
@@ -592,23 +587,25 @@ class _Block:
 
 
 def _trial_setup(params, ch, cfg, ws: _Workspace, head, trial) -> Iterator[_Block]:
-    """Yield the data rows of one burst's blocks in burst order, in ws.
+    """Yield one burst's data blocks in burst order, in ws.
 
-    A block is at most block_rows(M) consecutive windows, one _Block over
-    their symbols, head deltas and normals (the first also carries every
-    pilot, rows(0, n_p), before at least one data symbol). Its data symbols
-    are drawn as it starts, from the trial's one symbol stream, so the burst
-    is that of one draw but is never held whole. Whoever runs a range of its
-    rows first makes their normals, each burst row's from its own tile's
-    stream, and their noise-free spectra, which continue the previous
-    block's last symbol (_Block.draw). Both are made once per block, and so
-    are the windows' head deltas, which the noise-free spectra and the
-    rake's closed-form scores share, so a point's scores never depend on
-    the rest of the axis. head is the sweep's head table, or None
-    (_map_points). Where the pilots are read, the first block's pilot rows
-    are drawn and fix each point's pilot average and gains before it is
-    yielded. Every array of a yielded block is a view of ws, so a block is
-    valid until the next yield.
+    A block is at most block_rows(M) consecutive windows in workspace rows
+    [0, n), one _Block over their symbols, head deltas and normals. Where
+    the pilots are read, they run first as blocks of their own, and each
+    point adds its noisy pilot spectra into one sum row by row: over n_p,
+    average_pilot_dft's mean bit for bit, which fixes the point's gains.
+    The first data block keeps max(1, block_rows(M) - n_p) symbols, so the
+    data blocks, and tdel's row pairs in them, span the burst rows they
+    would if the pilots opened the first block. A data block's symbols are
+    drawn as it starts, from the trial's one symbol stream, so the burst is
+    never held whole. Whoever runs a range of its rows first makes their
+    normals, each burst row's from its own tile's stream, and noise-free
+    spectra, which continue the previous block's last symbol (_Block.draw).
+    The head deltas that those spectra and the rake's closed form share
+    are made once per block, so a point's scores never depend on the rest
+    of the axis. head is the sweep's head table, or None (_map_points).
+    Every array of a yielded block is a view of ws, valid until the next
+    yield.
     """
     m = params.m
     rng = _trial_rng(cfg.master_seed, trial)
@@ -619,27 +616,34 @@ def _trial_setup(params, ch, cfg, ws: _Workspace, head, trial) -> Iterator[_Bloc
     pilot_avg, gains = [None] * len(scales), [None] * len(scales)
     if _shares_gains(cfg):
         gains = [dechirped_gain(params, ch)] * len(scales)
-    rows = block_rows(m)
-    n_p, start, prev = cfg.n_p, 0, None
+
+    def block(first, symbols, prev) -> _Block:
+        delta = head_deltas(params, ch, symbols, prev)
+        normals = ws.take("normals", symbols.size, np.complex128)
+        return _Block(params, ch, cfg, ws, trial, first, 0, symbols, delta, normals, scales,
+                      pilot_avg, gains, head)
+
+    rows, n_p = block_rows(m), cfg.n_p
+    if cfg._needs_pilots():
+        sums = np.zeros((len(scales), m), dtype=np.complex128)
+        for lo in range(0, n_p, rows):
+            pilots = block(lo, np.zeros(min(rows, n_p - lo), np.int64), 0 if lo else None)
+            pilots.draw()
+            for acc, (_, spectra) in zip(sums, pilots.points()):
+                for row in spectra:  # in row order: a block-wise sum would round otherwise
+                    acc += row
+        for i in range(len(scales)):
+            pilot_avg[i] = sums[i] / n_p
+            if cfg.csir == "forced":
+                gains[i] = gains_at_delays(params, pilot_avg[i], cfg.forced_khat)
+            elif cfg.csir == "estimated":
+                gains[i] = detect_paths(params, pilot_avg[i], cfg.rho_p, cfg.k_max,
+                                        ch.n_paths if cfg.known_k else None)
+    start, prev = 0, 0 if n_p else None  # the data follow the last pilot
     while start < cfg.n_d:
         stop = min(cfg.n_d, start + max(1, rows - n_p))
-        symbols = build_frame(params, n_p, rng.integers(0, m, size=stop - start)).symbols
-        n = symbols.size
-        first = cfg.n_p + start - n_p  # its first window's burst row: 0, or after the pilots
-        block = _Block(params, ch, cfg, ws, trial, first, 0, symbols,
-                       head_deltas(params, ch, symbols, prev),
-                       ws.take("normals", n, np.complex128), scales, pilot_avg, gains, head)
-        if n_p and cfg._needs_pilots():
-            pilots = block.rows(0, n_p)
-            pilots.draw()
-            for i, spectra in pilots.points():
-                pilot_avg[i] = average_pilot_dft(spectra)
-                if cfg.csir == "forced":
-                    gains[i] = gains_at_delays(params, pilot_avg[i], cfg.forced_khat)
-                elif cfg.csir == "estimated":
-                    gains[i] = detect_paths(params, pilot_avg[i], cfg.rho_p, cfg.k_max,
-                                            ch.n_paths if cfg.known_k else None)
-        yield block.rows(n_p, n)
+        symbols = build_frame(params, 0, rng.integers(0, m, size=stop - start)).symbols
+        yield block(cfg.n_p + start, symbols, prev)
         n_p, start, prev = 0, stop, int(symbols[-1])
 
 
@@ -859,27 +863,18 @@ def _map_points(fn, params, ch, cfg: SimConfig, *extra, masks: int = 1):
 
     The trials run on _trial_threads(cfg) lanes, each trial on
     _threads(params, cfg) parts. A lane makes one workspace at the rows of a
-    trial's largest block, its mask region holding masks masks, takes trial
-    after trial from a lock-guarded counter, and adds each one's tallies
-    into its total: integer sums do not depend on which lane ran which
-    trial. A lane that raises, or a caller interrupted while it waits, stops
-    every lane before its next trial. head is the shared gains' read-only
-    (2 k_max, M) table that the rake's closed form reads (else None), built
-    once for every trial. Pilots that outnumber a block's rows set every
-    workspace's rows; then the workspaces and the table are charged against
-    physical memory before either is made."""
+    trial's largest block, of pilots or of data (at most block_rows(M),
+    whatever n_p), its mask region holding masks masks, takes trial after
+    trial from a lock-guarded counter, and adds each one's tallies into its
+    total: integer sums do not depend on which lane ran which trial. A lane
+    that raises, or a caller interrupted while it waits, stops every lane
+    before its next trial. head is the shared gains' read-only (2 k_max, M)
+    table that the rake's closed form reads (else None), built once for
+    every trial."""
     m, lanes = params.m, _trial_threads(cfg)
-    rows = min(max(block_rows(m), cfg.n_p + 1), cfg.n_p + cfg.n_d)
-    readers = _head_readers(cfg)
-    if rows > block_rows(m):
-        need = lanes * sum(_region_sizes(m, rows, masks).values())
-        need += 2 * ch.k_max * m * 8 if readers else 0
-        phys = _physical_memory()
-        if phys is not None and need > phys:
-            raise ConfigError("n_p", f"{cfg.n_p} pilot symbols make {lanes} trial workspace(s) of "
-                              f"{rows} windows: the sweep needs {need / 2**30:.1f} GiB, more than "
-                              f"the {phys / 2**30:.1f} GiB of physical memory")
-    head = mf_filter_bank(params, dechirped_gain(params, ch), cols=ch.k_max) if readers else None
+    rows = min(block_rows(m), max(cfg.n_p, cfg.n_d))
+    head = (mf_filter_bank(params, dechirped_gain(params, ch), cols=ch.k_max)
+            if _head_readers(cfg) else None)
     trials, lock, stop = iter(range(cfg.n_trials)), threading.Lock(), threading.Event()
 
     def lane():

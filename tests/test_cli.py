@@ -131,12 +131,14 @@ def test_complexity_matches_committed_output(tmp_path, capsys):
     _assert_matches_committed_output(tmp_path, capsys, "complexity_default.csv")
 
 
-def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch):
-    # 11 rows per block at sf 7 (6 pilots and 5 data symbols first), 5 at
-    # sf 8 (the first block holds all 6 pilots and one data symbol) and 22
-    # at sf 6: every committed sweep must come out byte for byte as from
-    # whole-burst blocks
-    monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", 11 * 128 + 37)
+@pytest.mark.parametrize("bins", [11 * 128 + 37, 2 * 256 + 1], ids=["sf7-11-rows", "sf7-4-rows"])
+def test_committed_output_holds_under_small_blocks(tmp_path, capsys, monkeypatch, bins):
+    # 11 rows per block at sf 7, 5 at sf 8 and 22 at sf 6, or 4, 2 and 8:
+    # where the 6 pilots are read they run as blocks of their own, one or
+    # up to three of them, and the first data block holds what a block
+    # has left after them, at least one symbol. Every committed sweep must
+    # come out byte for byte as from whole-burst blocks
+    monkeypatch.setattr(lorarake.channel, "BLOCK_BINS", bins)
     for name, argv in GOLDEN.items():
         if argv[0] in ("ser", "cand-sweep", "estimate-study"):
             _assert_matches_committed_output(tmp_path, capsys, name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import sys
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from lorarake import channel, simulate
 from lorarake.channel import Frame, MultipathChannel, dechirped_gain
 from lorarake.complexity import op_count
+from lorarake.estimator import average_pilot_dft
 from lorarake.simulate import (
     ConfigError,
     SimConfig,
@@ -196,47 +198,60 @@ def test_rake_head_table_beyond_physical_memory_is_refused(monkeypatch):
         run_candidate_sweep(_cand(_small(sf=15, channel=wide)), (1.0,))
 
 
-def test_pilots_beyond_physical_memory_are_refused(monkeypatch, capsys):
-    # pilots that outnumber a block's rows set the rows of every lane's
-    # workspace: 30000 at sf 12 make one of 9.3 GiB. The sweep charges its
-    # lanes' workspaces with the head table before it makes any of them
+def test_pilots_run_a_block_at_a_time(monkeypatch, capsys):
+    # the pilots run before the data, a block of them at a time in the rows
+    # the data use later, so no workspace outgrows one block whatever n_p
+    # is: 30000 pilots at sf 12 run in 64 rows, where 30001 would take 9.3 GiB
     from lorarake.cli import main
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("made what the guard should refuse")
+    made = []
 
+    class Recorded(simulate._Workspace):
+        def __init__(self, m, rows, *args):
+            super().__init__(m, rows, *args)
+            made.append((m, rows))
+
+    monkeypatch.setattr(simulate, "_Workspace", Recorded)
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2**30)
+    argv = ["ser", "--sf", "12", "--channel", "c1", "--n-p", "30000", "--n-trials", "1",
+            "--n-d", "10", "--ebn0=0", "--detectors", "rake"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("detector,")
+    assert made == [(4096, channel.block_rows(4096))]
+    # at sf 7 a block holds 2048 windows: 5000 pilots run as 3 blocks, and
+    # each point's pilot average is average_pilot_dft's mean of all of its
+    # pilots' noisy spectra, bit for bit
+    cfg = _small(channel="c1", csir="estimated", n_p=5000, n_d=20, ebn0_db=(-3.0, 4.0))
+    params, ch = cfg.resolve()
+    seen, estimate = [], simulate.detect_paths
+    monkeypatch.setattr(simulate, "detect_paths",
+                        lambda p, avg, *a: seen.append(avg.copy()) or estimate(p, avg, *a))
+    run_ser_sweep(cfg)
+    clean = channel.dechirped_spectra(params, ch, np.zeros(cfg.n_p, dtype=np.int64))
+    for k, (trial, e) in enumerate(itertools.product(range(cfg.n_trials), cfg.ebn0_db)):
+        z = simulate._burst_normals(cfg.master_seed, trial, params.m, 0,
+                                    np.empty((cfg.n_p, params.m), np.complex128))
+        var = params.m * noise_variance(snr_ebn0_convert(params, e, "ebn0_to_snr"))
+        spectra = (z.view(np.float64) * math.sqrt(var / 2.0)).view(np.complex128) + clean
+        assert seen[k].tobytes() == average_pilot_dft(spectra).tobytes()
+    assert len(seen) == 4
+    # and the sweeps come out as from one block that holds every pilot
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(simulate, "_Workspace", refuse)
-    monkeypatch.setattr(simulate, "mf_filter_bank", refuse)
-    big = _small(sf=12, channel="c1", csir="estimated", n_p=30000, n_d=10, n_trials=1)
-    with pytest.raises(ConfigError, match=r"^n_p: 30000 pilot symbols make 1 trial "
-                                          r"workspace\(s\) of 30001 windows: the sweep needs "
-                                          r"9.3 GiB, more than the 8.0 GiB"):
-        run_ser_sweep(big)
-    with pytest.raises(ConfigError, match="^n_p: "):
-        run_candidate_sweep(_cand(big))
-    argv = ["ser", "--sf", "12", "--channel", "c1", "--csir", "estimated", "--n-p", "30000",
-            "--n-trials", "1", "--n-d", "10", "--ebn0=0", "--detectors", "rake"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: n_p: 30000 pilot symbols")
-    # at sf 7 a block holds 2048 windows: 3000 pilots make a 31.1 MB
-    # workspace, which each lane holds, and a tap 100 chips late a 0.2 MB table
-    monkeypatch.undo()
-    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(simulate, "_physical_memory", lambda: 31_200_000)
-    pilots = _small(n_p=3000, n_d=20, n_trials=2)
-    run_ser_sweep(pilots)
-    with pytest.raises(ConfigError, match="^n_p: 3000 pilot symbols make 2 trial "):
-        run_ser_sweep(replace(pilots, workers=2))
-    with pytest.raises(ConfigError, match="^n_p: "):
-        run_ser_sweep(replace(pilots, channel="0:1,100:0.5"))
-    run_ser_sweep(replace(pilots, channel="0:1,100:0.5", csir="estimated"))
-    # below a block's rows the pilots leave the workspace at a block's
+    for patch in (dict(csir="estimated"), dict(csir="forced", forced_khat=(0, 2)),
+                  dict(detectors=("noncoh", "tdel"))):
+        cfg = _small(channel="c1", n_p=5000, n_d=20, **patch)
+        made.clear()
+        rows = run_ser_sweep(cfg)
+        assert run_ser_sweep(replace(cfg, workers=2)) == rows
+        assert made and all(r <= 2048 for _, r in made)
+        with mock.patch.object(channel, "BLOCK_BINS", 5000 * 128):
+            assert run_ser_sweep(cfg) == rows
+    # nothing guards a workspace's pilot rows now: 64 KiB of physical
+    # memory, which still passes c2's 10 KiB head table, passes them too
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 2**16)
-    run_ser_sweep(_small(n_p=2047, n_d=20, n_trials=1))
+    pilots = _small(n_p=3000, n_d=20, workers=2)
+    run_ser_sweep(pilots)
+    run_ser_sweep(replace(pilots, csir="estimated"))
 
 
 def test_cli_refuses_an_mf_bank_beyond_physical_memory(monkeypatch, capsys):
@@ -1182,8 +1197,8 @@ def test_no_stage_reads_what_its_block_did_not_write(monkeypatch, csir):
     # floats, set masks) give the rows of fresh ones, for every detector
     # set, part count and candidate grid. A fresh one may reuse a freed
     # one's memory, so only the two fills together catch a stale read.
-    # 5 windows a block at sf 7, so a trial runs 4 blocks, the first of 3
-    # pilots and 2 data rows
+    # 5 windows a block at sf 7, so a trial runs 4 data blocks, the first
+    # of 2 rows, after a block of its 3 pilots where they are read
     def filled(byte):
         class Filled(simulate._Workspace):
             def __init__(self, *args):
@@ -1351,13 +1366,13 @@ def test_a_workspace_holds_every_region_whatever_the_detectors(cfg):
     # one layout for every sweep: every region, whatever the detectors, and
     # each of the mask region's masks slots, tile one allocation
     cfg = _small(**cfg, ebn0_db=(-2.0, 0.0, 2.0), n_d=40)
-    rows, widest = cfg.n_p + cfg.n_d, {16: np.complex128, 8: np.float64, 1: bool}
+    widest = {16: np.complex128, 8: np.float64, 1: bool}
 
     def layout(params, ch, c, ws, head, trial):
         spans = []
         for name, size in simulate._REGION_BYTES.items():
             for slot in range(3 if name == "mask" else 1):
-                a = ws.take(name, rows, widest[size], slot)
+                a = ws.take(name, ws.rows, widest[size], slot)
                 a[...] = 0
                 spans.append((a.ctypes.data, a.ctypes.data + a.nbytes))
         assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))

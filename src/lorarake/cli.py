@@ -21,6 +21,7 @@ import math
 import sys
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, fields, replace
 
 from .channel import parse_channel
@@ -153,18 +154,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_path: str, header: list[str], rows: list) -> None:
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-    if out_path == "-":
-        emit(sys.stdout)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+def _write_csv(fh, header: list[str], rows: list) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
 
 
 def _channel_text(ch) -> str:
@@ -326,12 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    out = getattr(args, "out", "-")
     try:
-        result = args.func(args)
-        if result is not None:
-            header, rows, seed, payload = result
-            _write_csv(args.out, header, rows)
-            _summary(args.command, seed, payload, len(rows), t0)
+        # --out opens before the work starts, so a path that cannot be written fails at once
+        with (nullcontext(sys.stdout) if out == "-"
+              else open(out, "w", encoding="utf-8", newline="")) as fh:
+            result = args.func(args)
+            if result is not None:
+                header, rows, seed, payload = result
+                _write_csv(fh, header, rows)
+                _summary(args.command, seed, payload, len(rows), t0)
     except (ValueError, OSError) as exc:  # ConfigError and json's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
